@@ -1,23 +1,24 @@
-"""Bracket evaluation for link diagrams (crossings only, no vertices).
+"""Bracket evaluation by frontier contraction.
 
-Two independent engines compute the same value:
+One engine, `contract`, sums the state model of a network of 4-port
+nodes, each given by a table of local states (two port pairings and a
+weight).  It absorbs the nodes in an order that keeps the open-strand
+frontier small; each closed loop weighs -A^2 - A^-2, and arcs leaving
+the tables are tangle boundary.  Crossings bring their two smoothings;
+graphinv builds the tables of rigid vertices.  bracket_naive enumerates
+all 2^n smoothings independently and is the oracle.
 
-  * bracket_naive  -- full enumeration of all 2^n smoothings; the oracle.
-  * z_eval         -- dynamic programming over a node ordering chosen to
-                      keep the open-strand frontier small.
-
-Both return the oriented normalisation Z with loop value A^2 + A^-2 and
-positive kink factor A^3; it differs from the raw unoriented state sum
-by the sign (-1)^(components - 1 + writhe).  p_eval additionally divides
-out the framing phase A^(3*writhe).
+Link values are the oriented normalisation Z with loop value A^2 + A^-2
+and positive kink factor A^3: the raw state sum times the sign
+(-1)^(components - 1 + writhe).  p_eval also divides out A^(3*writhe).
 """
 
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from .diagram import Diagram, DiagramError
+from .diagram import VERTEX_KINDS, ArcT, Diagram, DiagramError
 from .ring import LOOP, ONE, ZERO, LaurentPoly, poly_exact_div
 
 # smoothing tables: for each crossing kind, the two local port pairings
@@ -28,6 +29,13 @@ _SMOOTHINGS = {
     "XNeg": (((0, 1), (2, 3), 1), ((0, 3), (1, 2), -1)),
 }
 
+Pair = Tuple[int, int]
+Table = Sequence[Tuple[Pair, Pair, LaurentPoly]]
+
+CROSSING_TABLES: Dict[str, Table] = {
+    kind: tuple((p, q, LaurentPoly.monomial(e)) for p, q, e in entries)
+    for kind, entries in _SMOOTHINGS.items()}
+
 
 def max_crossings() -> int:
     return int(os.environ.get("MAX_CROSSINGS", "20"))
@@ -36,14 +44,17 @@ def max_crossings() -> int:
 def _check_link(d: Diagram) -> None:
     d.require_valid()
     for i, k in d.nodes:
-        if k in ("Vert", "CVert"):
+        if k in VERTEX_KINDS:
             raise DiagramError(
                 "node %s is a vertex; resolve it first (graph evaluation)" % i)
-    n = len(d.nodes)
-    if n > max_crossings():
+
+
+def _check_size(d: Diagram) -> None:
+    """The cap counts every node, crossings and vertices alike."""
+    if len(d.nodes) > max_crossings():
         raise DiagramError(
-            "diagram has %d crossings, above the MAX_CROSSINGS limit %d"
-            % (n, max_crossings()))
+            "diagram has %d nodes, above the MAX_CROSSINGS limit %d"
+            % (len(d.nodes), max_crossings()))
     if d.components() == 0:
         raise DiagramError("empty diagram has no bracket value")
 
@@ -55,6 +66,7 @@ def _sign_correction(d: Diagram) -> int:
 def bracket_naive(d: Diagram) -> LaurentPoly:
     """Z by brute-force enumeration of every smoothing state."""
     _check_link(d)
+    _check_size(d)
     ids = [i for i, _ in d.nodes]
     kinds = d.node_map()
     parent: Dict[Tuple[str, int], Tuple[str, int]] = {}
@@ -94,39 +106,25 @@ def bracket_naive(d: Diagram) -> LaurentPoly:
 
 # --- frontier contraction ---------------------------------------------------
 
-PairKey = Tuple[Tuple[int, int], ...]
 
-
-def _node_order(d: Diagram) -> List[str]:
+def _node_order(at: Dict[str, Dict[int, int]], arcs: Sequence[ArcT]) -> List[str]:
     """Greedy ordering that keeps the number of open arcs small."""
-    arcs_at: Dict[str, List[int]] = {i: [] for i, _ in d.nodes}
-    for ai, (tail, head) in enumerate(d.arcs):
-        arcs_at[tail[0]].append(ai)
-        arcs_at[head[0]].append(ai)
-    remaining = set(arcs_at)
+    remaining = sorted(at)
     processed: set = set()
     open_arcs: set = set()
     order = []
+
+    def growth(n: str) -> int:
+        return sum(-1 if ai in open_arcs else 1 for ai in set(at[n].values())
+                   if not arcs[ai][0][0] == arcs[ai][1][0] == n)
+
     while remaining:
-        best = None
-        best_size = None
-        for cand in sorted(remaining):
-            size = len(open_arcs)
-            for ai in set(arcs_at[cand]):
-                (a, _), (b, _) = d.arcs[ai]
-                if a == b == cand:
-                    continue
-                if ai in open_arcs:
-                    size -= 1
-                else:
-                    size += 1
-            if best_size is None or size < best_size:
-                best, best_size = cand, size
+        best = min(remaining, key=growth)
         order.append(best)
-        remaining.discard(best)
+        remaining.remove(best)
         processed.add(best)
-        for ai in set(arcs_at[best]):
-            (a, _), (b, _) = d.arcs[ai]
+        for ai in set(at[best].values()):
+            (a, _), (b, _) = arcs[ai]
             if a in processed and b in processed:
                 open_arcs.discard(ai)
             else:
@@ -134,89 +132,114 @@ def _node_order(d: Diagram) -> List[str]:
     return order
 
 
-def z_eval(d: Diagram) -> LaurentPoly:
-    """Z by memoised frontier contraction; equals bracket_naive."""
-    _check_link(d)
-    kinds = d.node_map()
-    arc_list = list(d.arcs)
-    states: Dict[PairKey, LaurentPoly] = {(): ONE}
-    processed: set = set()
-    for node in _node_order(d):
-        ports: Dict[int, int] = {}
-        for ai, (tail, head) in enumerate(arc_list):
-            if tail[0] == node:
-                ports[tail[1]] = ai
-            if head[0] == node:
-                ports[head[1]] = ai
-        new_states: Dict[PairKey, LaurentPoly] = {}
+def _join(far: Dict[int, int], back: Dict[int, int], pair1: Pair,
+          pair2: Pair) -> Tuple[List[Pair], int]:
+    """Join a node's ports along pair1 and pair2.  A port leads either to
+    an open arc (far) or back to another port of the node (back).  Returns
+    the pairs of open arcs now joined and the number of loops closed."""
+    inner = {}
+    for x, y in (pair1, pair2):
+        inner[x], inner[y] = y, x
+    joins = []
+    seen = set()
+    for p in far:
+        if p in seen:
+            continue
+        seen.add(p)
+        q = inner[p]
+        while q not in far:
+            r = back[q]
+            seen.update((q, r))
+            q = inner[r]
+        seen.add(q)
+        a, b = far[p], far[q]
+        joins.append((a, b) if a < b else (b, a))
+    loops = 0
+    for p in back:
+        if p in seen:
+            continue
+        loops += 1
+        while p not in seen:
+            q = back[p]
+            seen.update((p, q))
+            p = inner[q]
+    return joins, loops
+
+
+def contract(tables: Dict[str, Table],
+             arcs: Sequence[ArcT]) -> Dict[frozenset, LaurentPoly]:
+    """State sum of the tangle whose nodes are the keys of tables, by
+    memoised frontier contraction.  A table entry (pair1, pair2, weight)
+    joins the node's ports along both pairings.  Every port of a table
+    node lies on an arc; an arc end at a node outside the tables is a
+    boundary end.  Returns the nonzero weights by boundary pairing (a
+    frozenset of two-end frozensets; empty for a closed diagram)."""
+    at: Dict[str, Dict[int, int]] = {n: {} for n in tables}
+    for ai, arc in enumerate(arcs):
+        for n, p in arc:
+            if n in at:
+                at[n][p] = ai
+    boundary = {ai: end for ai, arc in enumerate(arcs)
+                for end in arc if end[0] not in at}
+    states: Dict[Tuple[Pair, ...], LaurentPoly] = {(): ONE}
+    done: set = set()
+    for node in _node_order(at, arcs):
+        closing: Dict[int, int] = {}   # open arc -> its port on the node
+        fresh: Dict[int, int] = {}     # port -> arc that opens here
+        self_loops: Dict[int, int] = {}
+        for p, ai in at[node].items():
+            (a, ap), (b, bp) = arcs[ai]
+            if a == b == node:
+                self_loops[ap], self_loops[bp] = bp, ap
+            elif (b if a == node else a) in done:
+                closing[ai] = p
+            else:
+                fresh[p] = ai
+        done.add(node)
+        new_states: Dict[Tuple[Pair, ...], LaurentPoly] = {}
         for key, weight in states.items():
-            for pair1, pair2, wexp in _SMOOTHINGS[kinds[node]]:
-                tip: Dict[object, object] = {}
-                for a, b in key:
-                    ta = _tip_token(arc_list, a, node)
-                    tb = _tip_token(arc_list, b, node)
-                    tip[ta] = tb
-                    tip[tb] = ta
-                seen_self = set()
-                for p, ai in ports.items():
-                    if ("port", p) in tip:
-                        continue
-                    (a, ap), (b, bp) = arc_list[ai]
-                    if a == node and b == node:
-                        if ai in seen_self:
-                            continue
-                        seen_self.add(ai)
-                        tip[("port", ap)] = ("port", bp)
-                        tip[("port", bp)] = ("port", ap)
-                    else:
-                        far = ("arc", ai)
-                        tip[("port", p)] = far
-                        tip[far] = ("port", p)
-                loops = 0
-                for x, y in (pair1, pair2):
-                    t1, t2 = ("port", x), ("port", y)
-                    o1, o2 = tip.pop(t1), tip.pop(t2)
-                    if o1 == t2:
-                        loops += 1
-                    else:
-                        tip[o1] = o2
-                        tip[o2] = o1
-                pairs = set()
-                for t, o in tip.items():
-                    assert t[0] == "arc" and o[0] == "arc"
-                    pairs.add((min(t[1], o[1]), max(t[1], o[1])))
-                nkey: PairKey = tuple(sorted(pairs))
-                val = weight * LaurentPoly.monomial(wexp) * LOOP ** loops
-                if nkey in new_states:
-                    new_states[nkey] = new_states[nkey] + val
+            kept = []
+            far = dict(fresh)
+            back = dict(self_loops)
+            for pair in key:
+                a, b = pair
+                if a in closing and b in closing:
+                    back[closing[a]], back[closing[b]] = closing[b], closing[a]
+                elif a in closing:
+                    far[closing[a]] = b
+                elif b in closing:
+                    far[closing[b]] = a
                 else:
-                    new_states[nkey] = val
-            # drop zero entries to keep the table tight
+                    kept.append(pair)
+            for pair1, pair2, w in tables[node]:
+                joins, loops = _join(far, back, pair1, pair2)
+                nkey = tuple(sorted(kept + joins))
+                val = weight * w
+                if loops:
+                    val = val * LOOP ** loops
+                if nkey in new_states:
+                    val = new_states[nkey] + val
+                new_states[nkey] = val
         states = {k: v for k, v in new_states.items() if not v.is_zero()}
-        processed.add(node)
-    total = ZERO
-    for key, weight in states.items():
-        if key:
-            raise DiagramError("open strands left after contraction")
-        total = total + weight
-    if d.nodes:
-        total = total * LOOP ** d.free_loops
-        total = poly_exact_div(total, LOOP)
-    else:
-        total = LOOP ** (d.free_loops - 1)
-    s = _sign_correction(d)
-    return total if s == 1 else -total
+    return {frozenset(frozenset((boundary[a], boundary[b])) for a, b in key): v
+            for key, v in states.items()}
 
 
-def _tip_token(arc_list, ai: int, node: str):
-    """Token for the unprocessed end of open arc ai, folding ends that sit
-    on the node currently being absorbed into port tokens."""
-    (a, ap), (b, bp) = arc_list[ai]
-    if a == node:
-        return ("port", ap)
-    if b == node:
-        return ("port", bp)
-    return ("arc", ai)
+def closed_value(d: Diagram, tables: Dict[str, Table]) -> LaurentPoly:
+    """Z-level value of a valid closed diagram whose nodes expand by the
+    given tables: the state sum with one loop divided out, times
+    (-1)^(components - 1 + writhe) with the writhe of the crossings.
+    Raises DiagramError above the node cap or for an empty diagram."""
+    _check_size(d)
+    total = contract(tables, d.arcs).get(frozenset(), ZERO)
+    total = poly_exact_div(total * LOOP ** d.free_loops, LOOP)
+    return total if _sign_correction(d) == 1 else -total
+
+
+def z_eval(d: Diagram) -> LaurentPoly:
+    """Z by frontier contraction; equals bracket_naive."""
+    _check_link(d)
+    return closed_value(d, {i: CROSSING_TABLES[k] for i, k in d.nodes})
 
 
 def p_eval(d: Diagram) -> LaurentPoly:

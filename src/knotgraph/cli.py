@@ -30,10 +30,14 @@ class CliError(ValueError):
 
 
 def _load(path: str):
-    if not os.path.exists(path):
-        raise CliError("no such file: %s" % path)
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_diagram(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise CliError("cannot read %s: %s" % (path, exc.strerror)) from None
+    except UnicodeDecodeError:
+        raise CliError("cannot read %s: not UTF-8 text" % path) from None
+    return parse_diagram(text)
 
 
 def _scheme(text: str) -> gi.ResolutionScheme:
@@ -77,6 +81,8 @@ def _cmd_resolve(args) -> int:
 
 
 def _cmd_vassiliev(args) -> int:
+    if args.order < 0:
+        raise CliError("order must be 0 or more, not %d" % args.order)
     rep = vassiliev_series(_load(args.file), args.order)
     print(rep.series.render())
     print("vanishing order: %s"

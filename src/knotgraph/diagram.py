@@ -15,7 +15,7 @@ The model is abstract in the Gauss-code sense: planarity of the induced
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 KINDS = ("XPos", "XNeg", "Vert", "CVert")
 CROSSING_KINDS = ("XPos", "XNeg")
@@ -76,10 +76,6 @@ class Diagram:
             outs[tail] = arc
             ins[head] = arc
         return outs, ins
-
-    def in_ports(self, node: str) -> List[int]:
-        _, ins = self.port_roles()
-        return sorted(p for (n, p) in ins if n == node)
 
     # --- validation
 
@@ -144,11 +140,7 @@ class Diagram:
         kind = self.kind_of(node)
         if kind not in CROSSING_KINDS:
             return 0
-        _, ins = self.port_roles()
-        in_a = 0 if (node, 0) in ins else 2
-        in_b = 1 if (node, 1) in ins else 3
-        base = 1 if (in_a, in_b) in ((0, 1), (2, 3)) else -1
-        return base if kind == "XPos" else -base
+        return 1 if kind == crossing_kind(vertex_ports(self, node), 1) else -1
 
     def writhe(self) -> int:
         return sum(self.crossing_sign(i) for i in self.crossings())
@@ -179,17 +171,6 @@ class Diagram:
 
     def components(self) -> int:
         return len(self.trace_components()) + self.free_loops
-
-    def component_of_port(self, end: End, role: str = "in") -> int:
-        """Index (into trace_components) of the loop through the given
-        port; role 'in' looks the port up as an arc head, 'out' as a tail."""
-        for ci, comp in enumerate(self.trace_components()):
-            for arc in comp:
-                if role == "in" and arc[1] == end:
-                    return ci
-                if role == "out" and arc[0] == end:
-                    return ci
-        raise DiagramError("port %s not found on any component" % (end,))
 
     def reverse_component(self, index: int) -> "Diagram":
         comps = self.trace_components()
@@ -326,6 +307,9 @@ def parse(text: str) -> Tuple[str, Diagram]:
             if toks[2] not in KINDS:
                 raise DiagramError("line %d: unknown node kind %r"
                                    % (lineno, toks[2]))
+            if toks[1] in nodes:
+                raise DiagramError("line %d: node %r defined twice"
+                                   % (lineno, toks[1]))
             nodes[toks[1]] = toks[2]
         elif toks[0] == "arc" and len(toks) == 4 and toks[2] == "->":
             arcs.append((end(toks[1], lineno), end(toks[3], lineno)))
@@ -407,6 +391,13 @@ def vertex_ports(d: Diagram, node: str) -> Dict[str, int]:
     in_b = 1 if (node, 1) in ins else 3
     return {"in_a": in_a, "out_a": (in_a + 2) % 4,
             "in_b": in_b, "out_b": (in_b + 2) % 4}
+
+
+def crossing_kind(ports: Dict[str, int], sign: int) -> str:
+    """Kind of the crossing of the given sign on a node's strands, given
+    the ports that vertex_ports returns."""
+    base = 1 if (ports["in_a"], ports["in_b"]) in ((0, 1), (2, 3)) else -1
+    return "XPos" if sign == base else "XNeg"
 
 
 def path_to_reentry(d: Diagram, node: str, out_port: int):

@@ -1,10 +1,17 @@
-"""Graph invariants by vertex resolution.
+"""Graph invariants from local vertex tables.
 
-A rigid vertex is replaced by a weighted combination of a positive
-crossing, a negative crossing, and the oriented smoothing (the unfold).
-Evaluating the resulting formal sum of link diagrams extends the bracket
-to graphs; different weight triples give the Vassiliev extension, the
-plain Casimir extension, and the marked Casimir extension.
+A rigid vertex stands for a weighted combination of a positive crossing,
+a negative crossing and the oriented smoothing (the unfold); the weight
+triples give the Vassiliev, plain Casimir and marked Casimir extensions
+of the bracket.  Each vertex becomes one node of the contraction engine
+whose table holds its two port pairings with the three choices' weights
+combined.  This is exact because sign and framing factor locally: a
+crossing choice moves the writhe by +-1 and an unfold the component
+count by +-1, so every choice weighs -1 (times A^-+3 at level p) and the
+graph keeps (-1)^(c - 1 + w) and A^(-3w), w the writhe of its crossings.
+Scheme weights share one denominator, divided out once at the end.
+resolve_vertices and FormalSum build the explicit sum of resolved link
+diagrams, for the resolve verb and as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -14,11 +21,11 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from . import catalog
-from .bracket import p_eval, z_eval
-from .diagram import (Diagram, DiagramError, path_to_reentry, replace_kind,
-                      reverse_arcs, splice_node, vertex_ports)
-from .ring import (A, A_INV, ONE, LaurentPoly, RationalFunc, RF_ONE, RF_ZERO,
-                   rf)
+from .bracket import _SMOOTHINGS, CROSSING_TABLES, Table, closed_value, z_eval
+from .diagram import (Diagram, DiagramError, crossing_kind, path_to_reentry,
+                      replace_kind, reverse_arcs, splice_node, vertex_ports)
+from .ring import (A, A_INV, ONE, ZERO, LaurentPoly, RationalFunc, RF_ONE,
+                   RF_ZERO, poly_exact_div, rf)
 
 
 @dataclass(frozen=True)
@@ -62,12 +69,6 @@ class FormalSum:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def same_as(self, other: "FormalSum") -> bool:
-        if set(self._terms) != set(other._terms):
-            return False
-        return all(self._terms[k][0] == other._terms[k][0]
-                   for k in self._terms)
-
     def evaluate(self, value_fn) -> RationalFunc:
         total = RF_ZERO
         for coeff, d in self.terms():
@@ -81,10 +82,7 @@ class FormalSum:
 def vertex_to_crossing(g: Diagram, v: str, sign: int) -> Diagram:
     """Replace a vertex by the crossing of the given sign (the local
     strands keep their roles; only the over/under choice is made)."""
-    ports = vertex_ports(g, v)
-    base = 1 if (ports["in_a"], ports["in_b"]) in ((0, 1), (2, 3)) else -1
-    kind = "XPos" if sign == base else "XNeg"
-    return replace_kind(g, v, kind)
+    return replace_kind(g, v, crossing_kind(vertex_ports(g, v), sign))
 
 
 def vertex_unfold(g: Diagram, v: str) -> Diagram:
@@ -118,11 +116,15 @@ def vertex_reversed_unfold(g: Diagram, v: str) -> Diagram:
 # --- resolution and evaluation ----------------------------------------------
 
 
-def resolve_vertices(g: Diagram, s: ResolutionScheme) -> FormalSum:
+def _reject_marked(g: Diagram) -> None:
     g.require_valid()
     if any(k == "CVert" for _, k in g.nodes):
         raise DiagramError(
             "marked vertices present; use the marked evaluation instead")
+
+
+def resolve_vertices(g: Diagram, s: ResolutionScheme) -> FormalSum:
+    _reject_marked(g)
     out = FormalSum()
     _expand(g, RF_ONE, s, out)
     return out
@@ -135,23 +137,52 @@ def _expand(g: Diagram, coeff: RationalFunc, s: ResolutionScheme,
         out.add(coeff, g)
         return
     v = vs[0]
-    kind = g.kind_of(v)
-    if kind == "Vert":
-        a, b, c = s.a, s.b, s.c
-    else:
-        a, b, c = (CASIMIR_MARKED.a, CASIMIR_MARKED.b, CASIMIR_MARKED.c)
-    if not a.is_zero():
-        _expand(vertex_to_crossing(g, v, +1), coeff * a, s, out)
-    if not b.is_zero():
-        _expand(vertex_to_crossing(g, v, -1), coeff * b, s, out)
-    if not c.is_zero():
-        _expand(vertex_unfold(g, v), coeff * c, s, out)
+    if not s.a.is_zero():
+        _expand(vertex_to_crossing(g, v, +1), coeff * s.a, s, out)
+    if not s.b.is_zero():
+        _expand(vertex_to_crossing(g, v, -1), coeff * s.b, s, out)
+    if not s.c.is_zero():
+        _expand(vertex_unfold(g, v), coeff * s.c, s, out)
 
 
-def _resolve_mixed(g: Diagram, plain: ResolutionScheme) -> FormalSum:
-    out = FormalSum()
-    _expand(g, RF_ONE, plain, out)
-    return out
+def _vertex_table(ports: Dict[str, int], s: ResolutionScheme,
+                  level: str) -> Tuple[LaurentPoly, Table]:
+    """State table of a vertex over one denominator of the scheme's
+    weights: each crossing choice contributes its two smoothings and the
+    unfold its oriented pairing, all times -1.  Returns (den, table)."""
+    den = ONE
+    for d in {s.a.den, s.b.den, s.c.den}:
+        den = den * d
+    a, b, c = (poly_exact_div(f.num * den, f.den) for f in (s.a, s.b, s.c))
+    phase = -3 if level == "p" else 0
+    unfold = tuple(sorted((tuple(sorted((ports["in_a"], ports["out_b"]))),
+                           tuple(sorted((ports["in_b"], ports["out_a"]))))))
+    weights = {unfold: -c}
+    for sign, num in ((+1, a), (-1, b)):
+        for pair1, pair2, e in _SMOOTHINGS[crossing_kind(ports, sign)]:
+            key = (pair1, pair2)
+            weights[key] = weights.get(key, ZERO) - num.shift(e + sign * phase)
+    return den, tuple((p1, p2, w) for (p1, p2), w in weights.items()
+                      if not w.is_zero())
+
+
+def _graph_value(g: Diagram, schemes: Dict[str, ResolutionScheme],
+                 level: str) -> RationalFunc:
+    """The graph invariant with each vertex kind resolved by its scheme,
+    by one contraction over crossing and vertex tables."""
+    tables = {}
+    den = ONE
+    for i, kind in g.nodes:
+        if kind in schemes:
+            d, tables[i] = _vertex_table(vertex_ports(g, i), schemes[kind],
+                                         level)
+            den = den * d
+        else:
+            tables[i] = CROSSING_TABLES[kind]
+    value = closed_value(g, tables)
+    if level == "p":
+        value = value.shift(-3 * g.writhe())
+    return RationalFunc.make(value, den)
 
 
 def eval_graph(g: Diagram, s: ResolutionScheme = VASSILIEV,
@@ -159,8 +190,8 @@ def eval_graph(g: Diagram, s: ResolutionScheme = VASSILIEV,
     """Sum of coeff * bracket over the full resolution.  Level 'p' uses
     the writhe-normalised bracket of each resolved diagram (the move
     invariant); level 'z' uses the raw bracket."""
-    fn = p_eval if level == "p" else z_eval
-    return resolve_vertices(g, s).evaluate(fn)
+    _reject_marked(g)
+    return _graph_value(g, {"Vert": s}, level)
 
 
 def eval_with_casimir_marks(g: Diagram, normalized: bool = False) -> RationalFunc:
@@ -169,7 +200,8 @@ def eval_with_casimir_marks(g: Diagram, normalized: bool = False) -> RationalFun
     (1, -1, 0)/(4(A - A^-1)).  Plain result is at bracket (Z) level; the
     normalized flag divides by A^(3*writhe) of the input graph."""
     g.require_valid()
-    total = _resolve_mixed(g, CASIMIR_PLAIN).evaluate(z_eval)
+    total = _graph_value(g, {"Vert": CASIMIR_PLAIN, "CVert": CASIMIR_MARKED},
+                         "z")
     if normalized:
         total = total * rf(LaurentPoly.monomial(-3 * g.writhe()))
     return total

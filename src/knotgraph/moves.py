@@ -16,13 +16,10 @@ outside connections trade places) while node kinds stay fixed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-import itertools
-
-from .bracket import _SMOOTHINGS
+from .bracket import CROSSING_TABLES, contract
 from .diagram import (ArcT, Diagram, DiagramError, splice_node, vertex_ports)
-from .ring import LOOP, ZERO, LaurentPoly
 
 Move = str  # "R1+", "R1-", "R2+", "R2-", "R3", "R4", "R5"
 
@@ -49,10 +46,6 @@ def _arc_lookup(d: Diagram, arc: ArcT) -> ArcT:
     if tuple(arc) not in d.arcs:
         raise MoveError("site arc %s not present" % (arc,))
     return tuple(arc)
-
-
-def _over_ports(kind: str) -> Tuple[int, int]:
-    return (0, 2) if kind == "XPos" else (1, 3)
 
 
 def _is_over(d: Diagram, node: str, port: int) -> bool:
@@ -211,35 +204,15 @@ def _tangle_profile(kinds: Dict[str, str], internal: List[ArcT]):
     """Bracket state sum of a small open tangle: a map from pairings of
     the boundary ports to weights.  The tangle consists of the given
     crossings wired by the internal arcs; every port not covered by an
-    internal arc is a boundary port."""
-    nodes = sorted(kinds)
+    internal arc is a boundary port, tied by a stub arc to an end outside
+    the tangle."""
     used = {pt for arc in internal for pt in arc}
-    boundary = [(n, p) for n in nodes for p in range(4) if (n, p) not in used]
-    profile: Dict[frozenset, LaurentPoly] = {}
-    for choice in itertools.product(*(_SMOOTHINGS[kinds[n]] for n in nodes)):
-        exp = sum(c[2] for c in choice)
-        parent: Dict[Tuple[str, int], Tuple[str, int]] = {}
-
-        def find(x):
-            while parent.setdefault(x, x) != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for n, (j1, j2, _) in zip(nodes, choice):
-            for p, q in (j1, j2):
-                parent[find((n, p))] = find((n, q))
-        for u, v in internal:
-            parent[find(tuple(u))] = find(tuple(v))
-        groups: Dict[Tuple[str, int], List[Tuple[str, int]]] = {}
-        for pt in boundary:
-            groups.setdefault(find(pt), []).append(pt)
-        loops = len({find((n, p)) for n in nodes for p in range(4)}
-                    - set(groups))
-        pairing = frozenset(frozenset(g) for g in groups.values())
-        weight = LaurentPoly.monomial(exp) * LOOP ** loops
-        profile[pairing] = profile.get(pairing, ZERO) + weight
-    return {k: v for k, v in profile.items() if v != ZERO}
+    stubs = [((n, p), (None, (n, p))) for n in kinds for p in range(4)
+             if (n, p) not in used]
+    tables = {n: CROSSING_TABLES[k] for n, k in kinds.items()}
+    profile = contract(tables, list(internal) + stubs)
+    return {frozenset(frozenset(end[1] for end in pair) for pair in pairing): w
+            for pairing, w in profile.items()}
 
 
 def _swap_maps(passages):

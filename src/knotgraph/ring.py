@@ -12,6 +12,7 @@ shared freely.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Tuple
@@ -154,55 +155,32 @@ LOOP = LaurentPoly.from_dict({2: Fraction(-1), -2: Fraction(-1)})
 DELTA_POS = LaurentPoly.from_dict({2: Fraction(1), -2: Fraction(1)})
 
 
-def poly_A(exp: int, coeff=1) -> LaurentPoly:
-    return LaurentPoly.monomial(exp, coeff)
-
-
-def poly_from_pairs(pairs: Iterable[Tuple[int, int]]) -> LaurentPoly:
-    return LaurentPoly.from_dict({e: Fraction(c) for e, c in pairs})
+_NUM = r"-?\d+(?:/\d+)?"
+# one term: a bare coefficient, or [coefficient* | -]A[^exponent]
+_TERM = re.compile(r"(?P<const>%s)|(?:(?P<coeff>%s)\*|(?P<neg>-))?A"
+                   r"(?:\^(?P<exp>-?\d+))?" % (_NUM, _NUM))
 
 
 def parse_poly(text: str) -> LaurentPoly:
     """Inverse of LaurentPoly.render: terms like ``-1/2*A^-3`` joined by
-    ``+``; a bare coefficient or a bare ``A``/``A^k`` is also a term."""
-    text = text.strip()
-    if not text:
+    ``+``; a bare coefficient, ``A``, ``A^k`` or ``-A^k`` is also a term.
+    Anything else raises RingError."""
+    if not text.strip():
         raise RingError("empty polynomial")
-    terms: dict = {}
-    for chunk in text.replace(" ", "").replace("+-", "+-").split("+"):
-        if not chunk:
-            raise RingError("empty term in %r" % text)
-        coeff = Fraction(1)
-        exp = 0
-        if "*" in chunk:
-            cpart, apart = chunk.split("*", 1)
-            coeff = Fraction(cpart)
-        elif chunk.lstrip("-").startswith("A"):
-            apart = chunk.lstrip("-")
-            if chunk.startswith("-"):
-                coeff = Fraction(-1)
-        else:
-            apart = ""
-            coeff = Fraction(chunk)
-        if apart:
-            if apart == "A":
-                exp = 1
-            elif apart.startswith("A^"):
-                exp = int(apart[2:])
-            else:
-                raise RingError("bad term %r" % chunk)
+    terms: Dict[int, Fraction] = {}
+    for chunk in text.split("+"):
+        m = _TERM.fullmatch(chunk.strip())
+        if m is None:
+            raise RingError("bad term %r in %r" % (chunk.strip(), text))
+        try:
+            coeff = Fraction(m["const"] or m["coeff"] or "1")
+        except ZeroDivisionError:
+            raise RingError("zero denominator in %r" % chunk.strip()) from None
+        if m["neg"]:
+            coeff = -coeff
+        exp = 0 if m["const"] else int(m["exp"] or 1)
         terms[exp] = terms.get(exp, Fraction(0)) + coeff
     return LaurentPoly.from_dict(terms)
-
-
-def poly_op(a: LaurentPoly, b: LaurentPoly, kind: str) -> LaurentPoly:
-    if kind == "add":
-        return a + b
-    if kind == "sub":
-        return a - b
-    if kind == "mul":
-        return a * b
-    raise RingError("unknown poly_op kind %r" % kind)
 
 
 # --- dense helpers for gcd / division (ordinary polynomials, low degree first)
@@ -360,18 +338,6 @@ RF_ONE = RationalFunc.from_poly(ONE)
 
 def rf(num: LaurentPoly, den: LaurentPoly = ONE) -> RationalFunc:
     return RationalFunc.make(num, den)
-
-
-def rf_op(a: RationalFunc, b: RationalFunc, kind: str) -> RationalFunc:
-    if kind == "add":
-        return a + b
-    if kind == "sub":
-        return a - b
-    if kind == "mul":
-        return a * b
-    if kind == "div":
-        return a / b
-    raise RingError("unknown rf_op kind %r" % kind)
 
 
 @dataclass(frozen=True)

@@ -137,6 +137,35 @@ def test_bad_scheme_exits_nonzero(dg, capsys):
     assert "error:" in err
 
 
+def _one_error_line(err):
+    return (len(err.splitlines()) == 1 and err.startswith("error:")
+            and "Traceback" not in err)
+
+
+@pytest.mark.parametrize("scheme", ["1-A,1,0", "2A,1,0", "A^x,1,0",
+                                    "1/0*A,1,0", "1,,0", "1.5,1,0"])
+def test_malformed_scheme_polynomial_is_one_error_line(dg, capsys, scheme):
+    code, out, err = run(capsys, ["graph-eval", dg("G_b_vertex"),
+                                  "--scheme", scheme])
+    assert code == 1 and out == ""
+    assert _one_error_line(err)
+
+
+def test_directory_as_file_is_one_error_line(tmp_path, capsys):
+    code, _, err = run(capsys, ["eval", str(tmp_path)])
+    assert code == 1
+    assert _one_error_line(err)
+
+
+def test_negative_series_order_is_rejected(dg, capsys):
+    code, out, err = run(capsys, ["vassiliev", dg("gb_2vert"), "--order", "-1"])
+    assert code == 1 and out == ""
+    assert _one_error_line(err)
+    code, out, _ = run(capsys, ["vassiliev", dg("gb_2vert"), "--order", "0"])
+    assert code == 0
+    assert out.splitlines()[0] == "0"
+
+
 def test_vertex_diagram_rejected_by_eval(dg, capsys):
     code, _, err = run(capsys, ["eval", dg("G_b_vertex")])
     assert code == 1

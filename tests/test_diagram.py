@@ -81,6 +81,11 @@ def test_parse_reports_bad_lines():
         parse_diagram("node a Quux\n")
 
 
+def test_parse_rejects_a_repeated_node():
+    with pytest.raises(DiagramError, match="defined twice"):
+        parse_diagram("node a XPos\nnode a Vert\n")
+
+
 def test_canonical_form_ignores_node_names():
     rng = random.Random(7)
     for _ in range(10):

@@ -8,7 +8,8 @@ import pytest
 
 from conftest import random_vertex_graph
 from knotgraph import catalog
-from knotgraph.diagram import DiagramError
+from knotgraph.bracket import p_eval, z_eval
+from knotgraph.diagram import DiagramError, replace_kind
 from knotgraph.graphinv import (CASIMIR_MARKED, CASIMIR_PLAIN, VASSILIEV,
                                 C1, C2, FormalSum, ResolutionScheme,
                                 casimir_decompose, check_four_term,
@@ -17,7 +18,8 @@ from knotgraph.graphinv import (CASIMIR_MARKED, CASIMIR_PLAIN, VASSILIEV,
                                 six_valent_eval, vertex_case,
                                 vertex_reversed_unfold, vertex_to_crossing,
                                 vertex_unfold)
-from knotgraph.ring import RF_ZERO, RationalFunc, parse_poly, rf
+from knotgraph.ring import (A, A_INV, ONE, RF_ZERO, LaurentPoly, RationalFunc,
+                           parse_poly, rf)
 
 ONE_VERTEX = ("G_a_vertex", "G_a_composite", "G_b_vertex")
 
@@ -87,6 +89,53 @@ def test_eval_is_linear_in_the_scheme():
                   + b * RationalFunc.from_poly(p_eval(vertex_to_crossing(g, v, -1)))
                   + c * RationalFunc.from_poly(p_eval(vertex_unfold(g, v))))
         assert combo == byhand
+
+
+# the Vassiliev and plain Casimir schemes, a three-branch scheme with a
+# nonzero unfold weight, and the custom scheme of acceptance criterion 3
+SCHEMES = (
+    VASSILIEV, CASIMIR_PLAIN,
+    ResolutionScheme(rf(A), rf(ONE.scale(2)), rf(A_INV.scale(-3))),
+    ResolutionScheme(rf(parse_poly("A^2 + 1")), rf(parse_poly("-1/2*A^-1")),
+                     rf(parse_poly("3"))),
+)
+
+
+def test_local_tables_match_the_resolution_sum():
+    rng = random.Random(41)
+    graphs = [catalog.named_diagram(n) for n in
+              ("G_a_vertex", "G_b_vertex", "ga_2vert", "gb_2vert", "flower3")]
+    graphs += [random_vertex_graph(rng, steps=rng.randint(0, 3))
+               for _ in range(12)]
+    for g in graphs:
+        for scheme in SCHEMES:
+            fs = resolve_vertices(g, scheme)
+            assert eval_graph(g, scheme, level="p") == fs.evaluate(p_eval)
+            assert eval_graph(g, scheme, level="z") == fs.evaluate(z_eval)
+
+
+def test_marked_vertex_matches_its_expansion():
+    """A marked vertex expanded by hand with the marked weights, the rest
+    resolved through the plain Casimir resolution sum."""
+    rng = random.Random(43)
+    checked = 0
+    for _ in range(12):
+        g = random_vertex_graph(rng, steps=rng.randint(0, 2))
+        v = rng.choice(g.vertices())
+        marked = replace_kind(g, v, "CVert")
+        byhand = RF_ZERO
+        for weight, branch in (
+                (CASIMIR_MARKED.a, vertex_to_crossing(g, v, +1)),
+                (CASIMIR_MARKED.b, vertex_to_crossing(g, v, -1)),
+                (CASIMIR_MARKED.c, vertex_unfold(g, v))):
+            fs = resolve_vertices(branch, CASIMIR_PLAIN)
+            byhand = byhand + weight * fs.evaluate(z_eval)
+        assert eval_with_casimir_marks(marked) == byhand
+        frame = rf(LaurentPoly.monomial(-3 * g.writhe()))
+        assert eval_with_casimir_marks(marked, normalized=True) == \
+            byhand * frame
+        checked += 1
+    assert checked == 12
 
 
 def test_resolution_order_does_not_matter():
