@@ -50,11 +50,13 @@ def _check_link(d: Diagram) -> None:
 
 
 def _check_size(d: Diagram) -> None:
-    """The cap counts every node, crossings and vertices alike."""
-    if len(d.nodes) > max_crossings():
+    """The cap counts every node, crossings and vertices alike, and every
+    free loop, which multiplies the state sum by one loop factor."""
+    size = len(d.nodes) + d.free_loops
+    if size > max_crossings():
         raise DiagramError(
-            "diagram has %d nodes, above the MAX_CROSSINGS limit %d"
-            % (len(d.nodes), max_crossings()))
+            "diagram has %d nodes and free loops, above the MAX_CROSSINGS "
+            "limit %d" % (size, max_crossings()))
     if d.components() == 0:
         raise DiagramError("empty diagram has no bracket value")
 

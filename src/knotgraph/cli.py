@@ -175,18 +175,8 @@ def _check_reidemeister(path: Optional[str]) -> int:
             continue
         if any(d.kind_of(v) == "CVert" for v in d.vertices()):
             continue
-        rng = random.Random(sum(name.encode()))
-        before = gi.eval_graph(d, gi.VASSILIEV)
-        cur = d
-        for _ in range(4):
-            candidates = mv.applicable_moves(cur)
-            if len(cur.crossings()) >= 6:
-                candidates = [m for m in candidates
-                              if m.move not in ("R1+", "R2+")]
-            if not candidates:
-                break
-            cur = mv.apply_move(cur, rng.choice(candidates))
-        ok = gi.eval_graph(cur, gi.VASSILIEV) == before
+        cur = mv.random_walk(d, 4, random.Random(sum(name.encode())))
+        ok = gi.eval_graph(cur, gi.VASSILIEV) == gi.eval_graph(d, gi.VASSILIEV)
         bad += not ok
         print("%s %s move walk value unchanged" % ("PASS" if ok else "FAIL",
                                                    name))
@@ -215,8 +205,15 @@ def _cmd_corpus(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a CliError, the verbs' parsers too."""
+
+    def error(self, message):
+        raise CliError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="knotgraph",
         description="Exact bracket, writhe-corrected and rigid-vertex "
                     "graph invariants of diagram files.")
@@ -260,9 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (DiagramError, RingError, sn.SpinNetError,
             corpus_mod.CorpusError, CliError) as exc:

@@ -8,18 +8,26 @@ Seven rewrites act on diagrams:
   R4   slide a strand over a rigid vertex (self-inverse)
   R5   rotate a crossing to the other side of a vertex (self-inverse)
 
-R3, R4 and R5 share one mechanism: each strand of the local site passes
-through two site nodes, and the rewrite swaps the two passages (the
-outside connections trade places) while node kinds stay fixed.
+R3, R4 and R5 are one rewrite, a slide, at one kind of site: two or
+three arcs joining two or three nodes, where each node meets the site on
+two ports of different strands.  A vertex and a crossing joined by two
+arcs is an R5 site, a triangle of crossings an R3 site, and a triangle
+of a vertex and two crossings an R4 site.  Each strand of the site
+passes through two site nodes, and the slide swaps the two passages (the
+outside connections trade places) while node kinds stay fixed.  A site
+counts only if the swap keeps the local state sum of the site, with
+either crossing put in place of its vertex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from itertools import combinations, product
+from typing import Dict, List, Optional, Tuple
 
 from .bracket import CROSSING_TABLES, contract
-from .diagram import (ArcT, Diagram, DiagramError, splice_node, vertex_ports)
+from .diagram import (VERTEX_KINDS, ArcT, Diagram, DiagramError, End,
+                      splice_node, vertex_ports)
 
 Move = str  # "R1+", "R1-", "R2+", "R2-", "R3", "R4", "R5"
 
@@ -48,11 +56,9 @@ def _arc_lookup(d: Diagram, arc: ArcT) -> ArcT:
     return tuple(arc)
 
 
-def _is_over(d: Diagram, node: str, port: int) -> bool:
-    """Whether the strand through the given port is the over strand."""
-    kind = d.kind_of(node)
-    if kind not in ("XPos", "XNeg"):
-        raise MoveError("node %s is not a crossing" % node)
+def _is_over(kind: str, port: int) -> bool:
+    """Whether the strand through the given port of a crossing of this
+    kind is the over strand."""
     return port % 2 == (0 if kind == "XPos" else 1)
 
 
@@ -161,8 +167,8 @@ def find_r2_minus(d: Diagram) -> List[MoveSpec]:
 
 
 def r2_minus(d: Diagram, node1: str, node2: str) -> Diagram:
-    if MoveSpec("R2-", (node1, node2)) not in find_r2_minus(d) and \
-       MoveSpec("R2-", (node2, node1)) not in find_r2_minus(d):
+    sites = {m.site for m in find_r2_minus(d)}
+    if (node1, node2) not in sites and (node2, node1) not in sites:
         raise MoveError("nodes %s,%s do not form a cancelling pair"
                         % (node1, node2))
     out = d
@@ -174,30 +180,21 @@ def r2_minus(d: Diagram, node1: str, node2: str) -> Diagram:
     return out
 
 
-# --- the shared passage swap for R3/R4/R5 -----------------------------------
+# --- R3, R4, R5: one slide -------------------------------------------------
 
 
-def _passages(d: Diagram, pair_arcs: List[ArcT]):
-    """For each site arc joining two site nodes, the two passages of the
-    strand running along it: ((n1,in1,out1),(n2,in2,out2)) with the
-    strand traversing n1 then n2."""
-    out = []
-    for (n1, p1), (n2, p2) in pair_arcs:
-        out.append(((n1, (p1 + 2) % 4, p1), (n2, p2, (p2 + 2) % 4)))
-    return out
-
-
-def _swap_passages(d: Diagram, passages) -> Diagram:
-    head_map, tail_map = _swap_maps(passages)
-    arcs = [(tail_map.get(t, t), head_map.get(h, h)) for t, h in d.arcs]
-    out = Diagram.make(d.node_map(), arcs, d.free_loops)
-    out.require_valid()
-    return out
-
-
-def _direct_arcs(d: Diagram, a: str, b: str) -> List[ArcT]:
-    return [arc for arc in d.arcs
-            if {arc[0][0], arc[1][0]} == {a, b}]
+def _swapped(arcs, site) -> List[ArcT]:
+    """The arcs with the passages of the site swapped.  A site arc t -> h
+    carries a strand through the node of t and then the node of h; the
+    two passages trade their outside connections, so the in-ports (the
+    one opposite t, and h) exchange, and so do the out-ports (t, and the
+    one opposite h).  Both ends of every given pair are relabelled."""
+    swap: Dict[End, End] = {}
+    for (n1, p1), (n2, p2) in site:
+        for a, b in (((n1, (p1 + 2) % 4), (n2, p2)),
+                     ((n1, p1), (n2, (p2 + 2) % 4))):
+            swap[a], swap[b] = b, a
+    return [(swap.get(t, t), swap.get(h, h)) for t, h in arcs]
 
 
 def _tangle_profile(kinds: Dict[str, str], internal: List[ArcT]):
@@ -215,193 +212,113 @@ def _tangle_profile(kinds: Dict[str, str], internal: List[ArcT]):
             for pairing, w in profile.items()}
 
 
-def _swap_maps(passages):
-    head_map: Dict[Tuple[str, int], Tuple[str, int]] = {}
-    tail_map: Dict[Tuple[str, int], Tuple[str, int]] = {}
-    for (n1, i1, o1), (n2, i2, o2) in passages:
-        head_map[(n1, i1)] = (n2, i2)
-        head_map[(n2, i2)] = (n1, i1)
-        tail_map[(n1, o1)] = (n2, o2)
-        tail_map[(n2, o2)] = (n1, o1)
-    return head_map, tail_map
-
-
-def _swap_is_sound(d: Diagram, site: List[ArcT]) -> bool:
+def _swap_is_sound(kinds: Dict[str, str], site: List[ArcT]) -> bool:
     """Exact local test that the passage swap preserves every invariant
     built from the state sum: the tangle profiles before and after must
     agree for each crossing substitution of a site vertex.  Equality of
     open tangles makes the rewrite safe under any closure and any vertex
     resolution scheme."""
-    site = [tuple(a) for a in site]
     nodes = sorted({n for arc in site for (n, _) in arc})
-    head_map, tail_map = _swap_maps(_passages(d, site))
-    relabel = {**head_map, **tail_map}
-    new_site = [(tail_map.get(t, t), head_map.get(h, h)) for t, h in site]
-    vs = [n for n in nodes if d.kind_of(n) in ("Vert", "CVert")]
-    if vs:
-        assignments = [{vs[0]: "XPos"}, {vs[0]: "XNeg"}]
-    else:
-        assignments = [{}]
-    for sub in assignments:
-        kinds = {n: sub.get(n, d.kind_of(n)) for n in nodes}
-        before = _tangle_profile(kinds, site)
-        after = _tangle_profile(kinds, new_site)
-        moved = {frozenset(frozenset(relabel.get(pt, pt) for pt in pair)
-                           for pair in pairing): w
+    new_site = _swapped(site, site)
+    vs = [n for n in nodes if kinds[n] in VERTEX_KINDS]
+    for sub in ([{vs[0]: "XPos"}, {vs[0]: "XNeg"}] if vs else [{}]):
+        local = {n: sub.get(n, kinds[n]) for n in nodes}
+        before = _tangle_profile(local, site)
+        after = _tangle_profile(local, new_site)
+        moved = {frozenset(map(frozenset, _swapped(pairing, site))): w
                  for pairing, w in after.items()}
         if moved != before:
             return False
     return True
 
 
-# --- R3 ---------------------------------------------------------------------
+# (site arcs, site vertices) -> slide
+_SLIDE_SHAPES = {(3, 0): "R3", (3, 1): "R4", (2, 1): "R5"}
 
 
-def _triangle_ok(d: Diagram, tri: List[ArcT], nodes) -> bool:
-    """The arcs must pairwise join the three nodes, sit on different
-    strands (cyclically adjacent ports) at every node, and use six
-    distinct ports."""
-    ports_at: Dict[str, List[int]] = {n: [] for n in nodes}
-    for (n1, p1), (n2, p2) in tri:
-        if n1 not in ports_at or n2 not in ports_at:
-            return False
-        ports_at[n1].append(p1)
-        ports_at[n2].append(p2)
-    for n in nodes:
-        ps = ports_at[n]
-        if len(ps) != 2 or (ps[0] - ps[1]) % 4 not in (1, 3):
-            return False
-    return True
+def _slide_label(kinds: Dict[str, str], site) -> Optional[Move]:
+    """The slide that the site arcs admit: R3, R4, R5 or None.  Every
+    site arc joins two nodes and every site node meets the site on two
+    ports of different strands, so two arcs tie two nodes together and
+    three arcs form a triangle.  R5 ties a vertex to a crossing; R3 is a
+    triangle of crossings; R4 is a triangle of a vertex and two crossings
+    whose crossing-to-crossing arc runs over at both ends or under at
+    both.  The swap must also pass _swap_is_sound."""
+    ports: Dict[str, List[int]] = {}
+    for (a, p), (b, q) in site:
+        if a == b:
+            return None
+        ports.setdefault(a, []).append(p)
+        ports.setdefault(b, []).append(q)
+    if any(len(ps) != 2 or (ps[0] - ps[1]) % 2 == 0 for ps in ports.values()):
+        return None
+    vs = [n for n in ports if kinds[n] in VERTEX_KINDS]
+    label = _SLIDE_SHAPES.get((len(site), len(vs)))
+    if label == "R4":
+        (x, p), (y, q) = next(arc for arc in site
+                              if vs[0] not in (arc[0][0], arc[1][0]))
+        if _is_over(kinds[x], p) != _is_over(kinds[y], q):
+            return None
+    if label is None or not _swap_is_sound(kinds, site):
+        return None
+    return label
 
 
-def find_r3(d: Diagram) -> List[MoveSpec]:
+def find_slides(d: Diagram) -> List[MoveSpec]:
+    """Every slide site: the R3 sites, then R4, then R5.  Sites come in
+    the order of their nodes as the diagram lists its crossings and
+    vertices, then in arc order.  An R3 site on crossings a, b, c lists
+    its arcs as ab, bc, ac; an R4 site on vertex v and crossings a, b as
+    va, vb, ab; an R5 site its two arcs in order."""
+    kinds = d.node_map()
+    between: Dict[frozenset, List[ArcT]] = {}
+    for arc in d.arcs:
+        ends = frozenset(n for n, _ in arc)
+        if len(ends) == 2:
+            between.setdefault(ends, []).append(arc)
+    near: Dict[str, set] = {n: set() for n in kinds}
+    for a, b in between:
+        near[a].add(b)
+        near[b].add(a)
     xs = d.crossings()
-    sites = []
-    for i, a in enumerate(xs):
-        for j in range(i + 1, len(xs)):
-            for k in range(j + 1, len(xs)):
-                b, c = xs[j], xs[k]
-                for e1 in _direct_arcs(d, a, b):
-                    for e2 in _direct_arcs(d, b, c):
-                        for e3 in _direct_arcs(d, a, c):
-                            tri = [e1, e2, e3]
-                            if _r3_site_ok(d, tri, (a, b, c)):
-                                sites.append(MoveSpec("R3", tuple(tri)))
-    return sites
+    rank = {x: i for i, x in enumerate(xs)}
+
+    def arcs(a: str, b: str) -> List[ArcT]:
+        return between.get(frozenset((a, b)), [])
+
+    def joined(n: str, after: Optional[str] = None) -> List[str]:
+        """The crossings joined to n, in order, past the crossing after."""
+        start = 0 if after is None else rank[after] + 1
+        return [x for x in xs[start:] if x in near[n]]
+
+    sites: List[tuple] = []
+    for a in xs:
+        for b in joined(a, a):
+            for c in joined(b, b):
+                if c in near[a]:
+                    sites += product(arcs(a, b), arcs(b, c), arcs(a, c))
+    vs = d.vertices()
+    for v in vs:
+        for a in joined(v):
+            for b in joined(a, a):
+                if b in near[v]:
+                    sites += product(arcs(v, a), arcs(v, b), arcs(a, b))
+    for v in vs:
+        for x in joined(v):
+            sites += combinations(arcs(v, x), 2)
+    return [MoveSpec(label, site) for site in sites
+            if (label := _slide_label(kinds, site)) is not None]
 
 
-def _r3_site_ok(d: Diagram, tri: List[ArcT], nodes) -> bool:
-    """A slidable triangle: three crossings pairwise joined on different
-    strands, with the swap exactly preserving the local state sum (which
-    encodes the over/under layering condition)."""
-    if not _triangle_ok(d, tri, nodes):
-        return False
-    return _swap_is_sound(d, tri)
-
-
-def r3(d: Diagram, e1: ArcT, e2: ArcT, e3: ArcT) -> Diagram:
-    tri = [_arc_lookup(d, e) for e in (e1, e2, e3)]
-    nodes = {n for arc in tri for (n, _) in arc}
-    if len(nodes) != 3 or not all(d.kind_of(n) in ("XPos", "XNeg")
-                                  for n in nodes):
-        raise MoveError("R3 site must span three crossings")
-    if not _r3_site_ok(d, tri, tuple(nodes)):
-        raise MoveError("arcs form no slidable triangle")
-    return _swap_passages(d, _passages(d, tri))
-
-
-# --- R4 ---------------------------------------------------------------------
-
-
-def find_r4(d: Diagram) -> List[MoveSpec]:
-    sites = []
-    xs = d.crossings()
-    for v in d.vertices():
-        for i, p1 in enumerate(xs):
-            for p2 in xs[i + 1:]:
-                for e1 in _direct_arcs(d, v, p1):
-                    for e2 in _direct_arcs(d, v, p2):
-                        for e3 in _direct_arcs(d, p1, p2):
-                            tri = [e1, e2, e3]
-                            if _r4_site_ok(d, tri, v, p1, p2):
-                                sites.append(MoveSpec("R4", tuple(tri)))
-    return sites
-
-
-def _r4_site_ok(d: Diagram, tri: List[ArcT], v: str, p1: str,
-                p2: str) -> bool:
-    """Triangle of a vertex and two crossings with the moving strand
-    running crossing-to-crossing, uniformly over or under; the local
-    state sum must survive the swap for either crossing substituted at
-    the vertex, so every resolution scheme is preserved."""
-    if not _triangle_ok(d, tri, (v, p1, p2)):
-        return False
-    (m1, mp1), (m2, mp2) = tri[2]
-    if _is_over(d, m1, mp1) != _is_over(d, m2, mp2):
-        return False
-    return _swap_is_sound(d, tri)
-
-
-def r4(d: Diagram, e1: ArcT, e2: ArcT, e3: ArcT) -> Diagram:
-    tri = [_arc_lookup(d, e) for e in (e1, e2, e3)]
-    nodes = {n for arc in tri for (n, _) in arc}
-    vs = [n for n in nodes if d.kind_of(n) in ("Vert", "CVert")]
-    xs = [n for n in nodes if d.kind_of(n) in ("XPos", "XNeg")]
-    if len(vs) != 1 or len(xs) != 2:
-        raise MoveError("R4 site needs one vertex and two crossings")
-    m1, m2 = ((x, p) for arc in [tri[2]] for (x, p) in arc)
-    if {m1[0], m2[0]} != set(xs):
-        raise MoveError("third arc must join the two crossings")
-    if not _r4_site_ok(d, tri, vs[0], xs[0], xs[1]):
-        raise MoveError("no vertex slide at this site")
-    return _swap_passages(d, _passages(d, tri))
-
-
-# --- R5 ---------------------------------------------------------------------
-
-
-def find_r5(d: Diagram) -> List[MoveSpec]:
-    sites = []
-    for v in d.vertices():
-        for x in d.crossings():
-            direct = _direct_arcs(d, v, x)
-            for i, e1 in enumerate(direct):
-                for e2 in direct[i + 1:]:
-                    if _r5_site_ok(d, [e1, e2], v, x):
-                        sites.append(MoveSpec("R5", (e1, e2)))
-    return sites
-
-
-def _r5_site_ok(d: Diagram, pair: List[ArcT], v: str, x: str) -> bool:
-    """Two arcs tying a crossing to a vertex on cyclically adjacent
-    vertex ports and different strands of both nodes."""
-    v_ports, x_ports = [], []
-    for (n1, q1), (n2, q2) in pair:
-        if n1 == v:
-            v_ports.append(q1)
-            x_ports.append(q2)
-        else:
-            x_ports.append(q1)
-            v_ports.append(q2)
-    if len(v_ports) != 2 or len(set(v_ports)) != 2:
-        return False
-    if (v_ports[0] - v_ports[1]) % 4 not in (1, 3):
-        return False
-    if (x_ports[0] - x_ports[1]) % 2 != 1:
-        return False
-    return _swap_is_sound(d, pair)
-
-
-def r5(d: Diagram, e1: ArcT, e2: ArcT) -> Diagram:
-    pair = [_arc_lookup(d, e) for e in (e1, e2)]
-    nodes = {n for arc in pair for (n, _) in arc}
-    vs = [n for n in nodes if d.kind_of(n) in ("Vert", "CVert")]
-    xs = [n for n in nodes if d.kind_of(n) in ("XPos", "XNeg")]
-    if len(vs) != 1 or len(xs) != 1:
-        raise MoveError("R5 site needs one vertex and one crossing")
-    if not _r5_site_ok(d, pair, vs[0], xs[0]):
-        raise MoveError("crossing cannot rotate around this vertex")
-    return _swap_passages(d, _passages(d, pair))
+def slide(d: Diagram, m: MoveSpec) -> Diagram:
+    """Apply the R3, R4 or R5 move m by swapping the passages along its
+    site; the site must admit exactly that slide."""
+    site = [_arc_lookup(d, arc) for arc in m.site]
+    if _slide_label(d.node_map(), site) != m.move:
+        raise MoveError("arcs %s form no %s site" % (m.site, m.move))
+    out = Diagram.make(d.node_map(), _swapped(d.arcs, site), d.free_loops)
+    out.require_valid()
+    return out
 
 
 # --- dispatch ---------------------------------------------------------------
@@ -420,9 +337,7 @@ def applicable_moves(d: Diagram) -> List[MoveSpec]:
                 out.append(MoveSpec("R2+", (a1, a2)))
     out += find_r1_minus(d)
     out += find_r2_minus(d)
-    out += find_r3(d)
-    out += find_r4(d)
-    out += find_r5(d)
+    out += find_slides(d)
     return out
 
 
@@ -436,12 +351,8 @@ def apply_move(d: Diagram, m: MoveSpec) -> Diagram:
         return r2_plus(d, *m.site)
     if m.move == "R2-":
         return r2_minus(d, *m.site)
-    if m.move == "R3":
-        return r3(d, *m.site)
-    if m.move == "R4":
-        return r4(d, *m.site)
-    if m.move == "R5":
-        return r5(d, *m.site)
+    if m.move in ("R3", "R4", "R5"):
+        return slide(d, m)
     raise MoveError("unknown move %r" % m.move)
 
 
@@ -450,11 +361,8 @@ def inverse_spec(d_before: Diagram, d_after: Diagram,
     """The MoveSpec undoing m, given the diagrams before and after."""
     if m.move in ("R3", "R4", "R5"):
         # self-inverse, but the site arcs were rewired by the swap
-        head_map, tail_map = _swap_maps(
-            _passages(d_before, [tuple(a) for a in m.site]))
-        new_site = tuple((tail_map.get(t, t), head_map.get(h, h))
-                         for t, h in m.site)
-        return MoveSpec(m.move, new_site)
+        site = [tuple(a) for a in m.site]
+        return MoveSpec(m.move, tuple(_swapped(site, site)))
     if m.move == "R1+":
         new = set(d_after.node_ids()) - set(d_before.node_ids())
         return MoveSpec("R1-", (new.pop(),))
@@ -462,3 +370,18 @@ def inverse_spec(d_before: Diagram, d_after: Diagram,
         new = sorted(set(d_after.node_ids()) - set(d_before.node_ids()))
         return MoveSpec("R2-", tuple(new))
     raise MoveError("no tracked inverse for %r" % m.move)
+
+
+def random_walk(d: Diagram, steps: int, rng) -> Diagram:
+    """Apply up to `steps` moves, each drawn by rng.choice from
+    applicable_moves; the insertions R1+ and R2+ are left out once the
+    diagram has 6 crossings.  Stops early where no move applies."""
+    for _ in range(steps):
+        candidates = applicable_moves(d)
+        if len(d.crossings()) >= 6:
+            candidates = [m for m in candidates
+                          if m.move not in ("R1+", "R2+")]
+        if not candidates:
+            break
+        d = apply_move(d, rng.choice(candidates))
+    return d

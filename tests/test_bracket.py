@@ -116,4 +116,13 @@ def test_crossing_cap(monkeypatch):
     assert max_crossings() == 2
     with pytest.raises(DiagramError):
         z_eval(catalog.named_diagram("trefoil+"))
-    assert z_eval(catalog.named_diagram("hopf+")) == parse_poly("A^4 + A^-4")
+    hopf = catalog.named_diagram("hopf+")
+    assert z_eval(hopf) == parse_poly("A^4 + A^-4")
+    # each free loop counts: hopf+ with one loop is 3 at cap 2
+    with pytest.raises(DiagramError):
+        z_eval(Diagram.make(hopf.node_map(), hopf.arcs, 1))
+    with pytest.raises(DiagramError):
+        bracket_naive(Diagram.make(hopf.node_map(), hopf.arcs, 1))
+    monkeypatch.delenv("MAX_CROSSINGS")
+    with pytest.raises(DiagramError):
+        z_eval(Diagram.make(hopf.node_map(), hopf.arcs, 10 ** 11))

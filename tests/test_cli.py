@@ -151,6 +151,28 @@ def test_malformed_scheme_polynomial_is_one_error_line(dg, capsys, scheme):
     assert _one_error_line(err)
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "LOOPS"], ["graph-eval", "FILE", "--level", "q"], ["bogus"],
+    ["vassiliev", "FILE", "--order", "x"], ["eval"], [],
+    ["check", "nope"], ["corpus", "--dir"]])
+def test_bad_input_is_one_error_line(dg, tmp_path, capsys, argv):
+    # LOOPS: a one-crossing kink with a free-loop count far above the cap
+    loops = tmp_path / "loops.dg"
+    loops.write_text("diagram k\nnode n0 XPos\narc n0.2 -> n0.1\n"
+                     "arc n0.3 -> n0.0\nloop 99999999999\n")
+    files = {"FILE": dg("G_b_vertex"), "LOOPS": str(loops)}
+    code, out, err = run(capsys, [files.get(a, a) for a in argv])
+    assert code == 1 and out == ""
+    assert _one_error_line(err)
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
+
+
 def test_directory_as_file_is_one_error_line(tmp_path, capsys):
     code, _, err = run(capsys, ["eval", str(tmp_path)])
     assert code == 1

@@ -12,25 +12,22 @@ from knotgraph.bracket import _SMOOTHINGS
 from knotgraph.ring import LOOP, ZERO, LaurentPoly
 from knotgraph.bracket import p_eval
 from knotgraph.graphinv import CASIMIR_PLAIN, VASSILIEV, eval_graph
-from knotgraph.moves import (KINK_VARIANTS, MoveError, applicable_moves,
-                             apply_move, find_r1_minus, find_r2_minus,
-                             find_r3, find_r4, find_r5, inverse_spec, r1_minus,
-                             r1_plus, r2_minus, r2_plus, r3)
+from knotgraph.moves import (KINK_VARIANTS, MoveError, MoveSpec,
+                             applicable_moves, apply_move, find_r1_minus,
+                             find_r2_minus, find_slides, inverse_spec,
+                             r1_minus, r1_plus, r2_minus, r2_plus,
+                             random_walk, slide)
 
 
-def _walk(rng, d, steps, allowed=None, cap=6):
-    cur = d
-    for _ in range(steps):
-        cand = applicable_moves(cur)
-        if allowed is not None:
-            cand = [m for m in cand if m.move in allowed]
-        if len(cur.crossings()) >= cap:
-            cand = [m for m in cand if m.move not in ("R1+", "R2+")]
-        if not cand:
-            break
-        cur = apply_move(cur, rng.choice(cand))
-        assert cur.validate() == []
-    return cur
+def _staged_graphs(rng, count):
+    """Vertex graphs with a strand pushed across two arcs at a vertex,
+    which stages R4 and R5 sites."""
+    for _ in range(count):
+        base = random_vertex_graph(rng, steps=rng.randint(0, 1))
+        v = rng.choice(base.vertices())
+        at_v = [a for a in base.arcs if v in (a[0][0], a[1][0])]
+        if len(at_v) >= 2:
+            yield r2_plus(base, *rng.sample(at_v, 2))
 
 
 def test_curl_insert_and_remove_are_inverse():
@@ -77,31 +74,23 @@ def test_triangle_slide_preserves_the_value():
     found = 0
     for _ in range(60):
         d = grow_with_moves(rng, random_braid_link(rng), 2, cap=6)
-        sites = find_r3(d)
+        sites = [m for m in find_slides(d) if m.move == "R3"]
         if not sites:
             continue
         found += 1
         m = rng.choice(sites)
-        after = r3(d, *m.site)
+        after = slide(d, m)
         assert after.validate() == []
         assert p_eval(after) == p_eval(d)
     assert found >= 10
 
 
 def test_vertex_slides_preserve_all_schemes():
-    # push a strand across both arcs at a vertex to stage slide sites
-    rng = random.Random(24)
     found4 = found5 = 0
-    for _ in range(25):
-        base = random_vertex_graph(rng, steps=rng.randint(0, 1))
-        v = rng.choice(base.vertices())
-        at_v = [a for a in base.arcs if v in (a[0][0], a[1][0])]
-        if len(at_v) < 2:
-            continue
-        g = r2_plus(base, *rng.sample(at_v, 2))
+    for g in _staged_graphs(random.Random(24), 25):
         assert g.validate() == []
-        for finder, label in ((find_r4, "R4"), (find_r5, "R5")):
-            for m in finder(g)[:2]:
+        for label in ("R4", "R5"):
+            for m in [m for m in find_slides(g) if m.move == label][:2]:
                 after = apply_move(g, m)
                 assert after.validate() == []
                 for scheme in (VASSILIEV, CASIMIR_PLAIN):
@@ -143,7 +132,8 @@ def test_random_walks_preserve_the_normalised_value():
     for _ in range(40):
         d = random_braid_link(rng)
         before = p_eval(d)
-        after = _walk(rng, d, 4)
+        after = random_walk(d, 4, rng)
+        assert after.validate() == []
         assert p_eval(after) == before
 
 
@@ -153,6 +143,51 @@ def test_applicable_moves_all_apply():
         g = random_vertex_graph(rng, steps=1)
         for m in applicable_moves(g):
             assert apply_move(g, m).validate() == []
+
+
+def test_find_slides_matches_subset_oracle():
+    """The finder returns exactly the 2- and 3-subsets of arcs that the
+    slide predicate labels, once each, in (label, nodes) order."""
+    rng = random.Random(59)
+    diagrams = [random_vertex_graph(rng, steps=2) for _ in range(12)]
+    diagrams += [grow_with_moves(rng, random_braid_link(rng, 6, 4), 3)
+                 for _ in range(12)]
+    diagrams += list(_staged_graphs(rng, 12))
+    labels = set()
+    for d in diagrams:
+        kinds = d.node_map()
+        oracle = {(label, frozenset(site))
+                  for k in (2, 3) for site in itertools.combinations(d.arcs, k)
+                  for label in [moves._slide_label(kinds, site)] if label}
+        found = find_slides(d)
+        sites = [(m.move, frozenset(m.site)) for m in found]
+        assert len(set(sites)) == len(sites)
+        assert set(sites) == oracle
+        rank = {n: i for i, n in enumerate(d.vertices() + d.crossings())}
+        keys = [(m.move, sorted(rank[n] for n in {e[0] for a in m.site
+                                                  for e in a}))
+                for m in found]
+        assert keys == sorted(keys)
+        labels.update(m.move for m in found)
+    assert labels == {"R3", "R4", "R5"}
+
+
+def test_slide_rejects_bad_sites():
+    g, m = next((g, m) for g in _staged_graphs(random.Random(24), 25)
+                for m in find_slides(g) if m.move == "R4")
+    assert apply_move(g, m).validate() == []
+    # the label must match the site
+    for label in ("R3", "R5"):
+        with pytest.raises(MoveError):
+            apply_move(g, MoveSpec(label, m.site))
+    # arcs that form no triangle: the third arc does not join a and b
+    ab = {n for n, _ in m.site[2]}
+    other = next(a for a in g.arcs if {n for n, _ in a} != ab)
+    with pytest.raises(MoveError):
+        apply_move(g, MoveSpec("R4", m.site[:2] + (other,)))
+    # a site arc missing from the diagram
+    with pytest.raises(MoveError):
+        apply_move(g, MoveSpec("R4", m.site[:2] + ((("zz", 0), ("zz", 2)),)))
 
 
 def brute_profile(kinds, internal):
