@@ -8,6 +8,13 @@ the tables are tangle boundary.  Crossings bring their two smoothings;
 graphinv builds the tables of rigid vertices.  bracket_naive enumerates
 all 2^n smoothings independently and is the oracle.
 
+Inside the engine a weight is a plain dict from exponent to coefficient.
+Bracket values lie in Z[A, A^-1], so the coefficients are ints, and
+Fractions only where a table weight is non-integral (a marked vertex
+carries 1/4).  Table weights are converted once per contraction, the
+closing division by the loop value stays in the same integer domain, and
+LaurentPoly is built only for the values the engine returns.
+
 Link values are the oriented normalisation Z with loop value A^2 + A^-2
 and positive kink factor A^3: the raw state sum times the sign
 (-1)^(components - 1 + writhe).  p_eval also divides out A^(3*writhe).
@@ -15,11 +22,13 @@ and positive kink factor A^3: the raw state sum times the sign
 
 from __future__ import annotations
 
+import heapq
 import os
-from typing import Dict, List, Sequence, Tuple
+from fractions import Fraction
+from typing import Dict, List, Sequence, Tuple, Union
 
-from .diagram import VERTEX_KINDS, ArcT, Diagram, DiagramError
-from .ring import LOOP, ONE, ZERO, LaurentPoly, poly_exact_div
+from .diagram import VERTEX_KINDS, ArcT, Diagram, DiagramError, End
+from .ring import LOOP, ZERO, LaurentPoly, RingError
 
 # smoothing tables: for each crossing kind, the two local port pairings
 # with their weights.  The A-weighted smoothing joins the ports adjacent
@@ -108,29 +117,68 @@ def bracket_naive(d: Diagram) -> LaurentPoly:
 
 # --- frontier contraction ---------------------------------------------------
 
+# A Laurent polynomial inside the engine: exponent -> int coefficient, or
+# Fraction where a table weight is non-integral; no zero entries.
+Terms = Dict[int, Union[int, Fraction]]
+
+_LOOP: Terms = {2: -1, -2: -1}
+
+
+def _terms(p: LaurentPoly) -> Terms:
+    return {e: c.numerator if c.denominator == 1 else c for e, c in p.terms}
+
+
+def _times(p: Terms, q: Terms) -> Terms:
+    out: Terms = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = e1 + e2
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _divide_by_loop(p: Terms) -> Terms:
+    """The exact quotient p / LOOP; RingError if LOOP does not divide p."""
+    if not p:
+        return {}
+    rest = dict(p)
+    lo = min(p)
+    quot: Terms = {}
+    # LOOP = -A^2 - A^-2: cancel the top term, whose remainder lands 4 lower
+    for e in range(max(p), lo + 3, -1):
+        c = rest.pop(e, 0)
+        if c:
+            quot[e - 2] = -c
+            rest[e - 4] = rest.get(e - 4, 0) - c
+    if any(rest.values()):
+        raise RingError("inexact polynomial division")
+    return quot
+
 
 def _node_order(at: Dict[str, Dict[int, int]], arcs: Sequence[ArcT]) -> List[str]:
-    """Greedy ordering that keeps the number of open arcs small."""
-    remaining = sorted(at)
-    processed: set = set()
-    open_arcs: set = set()
+    """Greedy ordering that keeps the number of open arcs small: next comes
+    the node whose absorption grows the frontier least, first in sorted
+    order on ties.  A node's growth counts +1 for each of its arcs that
+    would open and -1 for each it would close; placing a node opens its
+    arcs to the nodes still waiting, so only their growth changes, by -2
+    per shared arc."""
+    growth = {n: sum(1 for ai in set(ports.values())
+                     if not arcs[ai][0][0] == arcs[ai][1][0] == n)
+              for n, ports in at.items()}
+    heap = [(g, n) for n, g in growth.items()]
+    heapq.heapify(heap)
     order = []
-
-    def growth(n: str) -> int:
-        return sum(-1 if ai in open_arcs else 1 for ai in set(at[n].values())
-                   if not arcs[ai][0][0] == arcs[ai][1][0] == n)
-
-    while remaining:
-        best = min(remaining, key=growth)
-        order.append(best)
-        remaining.remove(best)
-        processed.add(best)
-        for ai in set(at[best].values()):
-            (a, _), (b, _) = arcs[ai]
-            if a in processed and b in processed:
-                open_arcs.discard(ai)
-            else:
-                open_arcs.add(ai)
+    while heap:
+        g, n = heapq.heappop(heap)
+        if growth.get(n) != g:      # placed already, or a stale growth
+            continue
+        del growth[n]
+        order.append(n)
+        for ai in set(at[n].values()):
+            for m, _ in arcs[ai]:
+                if m in growth:
+                    growth[m] -= 2
+                    heapq.heappush(heap, (growth[m], m))
     return order
 
 
@@ -168,14 +216,11 @@ def _join(far: Dict[int, int], back: Dict[int, int], pair1: Pair,
     return joins, loops
 
 
-def contract(tables: Dict[str, Table],
-             arcs: Sequence[ArcT]) -> Dict[frozenset, LaurentPoly]:
-    """State sum of the tangle whose nodes are the keys of tables, by
-    memoised frontier contraction.  A table entry (pair1, pair2, weight)
-    joins the node's ports along both pairings.  Every port of a table
-    node lies on an arc; an arc end at a node outside the tables is a
-    boundary end.  Returns the nonzero weights by boundary pairing (a
-    frozenset of two-end frozensets; empty for a closed diagram)."""
+def _state_sum(tables: Dict[str, Table], arcs: Sequence[ArcT]
+               ) -> Tuple[Dict[Tuple[Pair, ...], Terms], Dict[int, End]]:
+    """The contraction itself: the nonzero state weights, keyed by the
+    sorted pairs of boundary arcs that each state joins, and each
+    boundary arc's end outside the tables."""
     at: Dict[str, Dict[int, int]] = {n: {} for n in tables}
     for ai, arc in enumerate(arcs):
         for n, p in arc:
@@ -183,7 +228,8 @@ def contract(tables: Dict[str, Table],
                 at[n][p] = ai
     boundary = {ai: end for ai, arc in enumerate(arcs)
                 for end in arc if end[0] not in at}
-    states: Dict[Tuple[Pair, ...], LaurentPoly] = {(): ONE}
+    powers: List[Terms] = [{0: 1}]          # LOOP^k, grown on demand
+    states: Dict[Tuple[Pair, ...], Terms] = {(): {0: 1}}
     done: set = set()
     for node in _node_order(at, arcs):
         closing: Dict[int, int] = {}   # open arc -> its port on the node
@@ -198,7 +244,10 @@ def contract(tables: Dict[str, Table],
             else:
                 fresh[p] = ai
         done.add(node)
-        new_states: Dict[Tuple[Pair, ...], LaurentPoly] = {}
+        entries = [(pair1, pair2, _terms(w))
+                   for pair1, pair2, w in tables[node]]
+        factors: Dict[Tuple[int, int], Terms] = {}   # weight * LOOP^loops
+        new_states: Dict[Tuple[Pair, ...], Terms] = {}
         for key, weight in states.items():
             kept = []
             far = dict(fresh)
@@ -213,38 +262,64 @@ def contract(tables: Dict[str, Table],
                     far[closing[b]] = a
                 else:
                     kept.append(pair)
-            for pair1, pair2, w in tables[node]:
+            for j, (pair1, pair2, w) in enumerate(entries):
                 joins, loops = _join(far, back, pair1, pair2)
-                nkey = tuple(sorted(kept + joins))
-                val = weight * w
-                if loops:
-                    val = val * LOOP ** loops
-                if nkey in new_states:
-                    val = new_states[nkey] + val
-                new_states[nkey] = val
-        states = {k: v for k, v in new_states.items() if not v.is_zero()}
-    return {frozenset(frozenset((boundary[a], boundary[b])) for a, b in key): v
-            for key, v in states.items()}
+                factor = factors.get((j, loops))
+                if factor is None:
+                    while len(powers) <= loops:
+                        powers.append(_times(powers[-1], _LOOP))
+                    factor = factors[j, loops] = _times(w, powers[loops])
+                target = new_states.setdefault(tuple(sorted(kept + joins)), {})
+                for e2, c2 in factor.items():
+                    for e1, c1 in weight.items():
+                        e = e1 + e2
+                        target[e] = target.get(e, 0) + c1 * c2
+        states = {}
+        for key, terms in new_states.items():
+            terms = {e: c for e, c in terms.items() if c}
+            if terms:
+                states[key] = terms
+    return states, boundary
 
 
-def closed_value(d: Diagram, tables: Dict[str, Table]) -> LaurentPoly:
+def contract(tables: Dict[str, Table],
+             arcs: Sequence[ArcT]) -> Dict[frozenset, LaurentPoly]:
+    """State sum of the tangle whose nodes are the keys of tables, by
+    memoised frontier contraction.  A table entry (pair1, pair2, weight)
+    joins the node's ports along both pairings.  Every port of a table
+    node lies on an arc; an arc end at a node outside the tables is a
+    boundary end.  Returns the nonzero weights by boundary pairing (a
+    frozenset of two-end frozensets; empty for a closed diagram)."""
+    states, boundary = _state_sum(tables, arcs)
+    return {frozenset(frozenset((boundary[a], boundary[b])) for a, b in key):
+            LaurentPoly.from_dict(terms) for key, terms in states.items()}
+
+
+def closed_value(d: Diagram, tables: Dict[str, Table],
+                 writhe: int) -> LaurentPoly:
     """Z-level value of a valid closed diagram whose nodes expand by the
-    given tables: the state sum with one loop divided out, times
-    (-1)^(components - 1 + writhe) with the writhe of the crossings.
-    Raises DiagramError above the node cap or for an empty diagram."""
+    given tables: the state sum times LOOP^free_loops with one loop
+    divided out, times (-1)^(components - 1 + writhe), writhe being that
+    of the crossings.  Raises DiagramError above the node cap or for an
+    empty diagram."""
     _check_size(d)
-    total = contract(tables, d.arcs).get(frozenset(), ZERO)
-    total = poly_exact_div(total * LOOP ** d.free_loops, LOOP)
-    return total if _sign_correction(d) == 1 else -total
+    total = _state_sum(tables, d.arcs)[0].get((), {})
+    for _ in range(d.free_loops):
+        total = _times(total, _LOOP)
+    total = _divide_by_loop(total)
+    if (d.components() - 1 + writhe) % 2:
+        total = {e: -c for e, c in total.items()}
+    return LaurentPoly.from_dict(total)
 
 
 def z_eval(d: Diagram) -> LaurentPoly:
     """Z by frontier contraction; equals bracket_naive."""
     _check_link(d)
-    return closed_value(d, {i: CROSSING_TABLES[k] for i, k in d.nodes})
+    return closed_value(d, {i: CROSSING_TABLES[k] for i, k in d.nodes},
+                        d.writhe())
 
 
 def p_eval(d: Diagram) -> LaurentPoly:
     """The writhe-normalised invariant A^(-3w) * Z; unchanged under the
     first three Reidemeister moves."""
-    return LaurentPoly.monomial(-3 * d.writhe()) * z_eval(d)
+    return z_eval(d).shift(-3 * d.writhe())

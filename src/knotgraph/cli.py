@@ -101,9 +101,11 @@ def _check_spinor(path: Optional[str]) -> int:
     targets = ([(path, _load(path))] if path else _graphs_with_vertices())
     bad = 0
     for name, g in targets:
-        for v in g.vertices():
-            if g.kind_of(v) != "Vert":
-                continue
+        plain = [v for v, k in g.nodes if k == "Vert"]
+        if path and not plain:
+            raise CliError("%s has no plain vertex; check spinor checks "
+                           "plain vertices only" % path)
+        for v in plain:
             rep = gi.check_spinor(g, v)
             ok = rep["residual"].is_zero()
             bad += not ok
@@ -171,9 +173,14 @@ def _check_reidemeister(path: Optional[str]) -> int:
         targets = sorted(corpus_mod.corpus_diagrams().items())
     bad = 0
     for name, d in targets:
-        if len(d.crossings()) > 6:
-            continue
-        if any(d.kind_of(v) == "CVert" for v in d.vertices()):
+        skip = ("more than 6 crossings" if len(d.crossings()) > 6 else
+                "a marked vertex" if any(k == "CVert" for _, k in d.nodes)
+                else None)
+        if skip and path:
+            raise CliError("%s has %s; check reidemeister walks diagrams of "
+                           "at most 6 crossings and no marked vertex"
+                           % (path, skip))
+        if skip:
             continue
         cur = mv.random_walk(d, 4, random.Random(sum(name.encode())))
         ok = gi.eval_graph(cur, gi.VASSILIEV) == gi.eval_graph(d, gi.VASSILIEV)

@@ -14,6 +14,7 @@ The model is abstract in the Gauss-code sense: planarity of the induced
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
@@ -137,13 +138,11 @@ class Diagram:
     # --- signs, writhe, components
 
     def crossing_sign(self, node: str) -> int:
-        kind = self.kind_of(node)
-        if kind not in CROSSING_KINDS:
-            return 0
-        return 1 if kind == crossing_kind(vertex_ports(self, node), 1) else -1
+        return _sign(self.kind_of(node), vertex_ports(self, node))
 
     def writhe(self) -> int:
-        return sum(self.crossing_sign(i) for i in self.crossings())
+        _, ins = self.port_roles()
+        return sum(_sign(k, strand_ports(ins, i)) for i, k in self.nodes)
 
     def trace_components(self) -> List[List[ArcT]]:
         """Closed oriented loops through nodes, as arc lists (free loops
@@ -283,6 +282,8 @@ def serialize(d: Diagram, name: str = "diagram") -> str:
 
 
 def parse(text: str) -> Tuple[str, Diagram]:
+    """Read the text codec.  Node ids are interned, so that every arc end
+    shares its node's id string."""
     name = "diagram"
     nodes: Dict[str, str] = {}
     arcs: List[ArcT] = []
@@ -294,7 +295,7 @@ def parse(text: str) -> Tuple[str, Diagram]:
         n, _, p = tok.rpartition(".")
         if not p.isdigit():
             raise DiagramError("line %d: bad port in %r" % (lineno, tok))
-        return (n, int(p))
+        return (sys.intern(n), int(p))
 
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -310,7 +311,7 @@ def parse(text: str) -> Tuple[str, Diagram]:
             if toks[1] in nodes:
                 raise DiagramError("line %d: node %r defined twice"
                                    % (lineno, toks[1]))
-            nodes[toks[1]] = toks[2]
+            nodes[sys.intern(toks[1])] = toks[2]
         elif toks[0] == "arc" and len(toks) == 4 and toks[2] == "->":
             arcs.append((end(toks[1], lineno), end(toks[3], lineno)))
         elif toks[0] == "loop" and len(toks) == 2 and toks[1].isdigit():
@@ -386,7 +387,12 @@ def splice_node(d: Diagram, node: str, joins: Dict[int, int]) -> Diagram:
 def vertex_ports(d: Diagram, node: str) -> Dict[str, int]:
     """The in/out ports of the two strands through a node: keys in_a,
     out_a (the 0-2 strand) and in_b, out_b (the 1-3 strand)."""
-    _, ins = d.port_roles()
+    return strand_ports(d.port_roles()[1], node)
+
+
+def strand_ports(ins: Dict[End, ArcT], node: str) -> Dict[str, int]:
+    """vertex_ports read off the in-port map of Diagram.port_roles, so
+    that one pass serves every node."""
     in_a = 0 if (node, 0) in ins else 2
     in_b = 1 if (node, 1) in ins else 3
     return {"in_a": in_a, "out_a": (in_a + 2) % 4,
@@ -398,6 +404,14 @@ def crossing_kind(ports: Dict[str, int], sign: int) -> str:
     the ports that vertex_ports returns."""
     base = 1 if (ports["in_a"], ports["in_b"]) in ((0, 1), (2, 3)) else -1
     return "XPos" if sign == base else "XNeg"
+
+
+def _sign(kind: str, ports: Dict[str, int]) -> int:
+    """+1 or -1 for a crossing of the given kind on these strands, 0 for
+    a vertex."""
+    if kind not in CROSSING_KINDS:
+        return 0
+    return 1 if kind == crossing_kind(ports, 1) else -1
 
 
 def path_to_reentry(d: Diagram, node: str, out_port: int):

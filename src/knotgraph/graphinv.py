@@ -23,7 +23,8 @@ from typing import Dict, List, Optional, Tuple
 from . import catalog
 from .bracket import _SMOOTHINGS, CROSSING_TABLES, Table, closed_value, z_eval
 from .diagram import (Diagram, DiagramError, crossing_kind, path_to_reentry,
-                      replace_kind, reverse_arcs, splice_node, vertex_ports)
+                      replace_kind, reverse_arcs, splice_node, strand_ports,
+                      vertex_ports)
 from .ring import (A, A_INV, ONE, ZERO, LaurentPoly, RationalFunc, RF_ONE,
                    RF_ZERO, poly_exact_div, rf)
 
@@ -145,15 +146,20 @@ def _expand(g: Diagram, coeff: RationalFunc, s: ResolutionScheme,
         _expand(vertex_unfold(g, v), coeff * s.c, s, out)
 
 
-def _vertex_table(ports: Dict[str, int], s: ResolutionScheme,
-                  level: str) -> Tuple[LaurentPoly, Table]:
-    """State table of a vertex over one denominator of the scheme's
-    weights: each crossing choice contributes its two smoothings and the
-    unfold its oriented pairing, all times -1.  Returns (den, table)."""
+def _over_one_den(s: ResolutionScheme) -> Tuple[LaurentPoly, ...]:
+    """(den, a, b, c): the scheme's weights are a/den, b/den and c/den."""
     den = ONE
     for d in {s.a.den, s.b.den, s.c.den}:
         den = den * d
-    a, b, c = (poly_exact_div(f.num * den, f.den) for f in (s.a, s.b, s.c))
+    return (den,) + tuple(poly_exact_div(f.num * den, f.den)
+                          for f in (s.a, s.b, s.c))
+
+
+def _vertex_table(ports: Dict[str, int], a: LaurentPoly, b: LaurentPoly,
+                  c: LaurentPoly, level: str) -> Table:
+    """State table of a vertex whose scheme weights are a, b and c over a
+    common denominator: each crossing choice contributes its two
+    smoothings and the unfold its oriented pairing, all times -1."""
     phase = -3 if level == "p" else 0
     unfold = tuple(sorted((tuple(sorted((ports["in_a"], ports["out_b"]))),
                            tuple(sorted((ports["in_b"], ports["out_a"]))))))
@@ -162,26 +168,29 @@ def _vertex_table(ports: Dict[str, int], s: ResolutionScheme,
         for pair1, pair2, e in _SMOOTHINGS[crossing_kind(ports, sign)]:
             key = (pair1, pair2)
             weights[key] = weights.get(key, ZERO) - num.shift(e + sign * phase)
-    return den, tuple((p1, p2, w) for (p1, p2), w in weights.items()
-                      if not w.is_zero())
+    return tuple((p1, p2, w) for (p1, p2), w in weights.items()
+                 if not w.is_zero())
 
 
 def _graph_value(g: Diagram, schemes: Dict[str, ResolutionScheme],
                  level: str) -> RationalFunc:
     """The graph invariant with each vertex kind resolved by its scheme,
     by one contraction over crossing and vertex tables."""
+    weights = {kind: _over_one_den(s) for kind, s in schemes.items()}
+    _, ins = g.port_roles()
     tables = {}
     den = ONE
     for i, kind in g.nodes:
         if kind in schemes:
-            d, tables[i] = _vertex_table(vertex_ports(g, i), schemes[kind],
-                                         level)
+            d, a, b, c = weights[kind]
+            tables[i] = _vertex_table(strand_ports(ins, i), a, b, c, level)
             den = den * d
         else:
             tables[i] = CROSSING_TABLES[kind]
-    value = closed_value(g, tables)
+    w = g.writhe()
+    value = closed_value(g, tables, w)
     if level == "p":
-        value = value.shift(-3 * g.writhe())
+        value = value.shift(-3 * w)
     return RationalFunc.make(value, den)
 
 

@@ -155,6 +155,10 @@ LOOP = LaurentPoly.from_dict({2: Fraction(-1), -2: Fraction(-1)})
 DELTA_POS = LaurentPoly.from_dict({2: Fraction(1), -2: Fraction(1)})
 
 
+# parse_poly refuses exponents beyond this, so that no input can make the
+# dense helpers below allocate a huge exponent span.
+MAX_EXPONENT = 10 ** 4
+
 _NUM = r"-?\d+(?:/\d+)?"
 # one term: a bare coefficient, or [coefficient* | -]A[^exponent]
 _TERM = re.compile(r"(?P<const>%s)|(?:(?P<coeff>%s)\*|(?P<neg>-))?A"
@@ -164,7 +168,8 @@ _TERM = re.compile(r"(?P<const>%s)|(?:(?P<coeff>%s)\*|(?P<neg>-))?A"
 def parse_poly(text: str) -> LaurentPoly:
     """Inverse of LaurentPoly.render: terms like ``-1/2*A^-3`` joined by
     ``+``; a bare coefficient, ``A``, ``A^k`` or ``-A^k`` is also a term.
-    Anything else raises RingError."""
+    Anything else, or an exponent beyond +-MAX_EXPONENT, raises
+    RingError."""
     if not text.strip():
         raise RingError("empty polynomial")
     terms: Dict[int, Fraction] = {}
@@ -174,11 +179,17 @@ def parse_poly(text: str) -> LaurentPoly:
             raise RingError("bad term %r in %r" % (chunk.strip(), text))
         try:
             coeff = Fraction(m["const"] or m["coeff"] or "1")
+            exp = 0 if m["const"] else int(m["exp"] or 1)
         except ZeroDivisionError:
             raise RingError("zero denominator in %r" % chunk.strip()) from None
+        except ValueError:      # more digits than int() converts
+            raise RingError("number too long in %.40r"
+                            % chunk.strip()) from None
+        if abs(exp) > MAX_EXPONENT:
+            raise RingError("exponent in %.40r is beyond +-%d"
+                            % (chunk.strip(), MAX_EXPONENT))
         if m["neg"]:
             coeff = -coeff
-        exp = 0 if m["const"] else int(m["exp"] or 1)
         terms[exp] = terms.get(exp, Fraction(0)) + coeff
     return LaurentPoly.from_dict(terms)
 

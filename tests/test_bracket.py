@@ -2,17 +2,23 @@
 between the naive and the dynamic-programming evaluators."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import grow_with_moves, random_braid_link
+from conftest import grow_with_moves, random_braid_link, random_vertex_graph
 from knotgraph import catalog
 from knotgraph.bracket import bracket_naive, max_crossings, p_eval, z_eval
-from knotgraph.bracket import _sign_correction
-from knotgraph.diagram import Diagram, DiagramError, replace_kind
+from knotgraph.bracket import (_LOOP, _divide_by_loop, _node_order,
+                               _sign_correction, _times)
+from knotgraph.diagram import (Diagram, DiagramError, disjoint_union,
+                               replace_kind)
 from knotgraph.graphinv import vertex_to_crossing, vertex_unfold
 from knotgraph.moves import KINK_VARIANTS, r1_plus
-from knotgraph.ring import A, A_INV, DELTA_POS, LaurentPoly, parse_poly
+from knotgraph.ring import (A, A_INV, DELTA_POS, LaurentPoly, RingError,
+                            parse_poly)
 
 
 def _raw(d):
@@ -126,3 +132,108 @@ def test_crossing_cap(monkeypatch):
     monkeypatch.delenv("MAX_CROSSINGS")
     with pytest.raises(DiagramError):
         z_eval(Diagram.make(hopf.node_map(), hopf.arcs, 10 ** 11))
+
+
+def _split_or_looped(rng, kind):
+    """A seeded link of up to 10 crossings on 2-4 strands: a plain braid
+    closure, a split one (the frontier empties between the parts) or one
+    with free loops."""
+    if kind == "split":
+        return disjoint_union(random_braid_link(rng, 5, 4),
+                              random_braid_link(rng, 5, 4))
+    d = random_braid_link(rng, 10, 4)
+    if kind == "loops":
+        d = Diagram.make(d.node_map(), d.arcs, rng.randint(1, 2))
+    return d
+
+
+def test_naive_and_dp_agree_on_wider_links():
+    rng = random.Random(17)
+    sizes = []
+    for kind in ("link", "split", "loops") * 14:
+        d = _split_or_looped(rng, kind)
+        sizes.append(len(d.nodes))
+        assert z_eval(d) == bracket_naive(d)
+    assert max(sizes) == 10
+
+
+def test_values_keep_fraction_coefficients():
+    value = z_eval(catalog.named_diagram("trefoil+"))
+    assert value.terms and all(type(c) is Fraction for _, c in value.terms)
+
+
+@given(st.dictionaries(st.integers(-12, 12),
+                       st.integers(-9, 9) | st.fractions(max_denominator=5),
+                       max_size=6))
+def test_loop_division_is_exact(p):
+    p = {e: c for e, c in p.items() if c}
+    assert _divide_by_loop(_times(p, _LOOP)) == p
+    if p:
+        with pytest.raises(RingError):
+            _divide_by_loop(_times(p, _LOOP) | {max(p) + 9: 1})
+
+
+def test_loop_division_rejects_non_multiples():
+    assert _divide_by_loop({4: 1, 0: 1}) == {2: -1}     # A^4 + 1 = -A^2 LOOP
+    for bad in ({0: 1}, {2: 1}, {4: 1, 0: 2}, {6: 1, -2: 1}):
+        with pytest.raises(RingError):
+            _divide_by_loop(bad)
+
+
+def _greedy_order(at, arcs):
+    """The node order recomputed from scratch at every step: each waiting
+    node's growth is summed over its arcs again."""
+    remaining = sorted(at)
+    processed = set()
+    open_arcs = set()
+    order = []
+
+    def growth(n):
+        return sum(-1 if ai in open_arcs else 1 for ai in set(at[n].values())
+                   if not arcs[ai][0][0] == arcs[ai][1][0] == n)
+
+    while remaining:
+        best = min(remaining, key=growth)
+        order.append(best)
+        remaining.remove(best)
+        processed.add(best)
+        for ai in set(at[best].values()):
+            (a, _), (b, _) = arcs[ai]
+            if a in processed and b in processed:
+                open_arcs.discard(ai)
+            else:
+                open_arcs.add(ai)
+    return order
+
+
+def _ports_at(nodes, arcs):
+    at = {n: {} for n in nodes}
+    for ai, arc in enumerate(arcs):
+        for n, p in arc:
+            if n in at:
+                at[n][p] = ai
+    return at
+
+
+def test_incremental_order_matches_greedy_oracle():
+    rng = random.Random(18)
+    cases = []
+    for _ in range(60):
+        d = random_braid_link(rng, 12, 5)
+        cases.append((d.node_ids(), d.arcs))
+    for _ in range(40):
+        g = random_vertex_graph(rng, rng.randint(0, 3))
+        cases.append((g.node_ids(), g.arcs))
+        # an open tangle: some of the nodes, the other ends are boundary
+        part = [n for n in g.node_ids() if rng.random() < 0.6]
+        cases.append((part, g.arcs))
+        # the stub form of moves._tangle_profile: a free port is tied to
+        # an end outside the tangle
+        inner = [a for a in g.arcs if a[0][0] in part and a[1][0] in part]
+        used = {end for a in inner for end in a}
+        stubs = [((n, p), (None, (n, p))) for n in part for p in range(4)
+                 if (n, p) not in used]
+        cases.append((part, inner + stubs))
+    for nodes, arcs in cases:
+        at = _ports_at(nodes, arcs)
+        assert _node_order(at, arcs) == _greedy_order(at, arcs)

@@ -1,5 +1,6 @@
 """Tests for the command front end."""
 
+import os
 import subprocess
 import sys
 
@@ -106,6 +107,22 @@ def test_check_reidemeister_on_file(dg, capsys):
     assert code == 0 and "PASS" in out
 
 
+@pytest.mark.parametrize("what,name,why", [
+    ("reidemeister", "braid8", "more than 6 crossings"),
+    ("reidemeister", "G_b_cvert", "a marked vertex"),
+    ("spinor", "braid8", "no plain vertex"),
+    ("spinor", "G_b_cvert", "no plain vertex")])
+def test_check_refuses_a_file_it_does_not_check(tmp_path, capsys, what, name,
+                                                why):
+    d = (catalog.braid_closure(3, [(1, 1), (2, -1)] * 4) if name == "braid8"
+         else catalog.named_diagram(name))
+    path = tmp_path / "d.dg"
+    path.write_text(serialize(d, "d"))
+    code, out, err = run(capsys, ["check", what, str(path)])
+    assert code == 1 and out == ""
+    assert _one_error_line(err) and why in err
+
+
 def test_corpus_verb_passes_and_is_deterministic(capsys):
     code1, out1, _ = run(capsys, ["corpus"])
     code2, out2, _ = run(capsys, ["corpus"])
@@ -118,8 +135,9 @@ def test_corpus_verb_passes_and_is_deterministic(capsys):
 def test_corpus_verb_output_is_stable_across_processes():
     cmd = [sys.executable, "-c",
            "from knotgraph.cli import main; raise SystemExit(main(['corpus']))"]
-    a = subprocess.run(cmd, capture_output=True, text=True)
-    b = subprocess.run(cmd, capture_output=True, text=True)
+    a, b = (subprocess.run(cmd, capture_output=True, text=True,
+                           env=dict(os.environ, PYTHONHASHSEED=seed))
+            for seed in ("0", "1"))
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
 
@@ -143,7 +161,8 @@ def _one_error_line(err):
 
 
 @pytest.mark.parametrize("scheme", ["1-A,1,0", "2A,1,0", "A^x,1,0",
-                                    "1/0*A,1,0", "1,,0", "1.5,1,0"])
+                                    "1/0*A,1,0", "1,,0", "1.5,1,0",
+                                    "A^1000000000+1,0,0"])
 def test_malformed_scheme_polynomial_is_one_error_line(dg, capsys, scheme):
     code, out, err = run(capsys, ["graph-eval", dg("G_b_vertex"),
                                   "--scheme", scheme])

@@ -192,6 +192,15 @@ def test_parse_poly_rejects_garbage():
             parse_poly(bad)
 
 
+def test_parse_poly_bounds_exponents():
+    assert parse_poly("A^10000 + -1*A^-10000").max_exp() == 10000
+    digits = "9" * 5000     # beyond what int() converts from text
+    for bad in ("A^10001", "-A^-10001", "1 + 2*A^1000000000", "A^" + digits,
+                digits, "1/%s*A" % digits):
+        with pytest.raises(RingError):
+            parse_poly(bad)
+
+
 def test_parse_poly_accepts_bare_and_negated_terms():
     assert parse_poly(" -A^2 + 3 + A ") == LaurentPoly.from_dict(
         {2: Fraction(-1), 1: Fraction(1), 0: Fraction(3)})
