@@ -8,7 +8,7 @@ the tables are tangle boundary.  Crossings bring their two smoothings;
 graphinv builds the tables of rigid vertices.  bracket_naive enumerates
 all 2^n smoothings independently and is the oracle.
 
-Inside the engine a weight is a plain dict from exponent to coefficient.
+Inside the engine a weight is a term dict of ring's Laurent kernel.
 Bracket values lie in Z[A, A^-1], so the coefficients are ints, and
 Fractions only where a table weight is non-integral (a marked vertex
 carries 1/4).  Table weights are converted once per contraction, the
@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import heapq
 import os
-from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple
 
 from .diagram import VERTEX_KINDS, ArcT, Diagram, DiagramError, End
-from .ring import LOOP, ZERO, LaurentPoly, RingError
+from .ring import (LOOP, ZERO, LaurentPoly, Terms, _exact_div, _terms,
+                   _times)
 
 # smoothing tables: for each crossing kind, the two local port pairings
 # with their weights.  The A-weighted smoothing joins the ports adjacent
@@ -117,43 +117,6 @@ def bracket_naive(d: Diagram) -> LaurentPoly:
 
 # --- frontier contraction ---------------------------------------------------
 
-# A Laurent polynomial inside the engine: exponent -> int coefficient, or
-# Fraction where a table weight is non-integral; no zero entries.
-Terms = Dict[int, Union[int, Fraction]]
-
-_LOOP: Terms = {2: -1, -2: -1}
-
-
-def _terms(p: LaurentPoly) -> Terms:
-    return {e: c.numerator if c.denominator == 1 else c for e, c in p.terms}
-
-
-def _times(p: Terms, q: Terms) -> Terms:
-    out: Terms = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            e = e1 + e2
-            out[e] = out.get(e, 0) + c1 * c2
-    return {e: c for e, c in out.items() if c}
-
-
-def _divide_by_loop(p: Terms) -> Terms:
-    """The exact quotient p / LOOP; RingError if LOOP does not divide p."""
-    if not p:
-        return {}
-    rest = dict(p)
-    lo = min(p)
-    quot: Terms = {}
-    # LOOP = -A^2 - A^-2: cancel the top term, whose remainder lands 4 lower
-    for e in range(max(p), lo + 3, -1):
-        c = rest.pop(e, 0)
-        if c:
-            quot[e - 2] = -c
-            rest[e - 4] = rest.get(e - 4, 0) - c
-    if any(rest.values()):
-        raise RingError("inexact polynomial division")
-    return quot
-
 
 def _node_order(at: Dict[str, Dict[int, int]], arcs: Sequence[ArcT]) -> List[str]:
     """Greedy ordering that keeps the number of open arcs small: next comes
@@ -228,6 +191,7 @@ def _state_sum(tables: Dict[str, Table], arcs: Sequence[ArcT]
                 at[n][p] = ai
     boundary = {ai: end for ai, arc in enumerate(arcs)
                 for end in arc if end[0] not in at}
+    loop = _terms(LOOP)
     powers: List[Terms] = [{0: 1}]          # LOOP^k, grown on demand
     states: Dict[Tuple[Pair, ...], Terms] = {(): {0: 1}}
     done: set = set()
@@ -267,7 +231,7 @@ def _state_sum(tables: Dict[str, Table], arcs: Sequence[ArcT]
                 factor = factors.get((j, loops))
                 if factor is None:
                     while len(powers) <= loops:
-                        powers.append(_times(powers[-1], _LOOP))
+                        powers.append(_times(powers[-1], loop))
                     factor = factors[j, loops] = _times(w, powers[loops])
                 target = new_states.setdefault(tuple(sorted(kept + joins)), {})
                 for e2, c2 in factor.items():
@@ -304,9 +268,10 @@ def closed_value(d: Diagram, tables: Dict[str, Table],
     empty diagram."""
     _check_size(d)
     total = _state_sum(tables, d.arcs)[0].get((), {})
+    loop = _terms(LOOP)
     for _ in range(d.free_loops):
-        total = _times(total, _LOOP)
-    total = _divide_by_loop(total)
+        total = _times(total, loop)
+    total = _exact_div(total, loop)
     if (d.components() - 1 + writhe) % 2:
         total = {e: -c for e, c in total.items()}
     return LaurentPoly.from_dict(total)

@@ -115,6 +115,32 @@ def _parse_args(args: str) -> Dict[str, str]:
     return out
 
 
+def _arg(args: Dict[str, str], key: str, default: Optional[str] = None) -> str:
+    if key not in args and default is None:
+        raise CorpusError("missing argument %s=" % key)
+    return args.get(key, default)
+
+
+def _count_arg(args: Dict[str, str], key: str,
+               default: Optional[str] = None) -> int:
+    text = _arg(args, key, default)
+    try:
+        value = int(text)
+    except ValueError:      # not a number, or more digits than int() reads
+        raise CorpusError("argument %s=%.40r is not a count"
+                          % (key, text)) from None
+    if value < 0:
+        raise CorpusError("argument %s=%d is negative" % (key, value))
+    return value
+
+
+def _three_files(args: Dict[str, str], base: str) -> List[Diagram]:
+    files = _arg(args, "files", "").split()
+    if len(files) != 3:
+        raise CorpusError("expected three further diagram files")
+    return [load_diagram(base, f) for f in files]
+
+
 def _single_vertex(g: Diagram) -> str:
     vs = g.vertices()
     if len(vs) != 1:
@@ -187,21 +213,21 @@ def evaluate_entry(entry: CorpusEntry, base: str) -> str:
         if op == "casimir_diff":
             return gi.casimir_decompose(g)["difference"].render()
         if op == "vassiliev_valuation":
-            rep = vassiliev_series(g, int(args.get("order", "4")))
+            rep = vassiliev_series(g, _count_arg(args, "order", "4"))
             return ("none" if rep.vanishing_order is None
                     else str(rep.vanishing_order))
         if op == "vassiliev_h0":
             rep = vassiliev_series(g, 0)
             return str(rep.series.coeffs[0])
         if op == "graph_moves":
-            return _op_graph_moves(g, int(args.get("steps", "4")))
+            return _op_graph_moves(g, _count_arg(args, "steps", "4"))
     if op == "four_term":
         n = load_diagram(base, entry.file)
-        s, e, w = (load_diagram(base, f) for f in args["files"].split())
+        s, e, w = _three_files(args, base)
         return gi.check_four_term(n, s, e, w, gi.VASSILIEV).render()
     if op == "six_valent":
         n = load_diagram(base, entry.file)
-        s, e, w = (load_diagram(base, f) for f in args["files"].split())
+        s, e, w = _three_files(args, base)
         quad = {"N": n, "S": s, "E": e, "W": w}
         return gi.six_valent_eval(quad, gi.VASSILIEV)["residual"].render()
     if op == "casimir_constants":
@@ -219,12 +245,13 @@ def evaluate_entry(entry: CorpusEntry, base: str) -> str:
     if op == "fierz":
         return "ok" if sn.check_fierz()["ok"] else "fail"
     if op == "projector":
-        rep = sn.check_projector(int(args["n"]))
+        rep = sn.check_projector(_count_arg(args, "n"))
         return "ok" if rep["ok"] else ";".join(rep["failures"])
     if op == "perm":
-        n = int(args["n"])
-        elem = (sn.antisymmetrizer(n) if args["kind"] == "skew"
-                else sn.symmetrizer(n))
+        n, kind = _count_arg(args, "n"), _arg(args, "kind")
+        if kind not in ("skew", "sym"):
+            raise CorpusError("argument kind=%.40r is not skew or sym" % kind)
+        elem = sn.antisymmetrizer(n) if kind == "skew" else sn.symmetrizer(n)
         return elem.render()
     raise CorpusError("unknown corpus op %r" % op)
 

@@ -282,20 +282,28 @@ def serialize(d: Diagram, name: str = "diagram") -> str:
 
 
 def parse(text: str) -> Tuple[str, Diagram]:
-    """Read the text codec.  Node ids are interned, so that every arc end
-    shares its node's id string."""
+    """Read the text codec.  Node ids and kinds are interned, so that every
+    arc end shares its node's id string and every node its kind's."""
     name = "diagram"
     nodes: Dict[str, str] = {}
     arcs: List[ArcT] = []
     loops = 0
 
+    def number(tok: str, lineno: int) -> int:
+        # isdigit() alone also passes digits such as superscript two
+        if not (tok.isascii() and tok.isdigit()):
+            raise DiagramError("line %d: bad number %.40r" % (lineno, tok))
+        try:
+            return int(tok)
+        except ValueError:      # more digits than int() converts
+            raise DiagramError("line %d: number too long in %.40r"
+                               % (lineno, tok)) from None
+
     def end(tok: str, lineno: int) -> End:
         if "." not in tok:
             raise DiagramError("line %d: bad endpoint %r" % (lineno, tok))
         n, _, p = tok.rpartition(".")
-        if not p.isdigit():
-            raise DiagramError("line %d: bad port in %r" % (lineno, tok))
-        return (sys.intern(n), int(p))
+        return (sys.intern(n), number(p, lineno))
 
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -311,11 +319,11 @@ def parse(text: str) -> Tuple[str, Diagram]:
             if toks[1] in nodes:
                 raise DiagramError("line %d: node %r defined twice"
                                    % (lineno, toks[1]))
-            nodes[sys.intern(toks[1])] = toks[2]
+            nodes[sys.intern(toks[1])] = sys.intern(toks[2])
         elif toks[0] == "arc" and len(toks) == 4 and toks[2] == "->":
             arcs.append((end(toks[1], lineno), end(toks[3], lineno)))
-        elif toks[0] == "loop" and len(toks) == 2 and toks[1].isdigit():
-            loops += int(toks[1])
+        elif toks[0] == "loop" and len(toks) == 2:
+            loops += number(toks[1], lineno)
         else:
             raise DiagramError("line %d: cannot parse %r" % (lineno, line))
     for (a, _), (b, _) in arcs:

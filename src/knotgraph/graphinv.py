@@ -203,17 +203,13 @@ def eval_graph(g: Diagram, s: ResolutionScheme = VASSILIEV,
     return _graph_value(g, {"Vert": s}, level)
 
 
-def eval_with_casimir_marks(g: Diagram, normalized: bool = False) -> RationalFunc:
+def eval_with_casimir_marks(g: Diagram) -> RationalFunc:
     """Evaluate a graph whose vertices may carry the mark: plain vertices
     resolve with weights (1, 1, 0)/(A + A^-1), marked ones with
-    (1, -1, 0)/(4(A - A^-1)).  Plain result is at bracket (Z) level; the
-    normalized flag divides by A^(3*writhe) of the input graph."""
+    (1, -1, 0)/(4(A - A^-1)).  The result is at bracket (Z) level."""
     g.require_valid()
-    total = _graph_value(g, {"Vert": CASIMIR_PLAIN, "CVert": CASIMIR_MARKED},
-                         "z")
-    if normalized:
-        total = total * rf(LaurentPoly.monomial(-3 * g.writhe()))
-    return total
+    return _graph_value(g, {"Vert": CASIMIR_PLAIN, "CVert": CASIMIR_MARKED},
+                        "z")
 
 
 # --- identity checks --------------------------------------------------------

@@ -8,6 +8,12 @@ Three layers live here:
 
 Everything is immutable and hashable so values can be memoised and
 shared freely.
+
+Beneath them lies the one Laurent kernel: a plain dict from exponent
+to coefficient (an int, or a Fraction where the coefficient is
+non-integral), with `_times`, a `_divmod` that cancels the top term and
+a `_gcd` built on it.  LaurentPoly multiplication, polynomial division,
+the canonical form of RationalFunc and the bracket engine all use it.
 """
 
 from __future__ import annotations
@@ -15,7 +21,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Tuple
+from math import lcm
+from typing import Dict, Iterable, Mapping, Tuple, Union
 
 
 class RingError(ValueError):
@@ -87,12 +94,7 @@ class LaurentPoly:
         return LaurentPoly(tuple((e, -c) for e, c in self.terms))
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        d: Dict[int, Fraction] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = e1 + e2
-                d[e] = d.get(e, Fraction(0)) + c1 * c2
-        return LaurentPoly(_clean(d))
+        return LaurentPoly(_clean(_times(_terms(self), _terms(other))))
 
     def scale(self, c) -> "LaurentPoly":
         c = Fraction(c)
@@ -155,8 +157,8 @@ LOOP = LaurentPoly.from_dict({2: Fraction(-1), -2: Fraction(-1)})
 DELTA_POS = LaurentPoly.from_dict({2: Fraction(1), -2: Fraction(1)})
 
 
-# parse_poly refuses exponents beyond this, so that no input can make the
-# dense helpers below allocate a huge exponent span.
+# parse_poly refuses exponents beyond this, so that no input can make
+# _divmod walk a huge exponent span.
 MAX_EXPONENT = 10 ** 4
 
 _NUM = r"-?\d+(?:/\d+)?"
@@ -194,67 +196,73 @@ def parse_poly(text: str) -> LaurentPoly:
     return LaurentPoly.from_dict(terms)
 
 
-# --- dense helpers for gcd / division (ordinary polynomials, low degree first)
+# --- the Laurent kernel ------------------------------------------------------
+
+# A Laurent polynomial as the kernel holds it: exponent -> int, or Fraction
+# where the coefficient is non-integral; no zero entries.
+Terms = Dict[int, Union[int, Fraction]]
 
 
-def _to_dense(p: LaurentPoly) -> Tuple[int, list]:
-    """Return (shift, coeffs) with coeffs[0] the constant term after
-    dividing out A^shift."""
-    if p.is_zero():
-        return 0, []
-    lo = p.min_exp()
-    hi = p.max_exp()
-    coeffs = [Fraction(0)] * (hi - lo + 1)
-    for e, c in p.terms:
-        coeffs[e - lo] = c
-    return lo, coeffs
+def _terms(p: LaurentPoly) -> Terms:
+    return {e: c.numerator if c.denominator == 1 else c for e, c in p.terms}
 
 
-def _from_dense(shift: int, coeffs: list) -> LaurentPoly:
-    return LaurentPoly.from_dict({shift + i: c for i, c in enumerate(coeffs)})
+def _times(p: Terms, q: Terms) -> Terms:
+    out: Terms = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = e1 + e2
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
 
 
-def _dense_trim(c: list) -> list:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
+def _divmod(num: Terms, den: Terms) -> Tuple[Terms, Terms]:
+    """Quotient and remainder of num by a nonzero den as ordinary
+    polynomials, both shifted to minimal exponent 0: num == quot*den + rem,
+    where rem spans fewer exponents than den from num's lowest one up.
+    Each step cancels the top term left.  A leading coefficient other
+    than +-1 divides through Fraction, so the quotient stays exact."""
+    top = max(den)
+    lead = den[top]
+    inv = lead if lead in (1, -1) else 1 / Fraction(lead)
+    rest = dict(num)
+    quot: Terms = {}
+    if rest:
+        for e in range(max(rest), min(rest) + top - min(den) - 1, -1):
+            c = rest.pop(e, 0)
+            if c:
+                f = quot[e - top] = c * inv
+                for e2, c2 in den.items():
+                    if e2 != top:
+                        k = e - top + e2
+                        rest[k] = rest.get(k, 0) - f * c2
+    return quot, {e: c for e, c in rest.items() if c}
 
 
-def _dense_divmod(num: list, den: list):
-    num = list(num)
-    q = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
-    lead = den[-1]
-    for i in range(len(num) - len(den), -1, -1):
-        f = num[i + len(den) - 1] / lead
-        if f:
-            q[i] = f
-            for j, d in enumerate(den):
-                num[i + j] -= f * d
-    return _dense_trim(q), _dense_trim(num)
+def _exact_div(num: Terms, den: Terms) -> Terms:
+    """The quotient num / den; RingError if den does not divide num."""
+    quot, rest = _divmod(num, den)
+    if rest:
+        raise RingError("inexact polynomial division")
+    return quot
 
-def _dense_gcd(a: list, b: list) -> list:
-    a, b = list(a), list(b)
+
+def _gcd(a: Terms, b: Terms) -> Terms:
+    """A greatest common divisor of a and b (not both zero) by Euclid's
+    algorithm, up to a unit c*A^k: a single term when they are coprime."""
     while b:
-        _, r = _dense_divmod(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
+        a, b = b, _divmod(a, b)[1]
     return a
 
 
 def poly_divmod(num: LaurentPoly, den: LaurentPoly):
     """Quotient and remainder treating both as ordinary polynomials after
     shifting minimal exponents to zero.  The quotient absorbs the net
-    A-power shift, so num == q*den + r*A^(shift of num)."""
+    A-power shift, so num == q*den + r."""
     if den.is_zero():
         raise RingError("division by zero polynomial")
-    if num.is_zero():
-        return ZERO, ZERO
-    ns, nc = _to_dense(num)
-    ds, dc = _to_dense(den)
-    q, r = _dense_divmod(nc, dc)
-    return _from_dense(ns - ds, q), _from_dense(ns, r)
+    q, r = _divmod(_terms(num), _terms(den))
+    return LaurentPoly(_clean(q)), LaurentPoly(_clean(r))
 
 
 def poly_exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
@@ -278,17 +286,14 @@ class RationalFunc:
             raise RingError("zero denominator")
         if num.is_zero():
             return RationalFunc(ZERO, ONE)
-        ns, nc = _to_dense(num)
-        ds, dc = _to_dense(den)
-        g = _dense_gcd(nc, dc)
+        n, d = _terms(num), _terms(den)
+        g = _gcd(n, d)
         if len(g) > 1:
-            nc, _ = _dense_divmod(nc, g)
-            dc, _ = _dense_divmod(dc, g)
+            n, d = _exact_div(n, g), _exact_div(d, g)
         # normalise: den has minimal exponent 0, leading coefficient 1
-        lead = dc[-1]
-        nc = [c / lead for c in nc]
-        dc = [c / lead for c in dc]
-        return RationalFunc(_from_dense(ns - ds, nc), _from_dense(0, dc))
+        lo, inv = min(d), 1 / Fraction(d[max(d)])
+        n, d = ({e - lo: c * inv for e, c in t.items()} for t in (n, d))
+        return RationalFunc(LaurentPoly(_clean(n)), LaurentPoly(_clean(d)))
 
     @staticmethod
     def from_poly(p: LaurentPoly) -> "RationalFunc":
@@ -370,16 +375,6 @@ class Series:
     def const(c, order: int) -> "Series":
         return Series.make(order, [Fraction(c)])
 
-    @staticmethod
-    def exp_hx(x: Fraction, order: int) -> "Series":
-        """exp(x*h) truncated."""
-        cs = []
-        term = Fraction(1)
-        for n in range(order + 1):
-            cs.append(term)
-            term = term * x / (n + 1)
-        return Series(order, tuple(cs))
-
     def __add__(self, o: "Series") -> "Series":
         n = min(self.order, o.order)
         return Series.make(n, [self.coeffs[i] + o.coeffs[i] for i in range(n + 1)])
@@ -455,11 +450,16 @@ class Series:
 
 
 def poly_series(p: LaurentPoly, order: int) -> Series:
-    """Expand a Laurent polynomial with A = exp(h)."""
-    out = Series.const(0, order)
-    for e, c in p.terms:
-        out = out + Series.exp_hx(Fraction(e), order).scale(c)
-    return out
+    """Expand a Laurent polynomial with A = exp(h): the coefficient of h^n
+    is the sum of c * e^n / n! over the terms c*A^e."""
+    den = lcm(*(c.denominator for _, c in p.terms))
+    ints = [(e, c.numerator * (den // c.denominator)) for e, c in p.terms]
+    coeffs = []
+    fact = 1
+    for n in range(order + 1):
+        fact *= n or 1
+        coeffs.append(Fraction(sum(k * e ** n for e, k in ints), den * fact))
+    return Series(order, tuple(coeffs))
 
 
 def series_at_exp(f: RationalFunc, order: int) -> Series:
@@ -467,16 +467,13 @@ def series_at_exp(f: RationalFunc, order: int) -> Series:
 
     A denominator vanishing at h = 0 is handled by cancelling the common
     h-valuation against the numerator; a genuine pole raises RingError.
-    Extra guard orders are computed so that the cancellation does not eat
-    into the requested truncation.
+    That valuation is the multiplicity of the denominator's root at A = 1,
+    which is below its number of terms (Hajos's lemma), so expanding that
+    many orders less one beyond the truncation is always enough.
     """
     if f.is_zero():
         return Series.const(0, order)
-    guard = len(f.den.terms) + len(f.num.terms) + 4
-    num = poly_series(f.num, order + guard)
-    den = poly_series(f.den, order + guard)
-    v = den.valuation()
-    if v is None:
-        raise RingError("division by zero series")
-    q = num.divide(den)
+    guard = len(f.den.terms) - 1
+    q = poly_series(f.num, order + guard).divide(
+        poly_series(f.den, order + guard))
     return Series.make(order, q.coeffs[: order + 1])

@@ -11,14 +11,15 @@ from hypothesis import strategies as st
 from conftest import grow_with_moves, random_braid_link, random_vertex_graph
 from knotgraph import catalog
 from knotgraph.bracket import bracket_naive, max_crossings, p_eval, z_eval
-from knotgraph.bracket import (_LOOP, _divide_by_loop, _node_order,
-                               _sign_correction, _times)
+from knotgraph.bracket import _node_order, _sign_correction
 from knotgraph.diagram import (Diagram, DiagramError, disjoint_union,
                                replace_kind)
 from knotgraph.graphinv import vertex_to_crossing, vertex_unfold
 from knotgraph.moves import KINK_VARIANTS, r1_plus
-from knotgraph.ring import (A, A_INV, DELTA_POS, LaurentPoly, RingError,
-                            parse_poly)
+from knotgraph.ring import (A, A_INV, DELTA_POS, LOOP, LaurentPoly,
+                            RingError, _exact_div, _terms, _times, parse_poly)
+
+_LOOP = _terms(LOOP)
 
 
 def _raw(d):
@@ -167,17 +168,17 @@ def test_values_keep_fraction_coefficients():
                        max_size=6))
 def test_loop_division_is_exact(p):
     p = {e: c for e, c in p.items() if c}
-    assert _divide_by_loop(_times(p, _LOOP)) == p
+    assert _exact_div(_times(p, _LOOP), _LOOP) == p
     if p:
         with pytest.raises(RingError):
-            _divide_by_loop(_times(p, _LOOP) | {max(p) + 9: 1})
+            _exact_div(_times(p, _LOOP) | {max(p) + 9: 1}, _LOOP)
 
 
 def test_loop_division_rejects_non_multiples():
-    assert _divide_by_loop({4: 1, 0: 1}) == {2: -1}     # A^4 + 1 = -A^2 LOOP
+    assert _exact_div({4: 1, 0: 1}, _LOOP) == {2: -1}  # A^4 + 1 = -A^2 LOOP
     for bad in ({0: 1}, {2: 1}, {4: 1, 0: 2}, {6: 1, -2: 1}):
         with pytest.raises(RingError):
-            _divide_by_loop(bad)
+            _exact_div(bad, _LOOP)
 
 
 def _greedy_order(at, arcs):

@@ -173,13 +173,23 @@ def test_malformed_scheme_polynomial_is_one_error_line(dg, capsys, scheme):
 @pytest.mark.parametrize("argv", [
     ["eval", "LOOPS"], ["graph-eval", "FILE", "--level", "q"], ["bogus"],
     ["vassiliev", "FILE", "--order", "x"], ["eval"], [],
-    ["check", "nope"], ["corpus", "--dir"]])
+    ["check", "nope"], ["corpus", "--dir"], ["eval", "LONG_LOOPS"],
+    ["eval", "LONG_PORT"], ["eval", "SUP_LOOPS"], ["eval", "SUP_PORT"]])
 def test_bad_input_is_one_error_line(dg, tmp_path, capsys, argv):
-    # LOOPS: a one-crossing kink with a free-loop count far above the cap
-    loops = tmp_path / "loops.dg"
-    loops.write_text("diagram k\nnode n0 XPos\narc n0.2 -> n0.1\n"
-                     "arc n0.3 -> n0.0\nloop 99999999999\n")
-    files = {"FILE": dg("G_b_vertex"), "LOOPS": str(loops)}
+    # a one-crossing kink: LOOPS with a free-loop count far above the cap,
+    # LONG_* with more digits than int() converts, SUP_* with a digit that
+    # str.isdigit() accepts but int() does not
+    digits = "9" * 5000
+    kinks = {"LOOPS": ("1", "loop 99999999999"),
+             "LONG_LOOPS": ("1", "loop " + digits), "LONG_PORT": (digits, ""),
+             "SUP_LOOPS": ("1", "loop \u00b2"), "SUP_PORT": ("\u00b2", "")}
+    files = {"FILE": dg("G_b_vertex")}
+    for name, (port, tail) in kinks.items():
+        path = tmp_path / (name + ".dg")
+        path.write_text("diagram k\nnode n0 XPos\narc n0.2 -> n0.%s\n"
+                        "arc n0.3 -> n0.0\n%s\n" % (port, tail),
+                        encoding="utf-8")
+        files[name] = str(path)
     code, out, err = run(capsys, [files.get(a, a) for a in argv])
     assert code == 1 and out == ""
     assert _one_error_line(err)

@@ -5,6 +5,7 @@ import os
 import pytest
 
 from knotgraph.bracket import bracket_naive, z_eval
+from knotgraph.cli import main
 from knotgraph.corpus import (CorpusError, corpus_dir, corpus_diagrams,
                               load_manifest, report_lines, run_corpus)
 from knotgraph.diagram import replace_kind
@@ -70,6 +71,34 @@ def test_broken_manifest_lines_are_reported(tmp_path):
         "n | f.dg | z | - | 1 | badtag | note\n")
     with pytest.raises(CorpusError):
         load_manifest(str(tmp_path))
+
+
+_BAD_ARGS = {
+    "order-abc": "vassiliev_valuation | order=abc",
+    "order-negative": "vassiliev_valuation | order=-1",
+    "steps-x": "graph_moves | steps=x",
+    "steps-too-long": "graph_moves | steps=" + "9" * 5000,
+    "perm-no-n": "perm | kind=skew",
+    "perm-no-kind": "perm | n=2",
+    "perm-bad-kind": "perm | kind=odd,n=2",
+    "projector-no-n": "projector | -",
+    "projector-bad-n": "projector | n=three",
+    "four-term-no-files": "four_term | -",
+    "six-valent-two-files": "six_valent | c.dg c.dg",
+}
+
+
+@pytest.mark.parametrize("op_args", _BAD_ARGS.values(), ids=_BAD_ARGS.keys())
+def test_malformed_entry_args_are_corpus_errors(tmp_path, capsys, op_args):
+    (tmp_path / "manifest.txt").write_text(
+        "e | c.dg | %s | 0 | known | note\n" % op_args)
+    (tmp_path / "c.dg").write_text("diagram c\nloop 2\n")
+    with pytest.raises(CorpusError):
+        run_corpus(str(tmp_path))
+    assert main(["corpus", "--dir", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:")
+    assert len(err.splitlines()) == 1
 
 
 def test_corpus_env_override(tmp_path, monkeypatch):

@@ -90,6 +90,16 @@ def test_rational_cancellation(p, q):
     assert rf(p * q, q) == rf(p)
 
 
+@given(polys, nonzero_polys, nonzero_polys)
+@settings(max_examples=60)
+def test_common_factors_cancel_to_the_canonical_form(p, q, g):
+    f = rf(p * g, q * g)
+    assert f == rf(p, q)
+    # the denominator is monic with minimal exponent 0
+    assert f.den.min_exp() == 0 and f.den.terms[0][1] == 1
+    assert all(type(c) is Fraction for _, c in f.num.terms + f.den.terms)
+
+
 def test_rational_canonical_form_is_unique():
     a = rf(A * A - A_INV * A_INV, A - A_INV)       # (A^2-A^-2)/(A-A^-1)
     assert a == rf(A + A_INV)
@@ -144,13 +154,24 @@ def test_series_cancels_common_vanishing():
     assert series_at_exp(f, 5) == poly_series(A + A_INV, 5)
 
 
+@pytest.mark.parametrize("k", range(1, 7))
+def test_series_guard_covers_the_root_at_one(k):
+    # d = (A - A^-1)^k has k + 1 terms and a root of multiplicity k at
+    # A = 1; rf would cancel it, so the quotient is built uncancelled
+    d = (A - A_INV) ** k
+    assert len(d.terms) == k + 1
+    p = parse_poly("A^3 + -1/2*A^-1")     # no h^n coefficient vanishes
+    for n in range(7):
+        assert series_at_exp(RationalFunc(d * p, d), n) == poly_series(p, n)
+
+
 def test_series_reports_true_poles():
     with pytest.raises(RingError):
         series_at_exp(rf(ONE, A - A_INV), 4)
 
 
 def test_exp_series_values():
-    s = Series.exp_hx(Fraction(2), 4)
+    s = poly_series(A ** 2, 4)
     assert s.coeffs == (1, 2, 2, Fraction(4, 3), Fraction(2, 3))
 
 
