@@ -8,6 +8,12 @@ the tables are tangle boundary.  Crossings bring their two smoothings;
 graphinv builds the tables of rigid vertices.  bracket_naive enumerates
 all 2^n smoothings independently and is the oracle.
 
+A contraction is planned, then run.  The plan fixes the node order and
+gives each open arc a slot, reusing freed ones; a state gives each slot
+its mate slot.  A node's local joins depend only on its table, its port
+roles and which closing ports the state mates, so they are memoised for
+the call and shared by alike nodes, such as a braid's crossings.
+
 Inside the engine a weight is a term dict of ring's Laurent kernel.
 Bracket values lie in Z[A, A^-1], so the coefficients are ints, and
 Fractions only where a table weight is non-integral (a marked vertex
@@ -24,7 +30,8 @@ from __future__ import annotations
 
 import heapq
 import os
-from typing import Dict, List, Sequence, Tuple
+from operator import itemgetter
+from typing import Dict, List, Sequence, Set, Tuple
 
 from .diagram import VERTEX_KINDS, ArcT, Diagram, DiagramError, End
 from .ring import (LOOP, ZERO, LaurentPoly, Terms, _exact_div, _terms,
@@ -58,7 +65,7 @@ def _check_link(d: Diagram) -> None:
                 "node %s is a vertex; resolve it first (graph evaluation)" % i)
 
 
-def _check_size(d: Diagram) -> None:
+def _check_size(d: Diagram, components: int) -> None:
     """The cap counts every node, crossings and vertices alike, and every
     free loop, which multiplies the state sum by one loop factor."""
     size = len(d.nodes) + d.free_loops
@@ -66,7 +73,7 @@ def _check_size(d: Diagram) -> None:
         raise DiagramError(
             "diagram has %d nodes and free loops, above the MAX_CROSSINGS "
             "limit %d" % (size, max_crossings()))
-    if d.components() == 0:
+    if components == 0:
         raise DiagramError("empty diagram has no bracket value")
 
 
@@ -77,7 +84,7 @@ def _sign_correction(d: Diagram) -> int:
 def bracket_naive(d: Diagram) -> LaurentPoly:
     """Z by brute-force enumeration of every smoothing state."""
     _check_link(d)
-    _check_size(d)
+    _check_size(d, d.components())
     ids = [i for i, _ in d.nodes]
     kinds = d.node_map()
     parent: Dict[Tuple[str, int], Tuple[str, int]] = {}
@@ -145,11 +152,11 @@ def _node_order(at: Dict[str, Dict[int, int]], arcs: Sequence[ArcT]) -> List[str
     return order
 
 
-def _join(far: Dict[int, int], back: Dict[int, int], pair1: Pair,
+def _join(far: Set[int], back: Dict[int, int], pair1: Pair,
           pair2: Pair) -> Tuple[List[Pair], int]:
-    """Join a node's ports along pair1 and pair2.  A port leads either to
-    an open arc (far) or back to another port of the node (back).  Returns
-    the pairs of open arcs now joined and the number of loops closed."""
+    """Join a node's ports along pair1 and pair2.  A port leads either out
+    of the node (far) or back to another port of the node (back).  Returns
+    the pairs of far ports now joined and the number of loops closed."""
     inner = {}
     for x, y in (pair1, pair2):
         inner[x], inner[y] = y, x
@@ -161,12 +168,12 @@ def _join(far: Dict[int, int], back: Dict[int, int], pair1: Pair,
         seen.add(p)
         q = inner[p]
         while q not in far:
+            assert q not in seen, "a walk between open ports cannot cycle"
             r = back[q]
             seen.update((q, r))
             q = inner[r]
         seen.add(q)
-        a, b = far[p], far[q]
-        joins.append((a, b) if a < b else (b, a))
+        joins.append((p, q) if p < q else (q, p))
     loops = 0
     for p in back:
         if p in seen:
@@ -179,11 +186,39 @@ def _join(far: Dict[int, int], back: Dict[int, int], pair1: Pair,
     return joins, loops
 
 
+def _plan(at: Dict[str, Dict[int, int]], arcs: Sequence[ArcT]
+          ) -> Tuple[List[tuple], Dict[int, int], int]:
+    """The order of _node_order and a slot for each open arc: a closing arc
+    frees its slot, an opening arc takes a freed slot first.  A step is
+    (node, closing port -> slot, opening port -> slot, self-loop port
+    pairs, frontier width after it).  Also returns the slots of the arcs
+    left open (the boundary) and the number of slots."""
+    slot_of: Dict[int, int] = {}
+    free: List[int] = []
+    steps = []
+    for node in _node_order(at, arcs):
+        closing, fresh, loops = {}, [], []
+        for p, ai in sorted(at[node].items()):
+            (a, ap), (b, bp) = arcs[ai]
+            if a == b == node:
+                loops.append((p, bp if p == ap else ap))
+            elif ai in slot_of:
+                closing[p] = slot_of.pop(ai)
+            else:
+                fresh.append((p, ai))
+        free += closing.values()
+        opening = {}
+        for p, ai in fresh:
+            slot_of[ai] = opening[p] = free.pop() if free else len(slot_of)
+        steps.append((node, closing, opening, tuple(loops), len(slot_of)))
+    return steps, slot_of, len(slot_of) + len(free)
+
+
 def _state_sum(tables: Dict[str, Table], arcs: Sequence[ArcT]
                ) -> Tuple[Dict[Tuple[Pair, ...], Terms], Dict[int, End]]:
-    """The contraction itself: the nonzero state weights, keyed by the
-    sorted pairs of boundary arcs that each state joins, and each
-    boundary arc's end outside the tables."""
+    """Run the plan: the nonzero state weights, keyed by the sorted pairs
+    of boundary arcs that each state joins, and each boundary arc's end
+    outside the tables."""
     at: Dict[str, Dict[int, int]] = {n: {} for n in tables}
     for ai, arc in enumerate(arcs):
         for n, p in arc:
@@ -191,59 +226,69 @@ def _state_sum(tables: Dict[str, Table], arcs: Sequence[ArcT]
                 at[n][p] = ai
     boundary = {ai: end for ai, arc in enumerate(arcs)
                 for end in arc if end[0] not in at}
+    steps, last, width = _plan(at, arcs)
     loop = _terms(LOOP)
-    powers: List[Terms] = [{0: 1}]          # LOOP^k, grown on demand
-    states: Dict[Tuple[Pair, ...], Terms] = {(): {0: 1}}
-    done: set = set()
-    for node in _node_order(at, arcs):
-        closing: Dict[int, int] = {}   # open arc -> its port on the node
-        fresh: Dict[int, int] = {}     # port -> arc that opens here
-        self_loops: Dict[int, int] = {}
-        for p, ai in at[node].items():
-            (a, ap), (b, bp) = arcs[ai]
-            if a == b == node:
-                self_loops[ap], self_loops[bp] = bp, ap
-            elif (b if a == node else a) in done:
-                closing[ai] = p
-            else:
-                fresh[p] = ai
-        done.add(node)
-        entries = [(pair1, pair2, _terms(w))
-                   for pair1, pair2, w in tables[node]]
-        factors: Dict[Tuple[int, int], Terms] = {}   # weight * LOOP^loops
-        new_states: Dict[Tuple[Pair, ...], Terms] = {}
-        for key, weight in states.items():
-            kept = []
-            far = dict(fresh)
-            back = dict(self_loops)
-            for pair in key:
-                a, b = pair
-                if a in closing and b in closing:
-                    back[closing[a]], back[closing[b]] = closing[b], closing[a]
-                elif a in closing:
-                    far[closing[a]] = b
-                elif b in closing:
-                    far[closing[b]] = a
-                else:
-                    kept.append(pair)
-            for j, (pair1, pair2, w) in enumerate(entries):
-                joins, loops = _join(far, back, pair1, pair2)
-                factor = factors.get((j, loops))
-                if factor is None:
-                    while len(powers) <= loops:
-                        powers.append(_times(powers[-1], loop))
-                    factor = factors[j, loops] = _times(w, powers[loops])
-                target = new_states.setdefault(tuple(sorted(kept + joins)), {})
-                for e2, c2 in factor.items():
-                    for e1, c1 in weight.items():
+    memo: Dict[tuple, dict] = {}
+    states: Dict[Tuple[int, ...], Terms] = {(-1,) * width: {0: 1}}
+    for node, closing, opening, loops, _ in steps:
+        table = tables[node]
+        moves = memo.setdefault((id(table), tuple(closing), loops), {})
+        # In ext = fixed + state, dest_of gives each closing port its mate
+        # and each opening port its new slot; mates_of (other ports read
+        # fixed[4] = -1) and port_at give the closing port each is mated to.
+        fixed, dest_ix, mate_ix = [-1] * 5, [0, 1, 2, 3], [4] * 4
+        port_at = [-1] * (width + 1)
+        for p, s in opening.items():
+            fixed[p] = s
+        for p, s in closing.items():
+            dest_ix[p] = mate_ix[p] = 5 + s
+            port_at[s] = p
+        fixed = tuple(fixed)
+        dest_of, mates_of = itemgetter(*dest_ix), itemgetter(*mate_ix)
+        cleared = set(closing.values()).difference(fixed)
+        new_states: Dict[Tuple[int, ...], Terms] = {}
+        for state, weight in states.items():
+            ext = fixed + state
+            mated = tuple(map(port_at.__getitem__, mates_of(ext)))
+            found = moves.get(mated)
+            if found is None:
+                back = dict(loops)      # ports that lead back to the node
+                back.update((p, q) for p, q in enumerate(mated) if q >= 0)
+                far = set(range(4)).difference(back)
+                found = moves[mated] = []
+                for pair1, pair2, w in table:
+                    joins, k = _join(far, back, pair1, pair2)
+                    factor = _terms(w)      # w * LOOP^k
+                    for _ in range(k):
+                        factor = _times(factor, loop)
+                    found.append((joins, tuple(factor.items())))
+            dest = dest_of(ext)
+            wterms = weight.items()
+            for joins, factor in found:
+                new = list(state)
+                for s in cleared:
+                    new[s] = -1
+                for p, q in joins:
+                    a, b = dest[p], dest[q]
+                    new[a], new[b] = b, a
+                key = tuple(new)
+                target = new_states.get(key)
+                if target is None:
+                    target = new_states[key] = {}
+                for e2, c2 in factor:
+                    for e1, c1 in wterms:
                         e = e1 + e2
                         target[e] = target.get(e, 0) + c1 * c2
         states = {}
         for key, terms in new_states.items():
-            terms = {e: c for e, c in terms.items() if c}
+            if 0 in terms.values():
+                terms = {e: c for e, c in terms.items() if c}
             if terms:
                 states[key] = terms
-    return states, boundary
+    arc_at = {s: ai for ai, s in last.items()}
+    return {tuple(sorted(tuple(sorted((arc_at[s], arc_at[t])))
+                         for s, t in enumerate(state) if s < t)): terms
+            for state, terms in states.items()}, boundary
 
 
 def contract(tables: Dict[str, Table],
@@ -266,13 +311,14 @@ def closed_value(d: Diagram, tables: Dict[str, Table],
     divided out, times (-1)^(components - 1 + writhe), writhe being that
     of the crossings.  Raises DiagramError above the node cap or for an
     empty diagram."""
-    _check_size(d)
+    components = d.components()
+    _check_size(d, components)
     total = _state_sum(tables, d.arcs)[0].get((), {})
     loop = _terms(LOOP)
     for _ in range(d.free_loops):
         total = _times(total, loop)
     total = _exact_div(total, loop)
-    if (d.components() - 1 + writhe) % 2:
+    if (components - 1 + writhe) % 2:
         total = {e: -c for e, c in total.items()}
     return LaurentPoly.from_dict(total)
 

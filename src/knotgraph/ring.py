@@ -473,6 +473,8 @@ def series_at_exp(f: RationalFunc, order: int) -> Series:
     """
     if f.is_zero():
         return Series.const(0, order)
+    if f.den == ONE:    # canonical dens are monic: no other monomial occurs
+        return poly_series(f.num, order)
     guard = len(f.den.terms) - 1
     q = poly_series(f.num, order + guard).divide(
         poly_series(f.den, order + guard))

@@ -9,17 +9,22 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import grow_with_moves, random_braid_link, random_vertex_graph
-from knotgraph import catalog
+from knotgraph import bracket, catalog, moves
 from knotgraph.bracket import bracket_naive, max_crossings, p_eval, z_eval
-from knotgraph.bracket import _node_order, _sign_correction
+from knotgraph.bracket import _node_order, _plan, _sign_correction
 from knotgraph.diagram import (Diagram, DiagramError, disjoint_union,
                                replace_kind)
-from knotgraph.graphinv import vertex_to_crossing, vertex_unfold
+from knotgraph.graphinv import (CASIMIR_PLAIN, VASSILIEV, ResolutionScheme,
+                                eval_graph, vertex_to_crossing, vertex_unfold)
 from knotgraph.moves import KINK_VARIANTS, r1_plus
 from knotgraph.ring import (A, A_INV, DELTA_POS, LOOP, LaurentPoly,
-                            RingError, _exact_div, _terms, _times, parse_poly)
+                            RingError, _exact_div, _terms, _times, parse_poly,
+                            rf)
 
 _LOOP = _terms(LOOP)
+# the (A, 2, -3A^-1) scheme: no vertex weight vanishes
+_GENERAL = ResolutionScheme(rf(A), rf(LaurentPoly.const(2)),
+                            rf(A_INV.scale(-3)))
 
 
 def _raw(d):
@@ -216,6 +221,24 @@ def _ports_at(nodes, arcs):
     return at
 
 
+def _graph_and_tangles(rng):
+    """The node sets and arcs of a seeded vertex graph and of two open
+    tangles cut from it."""
+    g = random_vertex_graph(rng, rng.randint(0, 3))
+    cases = [(g.node_ids(), g.arcs)]
+    # an open tangle: some of the nodes, the other ends are boundary
+    part = [n for n in g.node_ids() if rng.random() < 0.6]
+    cases.append((part, g.arcs))
+    # the stub form of moves._tangle_profile: a free port is tied to an
+    # end outside the tangle
+    inner = [a for a in g.arcs if a[0][0] in part and a[1][0] in part]
+    used = {end for a in inner for end in a}
+    stubs = [((n, p), (None, (n, p))) for n in part for p in range(4)
+             if (n, p) not in used]
+    cases.append((part, inner + stubs))
+    return cases
+
+
 def test_incremental_order_matches_greedy_oracle():
     rng = random.Random(18)
     cases = []
@@ -223,18 +246,111 @@ def test_incremental_order_matches_greedy_oracle():
         d = random_braid_link(rng, 12, 5)
         cases.append((d.node_ids(), d.arcs))
     for _ in range(40):
-        g = random_vertex_graph(rng, rng.randint(0, 3))
-        cases.append((g.node_ids(), g.arcs))
-        # an open tangle: some of the nodes, the other ends are boundary
-        part = [n for n in g.node_ids() if rng.random() < 0.6]
-        cases.append((part, g.arcs))
-        # the stub form of moves._tangle_profile: a free port is tied to
-        # an end outside the tangle
-        inner = [a for a in g.arcs if a[0][0] in part and a[1][0] in part]
-        used = {end for a in inner for end in a}
-        stubs = [((n, p), (None, (n, p))) for n in part for p in range(4)
-                 if (n, p) not in used]
-        cases.append((part, inner + stubs))
+        cases += _graph_and_tangles(rng)
     for nodes, arcs in cases:
         at = _ports_at(nodes, arcs)
         assert _node_order(at, arcs) == _greedy_order(at, arcs)
+
+
+def _shuffled_orders(seed):
+    """A stand-in for _node_order that returns a seeded random
+    permutation of the nodes: any permutation is a valid order."""
+    rng = random.Random(seed)
+
+    def order(at, arcs):
+        nodes = sorted(at)
+        rng.shuffle(nodes)
+        return nodes
+    return order
+
+
+def _kinked_or_looped(rng):
+    """A seeded braid closure with up to two kinks and free loops."""
+    d = random_braid_link(rng, 8, 4)
+    for _ in range(rng.randint(0, 2)):
+        d = r1_plus(d, rng.choice(d.arcs), rng.choice(sorted(KINK_VARIANTS)))
+    return Diagram.make(d.node_map(), d.arcs, rng.randint(0, 2))
+
+
+def test_random_node_orders_give_the_greedy_values(monkeypatch):
+    """The value must not depend on the node order: links with kinks and
+    free loops, vertex graphs under three schemes, and every open tangle
+    that the slide search contracts."""
+    rng = random.Random(19)
+    links = [_kinked_or_looped(rng) for _ in range(25)]
+    links += [disjoint_union(random_braid_link(rng, 5, 4),
+                             random_braid_link(rng, 5, 4)) for _ in range(5)]
+    graphs = [random_vertex_graph(rng, rng.randint(0, 3)) for _ in range(25)]
+    tangles = []
+    profile = moves._tangle_profile
+
+    def recorded(kinds, internal):
+        tangles.append((dict(kinds), list(internal)))
+        return profile(kinds, internal)
+
+    with monkeypatch.context() as m:
+        m.setattr(moves, "_tangle_profile", recorded)
+        for d in graphs + links:
+            moves.find_slides(d)
+    assert len(tangles) > 50
+
+    def values():
+        return ([z_eval(d) for d in links],
+                [eval_graph(g, s, level) for g in graphs
+                 for s, level in ((VASSILIEV, "p"), (CASIMIR_PLAIN, "z"),
+                                  (_GENERAL, "p"))],
+                [profile(kinds, internal) for kinds, internal in tangles])
+
+    greedy = values()
+    for seed in range(3):
+        monkeypatch.setattr(bracket, "_node_order", _shuffled_orders(seed))
+        assert values() == greedy
+
+
+def test_plan_gives_each_open_arc_its_own_slot():
+    """Replaying the plan on links with kinks, vertex graphs and open
+    tangles: a closing port frees the slot its arc holds, an opening port
+    takes a slot no open arc holds, the recorded width is the number of
+    open arcs, and there are no more slots than the widest frontier
+    needs."""
+    rng = random.Random(20)
+    cases = []
+    for _ in range(20):
+        d = _kinked_or_looped(rng)
+        cases.append((d.node_ids(), d.arcs))
+        cases += _graph_and_tangles(rng)
+    for nodes, arcs in cases:
+        at = _ports_at(nodes, arcs)
+        steps, last, width = _plan(at, arcs)
+        assert [step[0] for step in steps] == _node_order(at, arcs)
+        held, placed, widths = {}, set(), []
+        for node, closing, opening, loops, w in steps:
+            placed.add(node)
+            for p, s in closing.items():
+                assert held.pop(at[node][p]) == s
+            for p, s in opening.items():
+                assert 0 <= s < width and s not in held.values()
+                held[at[node][p]] = s
+            for p, q in loops:
+                assert at[node][p] == at[node][q] and p != q
+            assert len(closing) + len(opening) + len(loops) == len(at[node])
+            open_arcs = [ai for ai, ((a, _), (b, _)) in enumerate(arcs)
+                         if (a in placed) != (b in placed)]
+            assert sorted(held) == open_arcs and w == len(open_arcs)
+            widths.append(w)
+        assert last == held
+        assert width == max(widths, default=0)
+
+
+def test_contraction_never_hashes_table_weights(monkeypatch):
+    """Table weights are read through the tables' identity: hashing a
+    LaurentPoly per state would cost more than the memo saves."""
+    rng = random.Random(21)
+    links = [_kinked_or_looped(rng) for _ in range(10)]
+    expect = [z_eval(d) for d in links]
+
+    def refuse(self):
+        raise AssertionError("a LaurentPoly was hashed")
+
+    monkeypatch.setattr(LaurentPoly, "__hash__", refuse)
+    assert [z_eval(d) for d in links] == expect

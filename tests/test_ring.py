@@ -1,5 +1,6 @@
 """Unit and property tests for the exact arithmetic layer."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -163,6 +164,25 @@ def test_series_guard_covers_the_root_at_one(k):
     p = parse_poly("A^3 + -1/2*A^-1")     # no h^n coefficient vanishes
     for n in range(7):
         assert series_at_exp(RationalFunc(d * p, d), n) == poly_series(p, n)
+
+
+def test_polynomial_series_skips_the_division():
+    # den 1, as for the Vassiliev value of gb_2vert, takes poly_series
+    # directly; that must be the general quotient byte for byte
+    rng = random.Random(19)
+    values = [parse_poly("A^8 + -1*A^4 + -1*A^-4 + A^-8")]
+    values += [LaurentPoly.from_dict(
+        {rng.randint(-12, 12): Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+         for _ in range(4)}) for _ in range(2)]
+    for p in values:
+        f = rf(p)
+        assert f.den == ONE
+        for n in range(61):
+            general = Series.make(
+                n, poly_series(p, n).divide(poly_series(ONE, n)).coeffs)
+            ours = series_at_exp(f, n)
+            assert ours == general and ours.render() == general.render()
+            assert all(type(c) is Fraction for c in ours.coeffs)
 
 
 def test_series_reports_true_poles():
