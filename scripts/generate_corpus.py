@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Regenerate the shipped corpus files and manifest.
+"""Rewrite the shipped corpus diagram files from the catalog.
 
-The expected values in the manifest below are hand-frozen; regenerating
-only rewrites the diagram files and the manifest text.  If an expected
-value ever needs to change, change it here deliberately.
+Only the ``.dg`` files are written.  ``manifest.txt``, with its
+hand-frozen expected values, and the ``.td`` tensor files are edited by
+hand and are never derived from the code under test.
 """
 
 import os
@@ -27,67 +27,6 @@ DIAGRAMS = [
     "ft_clasp2_N", "ft_clasp2_S", "ft_clasp2_E", "ft_clasp2_W",
 ]
 
-TENSORS = {
-    "delta-loop.td": "# a single closed identity line\ndelta i i\n",
-    "eps-pair.td": ("# lower and upper epsilon contracted pairwise\n"
-                    "epsL a b\nepsU a b\n"),
-}
-
-MANIFEST = """\
-# name | file | op | args | expected | tag | anchor
-unknot-z | unknot.dg | z | - | 1 | known | single loop normalised to 1
-unknot-p | unknot.dg | p | - | 1 | known | writhe-corrected unknot value
-two-circles | two-circles.dg | z | - | A^2 + A^-2 | known | disjoint circle factor
-kink-plus | kink+.dg | z | - | A^3 | known | positive curl factor
-kink-minus | kink-.dg | z | - | A^-3 | known | negative curl factor
-kink-writhe | kink+.dg | writhe | - | 1 | trivial | positive curl sign
-kinked-unknot | kinked-unknot.dg | p | - | 1 | known | curl phases cancel in the corrected value
-hopf-plus | hopf+.dg | z | - | A^4 + A^-4 | known | positive Hopf link value
-hopf-minus | hopf-.dg | z | - | A^4 + A^-4 | derived | negative Hopf link, symmetric value
-trefoil-plus | trefoil+.dg | z | - | A^5 + A^-3 + -1*A^-7 | derived | right trefoil via brute-force state enumeration
-trefoil-minus | trefoil-.dg | z | - | -1*A^7 + A^3 + A^-5 | derived | left trefoil mirror of the above
-figure-eight | figure-eight.dg | z | - | A^8 + -1*A^4 + 1 + -1*A^-4 + A^-8 | derived | amphichiral knot, palindromic value
-trefoil-presentations | trefoil+_alt.dg | p | - | A^-4 + A^-12 + -1*A^-16 | derived | 3-strand presentation matches the 2-strand one
-G-b-stats | G_b_vertex.dg | stats | - | components=2 vertices=1 writhe=1 | trivial | two loops meeting at a rigid vertex with one clasp crossing
-G-b-casimir | G_b_vertex.dg | z_casimir | - | A^3 + A^-3 | known | averaged-crossing value of the two-loop graph
-G-a-casimir | G_a_vertex.dg | z_casimir | - | A^2 + -1 + A^-2 | known | averaged-crossing value of the petal loop
-G-a-composite-casimir | G_a_composite.dg | z_casimir | - | A^4 + -1*A^2 + 2 + -1*A^-2 + A^-4 | derived | petal loop times an extra circle factor
-G-b-marked | G_b_cvert.dg | z_marked | - | 1/4*A^3 + -1/4*A^-3 | derived | generator insertion via completeness-relation arithmetic
-G-b-fierz-form | G_b_cvert.dg | fierz_form | - | 0 | known | marked vertex equals half unfolded minus quarter plain
-resolve-weights | G_a_vertex.dg | resolve_coeffs | - | -1;1 | known | difference-of-crossings resolution weights
-spinor-case1 | G_a_vertex.dg | spinor | - | case=1 residual=0 | known | unfolding identity, self-loop vertex
-spinor-case2 | G_b_vertex.dg | spinor | - | case=2 residual=0 | known | unfolding identity, two-loop vertex
-spinor-2vert-petal | ga_2vert.dg | spinor | - | case=1,1 residual=0 | derived | identity survives a second vertex
-spinor-2vert-loops | gb_2vert.dg | spinor | - | case=2,2 residual=0 | derived | identity survives a second vertex
-spinor-flower | flower3.dg | spinor | - | case=1,1,1 residual=0 | derived | identity on a three-petal graph
-casimir-diff-petal | G_a_vertex.dg | casimir_diff | - | 0 | known | insertion identity on the petal loop
-casimir-diff-loops | G_b_vertex.dg | casimir_diff | - | 0 | known | insertion identity on the two-loop graph
-casimir-constants | - | casimir_constants | - | C1=-1/2*A^4 + -1/2*A^2 + 1/2*A^-2 + 1/2*A^-4;C2=2*A^4 + -2*A^2 + 2*A^-2 + -2*A^-4 | known | weight constants of the insertion identity
-crossing-weights | - | prop31 | - | a1=2*A^2 + -4 + 2*A^-2;a2=1/2*A^2 + 1 + 1/2*A^-2 | known | solved weights of the crossing-pair relation
-four-term-clasp | ft_N.dg | four_term | ft_S.dg ft_E.dg ft_W.dg | 0 | known | alternating sum around a triple point, clasped closure
-four-term-plain | ft_plain_N.dg | four_term | ft_plain_S.dg ft_plain_E.dg ft_plain_W.dg | 0 | known | alternating sum, untwisted closure
-four-term-clasp2 | ft_clasp2_N.dg | four_term | ft_clasp2_S.dg ft_clasp2_E.dg ft_clasp2_W.dg | 0 | known | alternating sum, second clasp pattern
-six-valent-clasp | ft_N.dg | six_valent | ft_S.dg ft_E.dg ft_W.dg | 0 | known | two slide routes through the triple point agree
-six-valent-clasp2 | ft_clasp2_N.dg | six_valent | ft_clasp2_S.dg ft_clasp2_E.dg ft_clasp2_W.dg | 0 | known | slide routes agree on the second closure
-vanish-1vert | G_b_vertex.dg | vassiliev_valuation | order=4 | 1 | known | one vertex kills the order-0 coefficient
-vanish-1vert-petal | G_a_vertex.dg | vassiliev_valuation | order=4 | none | derived | series identically zero at this truncation
-vanish-2vert | gb_2vert.dg | vassiliev_valuation | order=4 | 2 | known | two vertices kill orders 0 and 1
-vanish-2vert-triple | ft_N.dg | vassiliev_valuation | order=4 | 2 | derived | triple-point graphs carry two vertices
-vanish-3vert | flower3.dg | vassiliev_valuation | order=4 | none | derived | three-petal series zero through order 4
-unknot-h0 | unknot.dg | vassiliev_h0 | - | 1 | known | order-0 coefficient of a link is 1
-figure-eight-h0 | figure-eight.dg | vassiliev_h0 | - | 1 | known | order-0 coefficient of a knot is 1
-two-circles-h0 | two-circles.dg | vassiliev_h0 | - | 1 | known | component normalisation keeps order 0 at 1
-delta-loop | delta-loop.td | tensor | - | 2 | trivial | trace of the identity in dimension 2
-eps-pair | eps-pair.td | tensor | - | -2 | derived | epsilon pair with the imaginary normalisation
-spinor-tensor | - | spinor_tensor | - | ok | known | entrywise 2x2 determinant expansion identity
-fierz-matrices | - | fierz | - | ok | known | generator completeness, commutators and traces
-projector-3 | - | projector | n=3 | ok | derived | skew-symmetrizer vanishes on two dimensions
-projector-4 | - | projector | n=4 | ok | derived | idempotence and vanishing for four strands
-skew-2 | - | perm | kind=skew,n=2 | 1/2*[0 1] + -1/2*[1 0] | known | two-strand skew-symmetrizer
-sym-3 | - | perm | kind=sym,n=3 | 1/6*[0 1 2] + 1/6*[0 2 1] + 1/6*[1 0 2] + 1/6*[1 2 0] + 1/6*[2 0 1] + 1/6*[2 1 0] | known | three-strand symmetrizer
-slide-invariance | G_b_vertex.dg | graph_moves | steps=4 | ok | known | graph value unchanged by a deterministic move walk
-"""
-
 
 def kinked_unknot():
     d = catalog.named_diagram("kink+")
@@ -97,20 +36,19 @@ def kinked_unknot():
     return d
 
 
+def diagram_texts():
+    """File name -> text of every corpus diagram file."""
+    texts = {name + ".dg": serialize(catalog.named_diagram(name), name)
+             for name in DIAGRAMS}
+    texts["kinked-unknot.dg"] = serialize(kinked_unknot(), "kinked-unknot")
+    return texts
+
+
 def main():
-    os.makedirs(OUT, exist_ok=True)
-    for name in DIAGRAMS:
-        d = catalog.named_diagram(name)
-        with open(os.path.join(OUT, name + ".dg"), "w") as fh:
-            fh.write(serialize(d, name))
-    with open(os.path.join(OUT, "kinked-unknot.dg"), "w") as fh:
-        fh.write(serialize(kinked_unknot(), "kinked-unknot"))
-    for fname, text in TENSORS.items():
-        with open(os.path.join(OUT, fname), "w") as fh:
+    for fname, text in diagram_texts().items():
+        with open(os.path.join(OUT, fname), "w", encoding="utf-8") as fh:
             fh.write(text)
-    with open(os.path.join(OUT, "manifest.txt"), "w") as fh:
-        fh.write(MANIFEST)
-    print("wrote corpus to", os.path.abspath(OUT))
+    print("wrote corpus diagrams to", os.path.abspath(OUT))
 
 
 if __name__ == "__main__":

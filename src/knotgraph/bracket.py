@@ -54,7 +54,12 @@ CROSSING_TABLES: Dict[str, Table] = {
 
 
 def max_crossings() -> int:
-    return int(os.environ.get("MAX_CROSSINGS", "20"))
+    text = os.environ.get("MAX_CROSSINGS", "20")
+    try:
+        return int(text)
+    except ValueError:      # not a number, or more digits than int() reads
+        raise DiagramError("MAX_CROSSINGS=%.40r is not a whole number"
+                           % text) from None
 
 
 def _check_link(d: Diagram) -> None:

@@ -20,7 +20,7 @@ from . import graphinv as gi
 from . import moves as mv
 from . import spinnet as sn
 from .bracket import p_eval, z_eval
-from .diagram import DiagramError, parse_diagram, serialize
+from .diagram import DiagramError, parse_diagram, read_text, serialize
 from .ring import RingError, parse_poly, rf
 from .vassiliev import vassiliev_series
 
@@ -30,14 +30,7 @@ class CliError(ValueError):
 
 
 def _load(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise CliError("cannot read %s: %s" % (path, exc.strerror)) from None
-    except UnicodeDecodeError:
-        raise CliError("cannot read %s: not UTF-8 text" % path) from None
-    return parse_diagram(text)
+    return parse_diagram(read_text(path))
 
 
 def _scheme(text: str) -> gi.ResolutionScheme:

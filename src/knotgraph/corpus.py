@@ -22,7 +22,8 @@ from . import graphinv as gi
 from . import moves as mv
 from . import spinnet as sn
 from .bracket import p_eval, z_eval
-from .diagram import Diagram, parse_diagram, replace_kind
+from .diagram import (Diagram, DiagramError, parse_diagram, read_text,
+                      replace_kind)
 from .ring import rf
 from .vassiliev import vassiliev_series
 
@@ -57,46 +58,39 @@ class EntryResult:
 _TAGS = ("known", "derived", "trivial")
 
 
-def corpus_dir(path: Optional[str] = None) -> str:
-    return path or os.environ.get("KNOTGRAPH_CORPUS", DATA_DIR)
-
-
 def load_manifest(path: Optional[str] = None) -> List[CorpusEntry]:
-    base = corpus_dir(path)
-    manifest = os.path.join(base, "manifest.txt")
-    if not os.path.exists(manifest):
-        raise CorpusError("missing corpus manifest %s" % manifest)
+    try:
+        text = read_text(os.path.join(path or DATA_DIR, "manifest.txt"))
+    except DiagramError as exc:
+        raise CorpusError(str(exc)) from None
     entries = []
-    with open(manifest, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = [p.strip() for p in line.split("|")]
-            if len(parts) != 7:
-                raise CorpusError("manifest line %d: expected 7 fields"
-                                  % lineno)
-            entry = CorpusEntry(*parts)
-            if entry.tag not in _TAGS:
-                raise CorpusError("manifest line %d: unknown tag %r"
-                                  % (lineno, entry.tag))
-            entries.append(entry)
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = [p.strip() for p in line.split("|")]
+        if len(parts) != 7:
+            raise CorpusError("manifest line %d: expected 7 fields" % lineno)
+        entry = CorpusEntry(*parts)
+        if entry.tag not in _TAGS:
+            raise CorpusError("manifest line %d: unknown tag %r"
+                              % (lineno, entry.tag))
+        entries.append(entry)
     return entries
 
 
 def load_diagram(base: str, fname: str) -> Diagram:
-    path = os.path.join(base, fname)
-    if not os.path.exists(path):
-        raise CorpusError("missing corpus file %s" % path)
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_diagram(fh.read())
+    """A corpus diagram file, parsed and checked well formed."""
+    d = parse_diagram(read_text(os.path.join(base, fname)))
+    d.require_valid()
+    return d
 
 
 def corpus_diagrams(path: Optional[str] = None) -> Dict[str, Diagram]:
     """Every distinct diagram file of the corpus, parsed."""
-    base = corpus_dir(path)
+    base = path or DATA_DIR
     out: Dict[str, Diagram] = {}
-    for entry in load_manifest(path):
+    for entry in load_manifest(base):
         if entry.file.endswith(".dg") and entry.file not in out:
             out[entry.file] = load_diagram(base, entry.file)
     return out
@@ -236,9 +230,7 @@ def evaluate_entry(entry: CorpusEntry, base: str) -> str:
         a1, a2 = gi.derive_prop31()
         return "a1=%s;a2=%s" % (a1.render(), a2.render())
     if op == "tensor":
-        path = os.path.join(base, entry.file)
-        with open(path, "r", encoding="utf-8") as fh:
-            td = sn.parse_tensor_diagram(fh.read())
+        td = sn.parse_tensor_diagram(read_text(os.path.join(base, entry.file)))
         return sn.eval_tensor_diagram(td).render()
     if op == "spinor_tensor":
         return "ok" if sn.check_spinor_tensor_identity()["ok"] else "fail"
@@ -257,9 +249,9 @@ def evaluate_entry(entry: CorpusEntry, base: str) -> str:
 
 
 def run_corpus(path: Optional[str] = None) -> List[EntryResult]:
-    base = corpus_dir(path)
+    base = path or DATA_DIR
     results = []
-    for entry in load_manifest(path):
+    for entry in load_manifest(base):
         results.append(EntryResult(entry, evaluate_entry(entry, base)))
     return results
 

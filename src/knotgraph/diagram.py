@@ -175,14 +175,7 @@ class Diagram:
         comps = self.trace_components()
         if not 0 <= index < len(comps):
             raise DiagramError("unknown component %d" % index)
-        flip = set(comps[index])
-        arcs = []
-        for arc in self.arcs:
-            if arc in flip:
-                arcs.append((arc[1], arc[0]))
-            else:
-                arcs.append(arc)
-        return Diagram.make(self.node_map(), arcs, self.free_loops)
+        return reverse_arcs(self, comps[index])
 
     def mirror(self) -> "Diagram":
         swap = {"XPos": "XNeg", "XNeg": "XPos"}
@@ -335,6 +328,21 @@ def parse(text: str) -> Tuple[str, Diagram]:
 
 def parse_diagram(text: str) -> Diagram:
     return parse(text)[1]
+
+
+def read_text(path: str) -> str:
+    """The whole of a UTF-8 text file: the one reader of every input file.
+    A file that cannot be opened or decoded raises one DiagramError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        reason = exc.strerror
+    except UnicodeDecodeError:
+        reason = "not UTF-8 text"
+    except ValueError as exc:       # a NUL byte in the path
+        reason = str(exc)
+    raise DiagramError("cannot read %s: %s" % (path, reason))
 
 
 # --- local surgery ----------------------------------------------------------

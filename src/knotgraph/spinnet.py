@@ -16,6 +16,7 @@ the two-index symmetrizer constant.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
@@ -277,7 +278,7 @@ def _check_strands(n: int) -> None:
 def symmetrizer(n: int) -> PermElement:
     """(1/n!) sum of all permutations of n strands."""
     _check_strands(n)
-    coeff = Fraction(1, _factorial(n))
+    coeff = Fraction(1, math.factorial(n))
     return PermElement.make(
         n, {p: coeff for p in itertools.permutations(range(n))})
 
@@ -285,17 +286,10 @@ def symmetrizer(n: int) -> PermElement:
 def antisymmetrizer(n: int) -> PermElement:
     """(1/n!) signed sum of all permutations of n strands."""
     _check_strands(n)
-    coeff = Fraction(1, _factorial(n))
+    coeff = Fraction(1, math.factorial(n))
     return PermElement.make(
         n, {p: coeff * _perm_sign(p)
             for p in itertools.permutations(range(n))})
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
 
 
 def check_projector(n: int) -> dict:

@@ -7,8 +7,9 @@ import sys
 import pytest
 
 from knotgraph import catalog
+from knotgraph.bracket import max_crossings
 from knotgraph.cli import main
-from knotgraph.diagram import serialize
+from knotgraph.diagram import DiagramError, serialize
 
 
 @pytest.fixture
@@ -193,6 +194,18 @@ def test_bad_input_is_one_error_line(dg, tmp_path, capsys, argv):
     code, out, err = run(capsys, [files.get(a, a) for a in argv])
     assert code == 1 and out == ""
     assert _one_error_line(err)
+
+
+@pytest.mark.parametrize("cap", ["abc", "2.5", "9" * 5000],
+                         ids=["letters", "fraction", "too-many-digits"])
+def test_malformed_crossing_cap_is_one_error_line(dg, capsys, monkeypatch,
+                                                  cap):
+    monkeypatch.setenv("MAX_CROSSINGS", cap)
+    with pytest.raises(DiagramError, match="MAX_CROSSINGS"):
+        max_crossings()
+    code, out, err = run(capsys, ["eval", dg("trefoil+")])
+    assert code == 1 and out == ""
+    assert _one_error_line(err) and "MAX_CROSSINGS" in err
 
 
 def test_help_still_exits_zero(capsys):
