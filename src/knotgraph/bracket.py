@@ -12,14 +12,17 @@ A contraction is planned, then run.  The plan fixes the node order and
 gives each open arc a slot, reusing freed ones; a state gives each slot
 its mate slot.  A node's local joins depend only on its table, its port
 roles and which closing ports the state mates, so they are memoised for
-the call and shared by alike nodes, such as a braid's crossings.
+the call and shared by alike nodes, such as a braid's crossings.  The
+joins themselves come from a constant table, built at import, of the 30
+ways an entry's pairing can meet the ports that lead back to the node.
 
 Inside the engine a weight is a term dict of ring's Laurent kernel.
 Bracket values lie in Z[A, A^-1], so the coefficients are ints, and
 Fractions only where a table weight is non-integral (a marked vertex
-carries 1/4).  Table weights are converted once per contraction, the
-closing division by the loop value stays in the same integer domain, and
-LaurentPoly is built only for the values the engine returns.
+carries 1/4).  Table weights are kernel terms already, the closing
+division by the loop value stays in the same integer domain, and
+closed_value returns kernel terms: LaurentPoly is built only where
+z_eval and contract return a value.
 
 Link values are the oriented normalisation Z with loop value A^2 + A^-2
 and positive kink factor A^3: the raw state sum times the sign
@@ -30,12 +33,12 @@ from __future__ import annotations
 
 import heapq
 import os
+from fractions import Fraction
 from operator import itemgetter
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Tuple, Union
 
 from .diagram import VERTEX_KINDS, ArcT, Diagram, DiagramError, End
-from .ring import (LOOP, ZERO, LaurentPoly, Terms, _exact_div, _terms,
-                   _times)
+from .ring import LOOP, ZERO, LaurentPoly, Terms, _exact_div, _terms, _times
 
 # smoothing tables: for each crossing kind, the two local port pairings
 # with their weights.  The A-weighted smoothing joins the ports adjacent
@@ -46,11 +49,15 @@ _SMOOTHINGS = {
 }
 
 Pair = Tuple[int, int]
-Table = Sequence[Tuple[Pair, Pair, LaurentPoly]]
+# a table entry's weight: the (exponent, coefficient) terms of ring's kernel
+Weight = Tuple[Tuple[int, Union[int, Fraction]], ...]
+Table = Sequence[Tuple[Pair, Pair, Weight]]
 
 CROSSING_TABLES: Dict[str, Table] = {
-    kind: tuple((p, q, LaurentPoly.monomial(e)) for p, q, e in entries)
+    kind: tuple((p, q, ((e, 1),)) for p, q, e in entries)
     for kind, entries in _SMOOTHINGS.items()}
+
+_LOOP = _terms(LOOP)
 
 
 def max_crossings() -> int:
@@ -157,38 +164,54 @@ def _node_order(at: Dict[str, Dict[int, int]], arcs: Sequence[ArcT]) -> List[str
     return order
 
 
-def _join(far: Set[int], back: Dict[int, int], pair1: Pair,
-          pair2: Pair) -> Tuple[List[Pair], int]:
-    """Join a node's ports along pair1 and pair2.  A port leads either out
-    of the node (far) or back to another port of the node (back).  Returns
-    the pairs of far ports now joined and the number of loops closed."""
+def _join(links: Tuple[int, ...], pair1: Pair,
+          pair2: Pair) -> Tuple[Tuple[Pair, ...], int]:
+    """Join a node's ports along pair1 and pair2.  Port p leads either out
+    of the node (links[p] = -1) or back to its port links[p].  Returns the
+    pairs of outward ports now joined and the number of loops closed."""
     inner = {}
     for x, y in (pair1, pair2):
         inner[x], inner[y] = y, x
     joins = []
     seen = set()
-    for p in far:
-        if p in seen:
+    for p in range(4):
+        if links[p] >= 0 or p in seen:
             continue
-        seen.add(p)
         q = inner[p]
-        while q not in far:
-            assert q not in seen, "a walk between open ports cannot cycle"
-            r = back[q]
+        while links[q] >= 0:
+            r = links[q]
             seen.update((q, r))
             q = inner[r]
-        seen.add(q)
-        joins.append((p, q) if p < q else (q, p))
+        seen.update((p, q))
+        joins.append((p, q))
     loops = 0
-    for p in back:
+    for p in range(4):
         if p in seen:
             continue
         loops += 1
         while p not in seen:
-            q = back[p]
+            q = links[p]
             seen.update((p, q))
             p = inner[q]
-    return joins, loops
+    return tuple(joins), loops
+
+
+def _links(pairs: Sequence[Pair]) -> Tuple[int, ...]:
+    links = [-1] * 4
+    for p, q in pairs:
+        links[p], links[q] = q, p
+    return tuple(links)
+
+
+_MATCHINGS = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
+# Every input a join can have: the ports that lead back pair up in one of
+# ten ways (some part of a perfect matching), and a table entry is one of
+# the three perfect matchings.  A key outside these (a corrupt state)
+# raises KeyError.
+_JOINS = {(links, pair1, pair2): _join(links, pair1, pair2)
+          for links in {_links(part) for m in _MATCHINGS
+                        for part in ((), m[:1], m[1:], m)}
+          for pair1, pair2 in _MATCHINGS}
 
 
 def _plan(at: Dict[str, Dict[int, int]], arcs: Sequence[ArcT]
@@ -232,7 +255,6 @@ def _state_sum(tables: Dict[str, Table], arcs: Sequence[ArcT]
     boundary = {ai: end for ai, arc in enumerate(arcs)
                 for end in arc if end[0] not in at}
     steps, last, width = _plan(at, arcs)
-    loop = _terms(LOOP)
     memo: Dict[tuple, dict] = {}
     states: Dict[Tuple[int, ...], Terms] = {(-1,) * width: {0: 1}}
     for node, closing, opening, loops, _ in steps:
@@ -257,15 +279,16 @@ def _state_sum(tables: Dict[str, Table], arcs: Sequence[ArcT]
             mated = tuple(map(port_at.__getitem__, mates_of(ext)))
             found = moves.get(mated)
             if found is None:
-                back = dict(loops)      # ports that lead back to the node
-                back.update((p, q) for p, q in enumerate(mated) if q >= 0)
-                far = set(range(4)).difference(back)
+                links = list(mated)     # the port each port leads back to
+                for p, q in loops:
+                    links[p] = q
+                links = tuple(links)
                 found = moves[mated] = []
                 for pair1, pair2, w in table:
-                    joins, k = _join(far, back, pair1, pair2)
-                    factor = _terms(w)      # w * LOOP^k
+                    joins, k = _JOINS[links, pair1, pair2]
+                    factor = dict(w)        # w * LOOP^k
                     for _ in range(k):
-                        factor = _times(factor, loop)
+                        factor = _times(factor, _LOOP)
                     found.append((joins, tuple(factor.items())))
             dest = dest_of(ext)
             wterms = weight.items()
@@ -309,30 +332,28 @@ def contract(tables: Dict[str, Table],
             LaurentPoly.from_dict(terms) for key, terms in states.items()}
 
 
-def closed_value(d: Diagram, tables: Dict[str, Table],
-                 writhe: int) -> LaurentPoly:
-    """Z-level value of a valid closed diagram whose nodes expand by the
-    given tables: the state sum times LOOP^free_loops with one loop
-    divided out, times (-1)^(components - 1 + writhe), writhe being that
-    of the crossings.  Raises DiagramError above the node cap or for an
-    empty diagram."""
+def closed_value(d: Diagram, tables: Dict[str, Table], writhe: int) -> Terms:
+    """Z-level value, as kernel terms, of a valid closed diagram whose
+    nodes expand by the given tables: the state sum times LOOP^free_loops
+    with one loop divided out, times (-1)^(components - 1 + writhe),
+    writhe being that of the crossings.  Raises DiagramError above the
+    node cap or for an empty diagram."""
     components = d.components()
     _check_size(d, components)
     total = _state_sum(tables, d.arcs)[0].get((), {})
-    loop = _terms(LOOP)
     for _ in range(d.free_loops):
-        total = _times(total, loop)
-    total = _exact_div(total, loop)
+        total = _times(total, _LOOP)
+    total = _exact_div(total, _LOOP)
     if (components - 1 + writhe) % 2:
         total = {e: -c for e, c in total.items()}
-    return LaurentPoly.from_dict(total)
+    return total
 
 
 def z_eval(d: Diagram) -> LaurentPoly:
     """Z by frontier contraction; equals bracket_naive."""
     _check_link(d)
-    return closed_value(d, {i: CROSSING_TABLES[k] for i, k in d.nodes},
-                        d.writhe())
+    return LaurentPoly.from_dict(closed_value(
+        d, {i: CROSSING_TABLES[k] for i, k in d.nodes}, d.writhe()))
 
 
 def p_eval(d: Diagram) -> LaurentPoly:

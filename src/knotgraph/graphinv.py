@@ -9,14 +9,17 @@ combined.  This is exact because sign and framing factor locally: a
 crossing choice moves the writhe by +-1 and an unfold the component
 count by +-1, so every choice weighs -1 (times A^-+3 at level p) and the
 graph keeps (-1)^(c - 1 + w) and A^(-3w), w the writhe of its crossings.
-Scheme weights share one denominator, divided out once at the end.
+A scheme puts its weights over one common denominator when it is built,
+as kernel terms, so the vertex tables, the contraction and the final
+division by the product of the denominators all stay in ring's integer
+kernel; a RationalFunc is built only for the value returned.
 resolve_vertices and FormalSum build the explicit sum of resolved link
 diagrams, for the resolve verb and as the tests' oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -25,8 +28,8 @@ from .bracket import _SMOOTHINGS, CROSSING_TABLES, Table, closed_value, z_eval
 from .diagram import (Diagram, DiagramError, crossing_kind, path_to_reentry,
                       replace_kind, reverse_arcs, splice_node, strand_ports,
                       vertex_ports)
-from .ring import (A, A_INV, ONE, ZERO, LaurentPoly, RationalFunc, RF_ONE,
-                   RF_ZERO, poly_exact_div, rf)
+from .ring import (A, A_INV, ONE, LaurentPoly, RationalFunc, RF_ONE, RF_ZERO,
+                   Terms, _terms, _times, poly_exact_div, rf, rf_from_terms)
 
 
 @dataclass(frozen=True)
@@ -34,6 +37,18 @@ class ResolutionScheme:
     a: RationalFunc   # weight of the positive-crossing replacement
     b: RationalFunc   # weight of the negative-crossing replacement
     c: RationalFunc   # weight of the unfold replacement
+    # (den, a, b, c) as kernel terms: the weights are a/den, b/den, c/den
+    over_one_den: Tuple[Terms, ...] = field(init=False, repr=False,
+                                            compare=False)
+
+    def __post_init__(self) -> None:
+        den = ONE
+        for d in {self.a.den, self.b.den, self.c.den}:
+            den = den * d
+        weights = [poly_exact_div(f.num * den, f.den)
+                   for f in (self.a, self.b, self.c)]
+        object.__setattr__(self, "over_one_den",
+                           tuple(_terms(p) for p in [den] + weights))
 
 
 VASSILIEV = ResolutionScheme(RF_ONE, RationalFunc.const(-1), RF_ZERO)
@@ -146,52 +161,44 @@ def _expand(g: Diagram, coeff: RationalFunc, s: ResolutionScheme,
         _expand(vertex_unfold(g, v), coeff * s.c, s, out)
 
 
-def _over_one_den(s: ResolutionScheme) -> Tuple[LaurentPoly, ...]:
-    """(den, a, b, c): the scheme's weights are a/den, b/den and c/den."""
-    den = ONE
-    for d in {s.a.den, s.b.den, s.c.den}:
-        den = den * d
-    return (den,) + tuple(poly_exact_div(f.num * den, f.den)
-                          for f in (s.a, s.b, s.c))
-
-
-def _vertex_table(ports: Dict[str, int], a: LaurentPoly, b: LaurentPoly,
-                  c: LaurentPoly, level: str) -> Table:
+def _vertex_table(ports: Dict[str, int], a: Terms, b: Terms, c: Terms,
+                  level: str) -> Table:
     """State table of a vertex whose scheme weights are a, b and c over a
     common denominator: each crossing choice contributes its two
     smoothings and the unfold its oriented pairing, all times -1."""
     phase = -3 if level == "p" else 0
     unfold = tuple(sorted((tuple(sorted((ports["in_a"], ports["out_b"]))),
                            tuple(sorted((ports["in_b"], ports["out_a"]))))))
-    weights = {unfold: -c}
+    weights = {unfold: {e: -k for e, k in c.items()}}
     for sign, num in ((+1, a), (-1, b)):
         for pair1, pair2, e in _SMOOTHINGS[crossing_kind(ports, sign)]:
-            key = (pair1, pair2)
-            weights[key] = weights.get(key, ZERO) - num.shift(e + sign * phase)
-    return tuple((p1, p2, w) for (p1, p2), w in weights.items()
-                 if not w.is_zero())
+            w = weights.setdefault((pair1, pair2), {})
+            shift = e + sign * phase
+            for e2, k in num.items():
+                w[e2 + shift] = w.get(e2 + shift, 0) - k
+    return tuple((p1, p2, terms) for (p1, p2), w in weights.items()
+                 if (terms := tuple((e, k) for e, k in w.items() if k)))
 
 
 def _graph_value(g: Diagram, schemes: Dict[str, ResolutionScheme],
                  level: str) -> RationalFunc:
     """The graph invariant with each vertex kind resolved by its scheme,
     by one contraction over crossing and vertex tables."""
-    weights = {kind: _over_one_den(s) for kind, s in schemes.items()}
     _, ins = g.port_roles()
     tables = {}
-    den = ONE
+    den: Terms = {0: 1}
     for i, kind in g.nodes:
         if kind in schemes:
-            d, a, b, c = weights[kind]
+            d, a, b, c = schemes[kind].over_one_den
             tables[i] = _vertex_table(strand_ports(ins, i), a, b, c, level)
-            den = den * d
+            den = _times(den, d)
         else:
             tables[i] = CROSSING_TABLES[kind]
     w = g.writhe()
     value = closed_value(g, tables, w)
     if level == "p":
-        value = value.shift(-3 * w)
-    return RationalFunc.make(value, den)
+        value = {e - 3 * w: k for e, k in value.items()}
+    return rf_from_terms(value, den)
 
 
 def eval_graph(g: Diagram, s: ResolutionScheme = VASSILIEV,

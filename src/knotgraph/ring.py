@@ -14,6 +14,9 @@ to coefficient (an int, or a Fraction where the coefficient is
 non-integral), with `_times`, a `_divmod` that cancels the top term and
 a `_gcd` built on it.  LaurentPoly multiplication, polynomial division,
 the canonical form of RationalFunc and the bracket engine all use it.
+`rf_from_terms` is that canonical form on kernel terms: RationalFunc.make
+calls it, and so does graph evaluation, whose values never leave the
+kernel before it.
 """
 
 from __future__ import annotations
@@ -282,18 +285,7 @@ class RationalFunc:
 
     @staticmethod
     def make(num: LaurentPoly, den: LaurentPoly = ONE) -> "RationalFunc":
-        if den.is_zero():
-            raise RingError("zero denominator")
-        if num.is_zero():
-            return RationalFunc(ZERO, ONE)
-        n, d = _terms(num), _terms(den)
-        g = _gcd(n, d)
-        if len(g) > 1:
-            n, d = _exact_div(n, g), _exact_div(d, g)
-        # normalise: den has minimal exponent 0, leading coefficient 1
-        lo, inv = min(d), 1 / Fraction(d[max(d)])
-        n, d = ({e - lo: c * inv for e, c in t.items()} for t in (n, d))
-        return RationalFunc(LaurentPoly(_clean(n)), LaurentPoly(_clean(d)))
+        return rf_from_terms(_terms(num), _terms(den))
 
     @staticmethod
     def from_poly(p: LaurentPoly) -> "RationalFunc":
@@ -346,6 +338,25 @@ class RationalFunc:
 
     def __repr__(self) -> str:
         return "RationalFunc(%s)" % self.render()
+
+
+def rf_from_terms(num: Terms, den: Terms) -> RationalFunc:
+    """The canonical num/den of two kernel term dicts.  A monomial den
+    divides num already, so its gcd is a unit and is not computed; a
+    leading coefficient of +-1 normalises without leaving the ints."""
+    if not den:
+        raise RingError("zero denominator")
+    if not num:
+        return RationalFunc(ZERO, ONE)
+    if len(den) > 1:
+        g = _gcd(num, den)
+        if len(g) > 1:
+            num, den = _exact_div(num, g), _exact_div(den, g)
+    # normalise: den has minimal exponent 0, leading coefficient 1
+    lo, lead = min(den), den[max(den)]
+    inv = lead if lead in (1, -1) else 1 / Fraction(lead)
+    num, den = ({e - lo: c * inv for e, c in t.items()} for t in (num, den))
+    return RationalFunc(LaurentPoly(_clean(num)), LaurentPoly(_clean(den)))
 
 
 RF_ZERO = RationalFunc.from_poly(ZERO)
@@ -426,11 +437,16 @@ class Series:
             return self.drop_h(v).divide(o.drop_h(v))
         n = min(self.order, o.order)
         inv0 = 1 / o.coeffs[0]
+        # an even divisor, such as a power of A^2 + A^-2, has every odd
+        # coefficient zero
+        terms = [(j, c) for j, c in enumerate(o.coeffs[1:n + 1], 1) if c]
         cs = []
         for i in range(n + 1):
             acc = self.coeffs[i]
-            for j in range(1, i + 1):
-                acc -= o.coeffs[j] * cs[i - j]
+            for j, c in terms:
+                if j > i:
+                    break
+                acc -= c * cs[i - j]
             cs.append(acc * inv0)
         return Series.make(n, cs)
 

@@ -3,7 +3,10 @@
 Substituting A = exp(h) into the writhe-normalised graph invariant with
 the (1, -1, 0) vertex weights turns it into a power series in h; the
 coefficient of h^i is an order-i invariant, and a graph with j vertices
-kills every coefficient below order j.
+kills every coefficient below order j.  The normalisation by the
+component count divides the polynomial value exactly where it can and
+its series by a unit series where it cannot, never through a gcd of
+rational functions.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from typing import List, Optional
 from . import catalog
 from .diagram import Diagram
 from .graphinv import VASSILIEV, eval_graph
-from .ring import DELTA_POS, Series, rf, series_at_exp
+from .ring import DELTA_POS, Series, poly_divmod, poly_series
 
 
 @dataclass(frozen=True)
@@ -31,10 +34,18 @@ def vassiliev_series(g: Diagram, order: int) -> VassilievReport:
     so that every crossingless diagram gives the constant series 1.  The
     component count is shared by all resolutions of a graph, so the
     normalisation rescales the whole alternating sum by one unit series
-    and leaves vanishing orders untouched."""
-    value = eval_graph(g, VASSILIEV, level="p")
-    value = value / rf(DELTA_POS ** (g.components() - 1))
-    s = series_at_exp(value, order)
+    and leaves vanishing orders untouched.  The Vassiliev weights are
+    polynomials, so the value is one too; when the power of A^2 + A^-2
+    divides it exactly, the quotient is expanded.  Otherwise the value's
+    series is divided by the power's, a unit series starting at
+    2^(components - 1), with no gcd of polynomials."""
+    value = eval_graph(g, VASSILIEV, level="p").as_poly()
+    unit = DELTA_POS ** (g.components() - 1)
+    quot, rest = poly_divmod(value, unit)
+    if rest.is_zero():
+        s = poly_series(quot, order)
+    else:
+        s = poly_series(value, order).divide(poly_series(unit, order))
     return VassilievReport(series=s, vanishing_order=s.valuation())
 
 

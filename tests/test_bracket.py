@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from conftest import grow_with_moves, random_braid_link, random_vertex_graph
 from knotgraph import bracket, catalog, moves
-from knotgraph.bracket import bracket_naive, max_crossings, p_eval, z_eval
+from knotgraph.bracket import (CROSSING_TABLES, bracket_naive, contract,
+                               max_crossings, p_eval, z_eval)
 from knotgraph.bracket import _node_order, _plan, _sign_correction
 from knotgraph.diagram import (Diagram, DiagramError, disjoint_union,
                                replace_kind)
@@ -344,7 +345,8 @@ def test_plan_gives_each_open_arc_its_own_slot():
 
 def test_contraction_never_hashes_table_weights(monkeypatch):
     """Table weights are read through the tables' identity: hashing a
-    LaurentPoly per state would cost more than the memo saves."""
+    table per state would cost more than the memo saves.  Tables whose
+    weights are lists, which cannot be hashed, give the same values."""
     rng = random.Random(21)
     links = [_kinked_or_looped(rng) for _ in range(10)]
     expect = [z_eval(d) for d in links]
@@ -354,3 +356,21 @@ def test_contraction_never_hashes_table_weights(monkeypatch):
 
     monkeypatch.setattr(LaurentPoly, "__hash__", refuse)
     assert [z_eval(d) for d in links] == expect
+    listed = {kind: tuple((p, q, list(w)) for p, q, w in table)
+              for kind, table in CROSSING_TABLES.items()}
+    for d in links:
+        tables = {i: CROSSING_TABLES[k] for i, k in d.nodes}
+        unhashable = {i: listed[k] for i, k in d.nodes}
+        assert contract(unhashable, d.arcs) == contract(tables, d.arcs)
+
+
+def test_join_table_has_every_local_state_and_no_other():
+    """Ten ways for the ports that lead back to pair up, times three
+    pairings of a table entry; a state whose ports do not pair up is a
+    KeyError, not a walk that never ends."""
+    assert len(bracket._JOINS) == 30
+    open_ports = (-1, -1, -1, -1)
+    assert bracket._JOINS[open_ports, (0, 3), (1, 2)] == (((0, 3), (1, 2)), 0)
+    assert bracket._JOINS[(1, 0, 3, 2), (0, 3), (1, 2)] == ((), 1)
+    with pytest.raises(KeyError):
+        bracket._JOINS[(1, -1, -1, -1), (0, 1), (2, 3)]

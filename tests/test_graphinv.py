@@ -92,12 +92,16 @@ def test_eval_is_linear_in_the_scheme():
 
 
 # the Vassiliev and plain Casimir schemes, a three-branch scheme with a
-# nonzero unfold weight, and the custom scheme of acceptance criterion 3
+# nonzero unfold weight, the custom scheme of acceptance criterion 3, and
+# a scheme whose denominator 3A + 1 leaves Fraction coefficients in the
+# tables and leads other than +-1 in the gcd
 SCHEMES = (
     VASSILIEV, CASIMIR_PLAIN,
     ResolutionScheme(rf(A), rf(ONE.scale(2)), rf(A_INV.scale(-3))),
     ResolutionScheme(rf(parse_poly("A^2 + 1")), rf(parse_poly("-1/2*A^-1")),
                      rf(parse_poly("3"))),
+    ResolutionScheme(rf(ONE, parse_poly("3*A + 1")), rf(ONE.scale(2)),
+                     RF_ZERO),
 )
 
 

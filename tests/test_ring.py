@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knotgraph.ring import (A, A_INV, DELTA_POS, LOOP, ONE, ZERO, LaurentPoly,
-                            RationalFunc, RingError, Series, parse_poly,
-                            poly_divmod, poly_exact_div, poly_series, rf,
+                            RationalFunc, RingError, Series, _exact_div,
+                            _gcd, _terms, _times, parse_poly, poly_divmod,
+                            poly_exact_div, poly_series, rf, rf_from_terms,
                             series_at_exp)
 
 fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -106,6 +107,60 @@ def test_rational_canonical_form_is_unique():
     assert a == rf(A + A_INV)
     assert a.is_poly()
     assert a.as_poly() == A + A_INV
+
+
+def _canonical_by_gcd(num: LaurentPoly, den: LaurentPoly) -> RationalFunc:
+    """The canonical form by the general route: the gcd is always taken
+    and the den always normalised through a Fraction."""
+    if num.is_zero():
+        return RationalFunc(ZERO, ONE)
+    n, d = _terms(num), _terms(den)
+    g = _gcd(n, d)
+    n, d = _exact_div(n, g), _exact_div(d, g)
+    lo, inv = min(d), 1 / Fraction(d[max(d)])
+    return RationalFunc(*(LaurentPoly.from_dict({e - lo: c * inv
+                                                 for e, c in t.items()})
+                          for t in (n, d)))
+
+
+def test_kernel_constructor_matches_the_gcd_route():
+    """rf_from_terms skips the gcd for a monomial den and keeps leads of
+    +-1 in ints; on seeded pairs with monomial dens, shared factors and
+    leads +-1, +-2 and 1/3 it renders as RationalFunc.make and the
+    general route do, also from terms with integral Fractions."""
+    rng = random.Random(61)
+    small = (1, -1, 2, 3, -4, Fraction(1, 2), Fraction(-2, 3))
+    leads = (1, -1, 2, -2, Fraction(1, 3))
+
+    def poly(lead, size):
+        top = rng.randint(-3, 3)
+        terms = {top - rng.randint(1, 5): rng.choice(small)
+                 for _ in range(size - 1)}
+        terms[top] = lead
+        return terms
+
+    kinds = set()
+    for _ in range(400):
+        size = rng.choice((1, 1, 2, 3, 4))
+        den = poly(rng.choice(leads), size)
+        num = poly(rng.choice(small), rng.randint(1, 4))
+        if rng.random() < 0.4:      # a factor shared with den
+            shared = poly(rng.choice(leads), rng.randint(1, 3))
+            num, den = _times(num, shared), _times(den, shared)
+        if rng.random() < 0.1:
+            num = {}
+        kinds.add((len(den) == 1, den[max(den)]))
+        n, d = LaurentPoly.from_dict(num), LaurentPoly.from_dict(den)
+        want = _canonical_by_gcd(n, d).render()
+        assert RationalFunc.make(n, d).render() == want
+        assert rf_from_terms(_terms(n), _terms(d)).render() == want
+        as_fractions = [{e: Fraction(c) for e, c in t.items()}
+                        for t in (num, den)]
+        assert rf_from_terms(*as_fractions).render() == want
+    assert {lead for mono, lead in kinds if mono} >= set(leads)
+    assert {lead for mono, lead in kinds if not mono} >= set(leads)
+    with pytest.raises(RingError):
+        rf_from_terms({0: 1}, {})
 
 
 def test_division_by_zero_raises():

@@ -1,11 +1,14 @@
 """Tests for the series expansion and its finite-type vanishing."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from knotgraph import catalog
-from knotgraph.ring import Series
+from knotgraph.diagram import replace_kind
+from knotgraph.graphinv import VASSILIEV, eval_graph
+from knotgraph.ring import DELTA_POS, Series, rf, series_at_exp
 from knotgraph.vassiliev import (VassilievReport, vanishing_order_check,
                                  vassiliev_series)
 
@@ -62,3 +65,57 @@ def test_series_coefficients_are_exact_fractions():
     assert all(isinstance(c, Fraction) for c in rep.series.coeffs)
     assert rep.series.coeffs[0] == 1
     assert rep.series.coeffs[1] == 0
+
+
+def _braid_graph(rng, strands: int, crossings: int, vertices: int):
+    """The closure of a random braid word with `vertices` of its letters
+    drawn as rigid vertices."""
+    word = [(rng.randint(1, strands - 1), rng.choice((1, -1)))
+            for _ in range(crossings)]
+    g = catalog.braid_closure(strands, word)
+    for node in rng.sample(sorted(g.node_ids()), vertices):
+        g = replace_kind(g, node, "Vert")
+    return g
+
+
+def test_series_matches_the_rational_function_route():
+    """vassiliev_series expands value / (A^2 + A^-2)^(c-1) when the
+    division is exact and divides by the power's unit series otherwise;
+    the reference divides the rational functions first and expands the
+    quotient.  Both routes occur for c > 1."""
+    rng = random.Random(71)
+    seen, exact = set(), set()
+    for _ in range(40):
+        strands = rng.randint(2, 5)
+        g = _braid_graph(rng, strands, rng.randint(3, 9), rng.randint(0, 3))
+        c = g.components()
+        seen.add(c)
+        value = eval_graph(g, VASSILIEV) / rf(DELTA_POS ** (c - 1))
+        if c > 1:
+            exact.add(value.is_poly())
+        for order in range(13):
+            rep = vassiliev_series(g, order)
+            assert rep.series == series_at_exp(value, order)
+            assert rep.series.render() == series_at_exp(value, order).render()
+    assert seen >= {1, 2, 3, 4} and exact == {True, False}
+
+
+def test_weight_system_ignores_crossing_changes():
+    """The h^j coefficient of a j-vertex graph is its weight system: a
+    crossing change alters the graph by a (j+1)-vertex graph, whose
+    series vanishes below h^(j+1) (Bar-Natan, Topology 34, 1995).  The
+    h^(j+1) coefficient is the negative control: it changes somewhere."""
+    flip = {"XPos": "XNeg", "XNeg": "XPos"}
+    rng = random.Random(73)
+    for j in (1, 2, 3, 5, 8):
+        nonzero = changed = 0
+        for _ in range(8):
+            g = _braid_graph(rng, rng.randint(2, 4), j + rng.randint(2, 6), j)
+            before = vassiliev_series(g, j + 1).series.coeffs
+            for node in rng.sample(g.crossings(), 2):
+                h = replace_kind(g, node, flip[g.kind_of(node)])
+                after = vassiliev_series(h, j + 1).series.coeffs
+                assert after[:j + 1] == before[:j + 1], (j, node)
+                nonzero += before[j] != 0
+                changed += after[j + 1] != before[j + 1]
+        assert nonzero > 0 and changed > 0, j
