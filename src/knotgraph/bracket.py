@@ -4,9 +4,8 @@ One engine, `contract`, sums the state model of a network of 4-port
 nodes, each given by a table of local states (two port pairings and a
 weight).  It absorbs the nodes in an order that keeps the open-strand
 frontier small; each closed loop weighs -A^2 - A^-2, and arcs leaving
-the tables are tangle boundary.  Crossings bring their two smoothings;
-graphinv builds the tables of rigid vertices.  bracket_naive enumerates
-all 2^n smoothings independently and is the oracle.
+the tables are tangle boundary.  bracket_naive enumerates all 2^n
+smoothings independently and is the oracle.
 
 A contraction is planned, then run.  The plan fixes the node order and
 gives each open arc a slot, reusing freed ones; a state gives each slot
@@ -24,6 +23,16 @@ division by the loop value stays in the same integer domain, and
 closed_value returns kernel terms: LaurentPoly is built only where
 z_eval and contract return a value.
 
+closed_value is the one route from a closed diagram, link or graph, to
+its value.  A crossing's table holds its two smoothings.  A rigid vertex
+stands for a weighted combination of a positive crossing, a negative
+crossing and the oriented smoothing (the unfold), and its table holds
+its two port pairings with the three choices' weights combined.  This
+is exact because sign and framing factor locally: a crossing choice
+moves the writhe by +-1 and an unfold the component count by +-1, so
+every choice weighs -1 (times A^-+3 at level p) and the graph keeps
+(-1)^(c - 1 + w) and A^(-3w), w the writhe of its crossings.
+
 Link values are the oriented normalisation Z with loop value A^2 + A^-2
 and positive kink factor A^3: the raw state sum times the sign
 (-1)^(components - 1 + writhe).  p_eval also divides out A^(3*writhe).
@@ -37,7 +46,8 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Dict, List, Sequence, Tuple, Union
 
-from .diagram import VERTEX_KINDS, ArcT, Diagram, DiagramError, End
+from .diagram import (CROSSING_KINDS, ArcT, Diagram, DiagramError, End,
+                      crossing_kind, strand_ports)
 from .ring import LOOP, ZERO, LaurentPoly, Terms, _exact_div, _terms, _times
 
 # smoothing tables: for each crossing kind, the two local port pairings
@@ -69,14 +79,6 @@ def max_crossings() -> int:
                            % text) from None
 
 
-def _check_link(d: Diagram) -> None:
-    d.require_valid()
-    for i, k in d.nodes:
-        if k in VERTEX_KINDS:
-            raise DiagramError(
-                "node %s is a vertex; resolve it first (graph evaluation)" % i)
-
-
 def _check_size(d: Diagram, components: int) -> None:
     """The cap counts every node, crossings and vertices alike, and every
     free loop, which multiplies the state sum by one loop factor."""
@@ -95,7 +97,10 @@ def _sign_correction(d: Diagram) -> int:
 
 def bracket_naive(d: Diagram) -> LaurentPoly:
     """Z by brute-force enumeration of every smoothing state."""
-    _check_link(d)
+    d.require_valid()
+    if d.vertices():
+        raise DiagramError("node %s is a vertex; resolve it first (graph "
+                           "evaluation)" % d.vertices()[0])
     _check_size(d, d.components())
     ids = [i for i, _ in d.nodes]
     kinds = d.node_map()
@@ -332,28 +337,66 @@ def contract(tables: Dict[str, Table],
             LaurentPoly.from_dict(terms) for key, terms in states.items()}
 
 
-def closed_value(d: Diagram, tables: Dict[str, Table], writhe: int) -> Terms:
-    """Z-level value, as kernel terms, of a valid closed diagram whose
-    nodes expand by the given tables: the state sum times LOOP^free_loops
-    with one loop divided out, times (-1)^(components - 1 + writhe),
-    writhe being that of the crossings.  Raises DiagramError above the
-    node cap or for an empty diagram."""
-    components = d.components()
+def _vertex_table(ports: Dict[str, int], a: Terms, b: Terms, c: Terms,
+                  level: str) -> Table:
+    """State table of a vertex whose scheme weights are a, b and c over a
+    common denominator: each crossing choice contributes its two
+    smoothings and the unfold its oriented pairing, all times -1."""
+    phase = -3 if level == "p" else 0
+    unfold = tuple(sorted((tuple(sorted((ports["in_a"], ports["out_b"]))),
+                           tuple(sorted((ports["in_b"], ports["out_a"]))))))
+    weights = {unfold: {e: -k for e, k in c.items()}}
+    for sign, num in ((+1, a), (-1, b)):
+        for pair1, pair2, e in _SMOOTHINGS[crossing_kind(ports, sign)]:
+            w = weights.setdefault((pair1, pair2), {})
+            shift = e + sign * phase
+            for e2, k in num.items():
+                w[e2 + shift] = w.get(e2 + shift, 0) - k
+    return tuple((p1, p2, terms) for (p1, p2), w in weights.items()
+                 if (terms := tuple((e, k) for e, k in w.items() if k)))
+
+
+def closed_value(d: Diagram, schemes: Dict[str, Tuple[Terms, ...]],
+                 level: str) -> Tuple[Terms, Terms]:
+    """The value of a closed diagram at level 'z' (Z) or 'p' (A^(-3w) Z,
+    w the writhe of its crossings), as kernel terms (num, den).  schemes
+    maps a vertex kind to its scheme's (den, a, b, c) over_one_den terms;
+    den is the product of the vertices' denominators.  The value is the
+    state sum times LOOP^free_loops with one loop divided out, times
+    (-1)^(components - 1 + w).  Raises DiagramError for an invalid
+    diagram, then for a node of any other kind, then above the node cap
+    or for an empty diagram."""
+    d.require_valid()
+    ins = (d.port_roles()[1] if any(k in schemes for _, k in d.nodes)
+           else None)
+    tables: Dict[str, Table] = {}
+    den: Terms = {0: 1}
+    for i, kind in d.nodes:
+        if kind in CROSSING_TABLES:
+            tables[i] = CROSSING_TABLES[kind]
+        elif kind in schemes:
+            vden, a, b, c = schemes[kind]
+            tables[i] = _vertex_table(strand_ports(ins, i), a, b, c, level)
+            den = _times(den, vden)
+        else:
+            raise DiagramError(
+                "node %s has kind %s, which this evaluation does not take "
+                "(it takes %s)" % (i, kind, ", ".join(CROSSING_KINDS
+                                                      + tuple(schemes))))
+    components, writhe = d.components(), d.writhe()
     _check_size(d, components)
     total = _state_sum(tables, d.arcs)[0].get((), {})
     for _ in range(d.free_loops):
         total = _times(total, _LOOP)
     total = _exact_div(total, _LOOP)
-    if (components - 1 + writhe) % 2:
-        total = {e: -c for e, c in total.items()}
-    return total
+    sign = -1 if (components - 1 + writhe) % 2 else 1
+    shift = -3 * writhe if level == "p" else 0
+    return {e + shift: sign * k for e, k in total.items()}, den
 
 
 def z_eval(d: Diagram) -> LaurentPoly:
     """Z by frontier contraction; equals bracket_naive."""
-    _check_link(d)
-    return LaurentPoly.from_dict(closed_value(
-        d, {i: CROSSING_TABLES[k] for i, k in d.nodes}, d.writhe()))
+    return LaurentPoly.from_dict(closed_value(d, {}, "z")[0])
 
 
 def p_eval(d: Diagram) -> LaurentPoly:

@@ -149,63 +149,40 @@ def four_term_quadruple(closure: str = "clasp") -> Dict[str, Diagram]:
     }
 
 
-NAMES = (
-    "unknot", "two-circles", "kink+", "kink-", "hopf+", "hopf-",
-    "trefoil+", "trefoil-", "trefoil+_alt", "figure-eight",
-    "G_a_vertex", "G_a_composite", "G_b_vertex", "G_b_cvert",
-    "case1_vertex", "case2_vertex",
-    "ga_2vert", "gb_2vert", "flower3",
-    "ft_N", "ft_S", "ft_E", "ft_W",
-    "ft_plain_N", "ft_plain_S", "ft_plain_E", "ft_plain_W",
-    "ft_clasp2_N", "ft_clasp2_S", "ft_clasp2_E", "ft_clasp2_W",
-)
+_BUILDERS = {
+    "unknot": lambda: Diagram.make({}, [], 1),
+    "two-circles": lambda: Diagram.make({}, [], 2),
+    "kink+": lambda: _kink("XPos"),
+    "kink-": lambda: _kink("XNeg"),
+    "hopf+": lambda: _hopf("XPos", "XPos"),
+    "hopf-": lambda: _hopf("XNeg", "XNeg"),
+    "trefoil+": lambda: braid_closure(2, [(1, 1)] * 3),
+    "trefoil-": lambda: braid_closure(2, [(1, -1)] * 3),
+    # the same knot presented on three strands
+    "trefoil+_alt": lambda: braid_closure(3, [(1, 1), (2, 1), (1, 1), (2, 1)]),
+    "figure-eight": lambda: braid_closure(3, [(1, 1), (2, -1), (1, 1),
+                                              (2, -1)]),
+    "G_a_vertex": lambda: _petal_chain(1),
+    "G_a_composite": lambda: _with_free_loops(_petal_chain(1), 1),
+    "G_b_vertex": lambda: _hopf("Vert", "XPos"),
+    "G_b_cvert": lambda: _hopf("CVert", "XPos"),
+    "case1_vertex": lambda: _petal_chain(1),
+    "case2_vertex": lambda: _hopf("Vert", "XPos"),
+    "ga_2vert": lambda: _petal_chain(2),
+    "gb_2vert": lambda: _hopf("Vert", "Vert"),
+    "flower3": lambda: _petal_chain(3),
+}
+# the four-term graphs: ft_<tag> for the clasp closure and
+# ft_<closure>_<tag> for the others
+_BUILDERS.update(
+    ("ft_%s%s" % ("" if cl == "clasp" else cl + "_", tag),
+     lambda cl=cl, tag=tag: four_term_quadruple(cl)[tag])
+    for cl in _CLOSURES for tag in "NSEW")
+
+NAMES = tuple(_BUILDERS)
 
 
 def named_diagram(name: str) -> Diagram:
-    if name == "unknot":
-        return Diagram.make({}, [], 1)
-    if name == "two-circles":
-        return Diagram.make({}, [], 2)
-    if name == "kink+":
-        return _kink("XPos")
-    if name == "kink-":
-        return _kink("XNeg")
-    if name == "hopf+":
-        return _hopf("XPos", "XPos")
-    if name == "hopf-":
-        return _hopf("XNeg", "XNeg")
-    if name == "trefoil+":
-        return braid_closure(2, [(1, 1)] * 3)
-    if name == "trefoil-":
-        return braid_closure(2, [(1, -1)] * 3)
-    if name == "trefoil+_alt":
-        # same knot presented on three strands
-        return braid_closure(3, [(1, 1), (2, 1), (1, 1), (2, 1)])
-    if name == "figure-eight":
-        return braid_closure(3, [(1, 1), (2, -1), (1, 1), (2, -1)])
-    if name in ("G_a_vertex", "case1_vertex"):
-        return _petal_chain(1)
-    if name == "G_a_composite":
-        return _with_free_loops(_petal_chain(1), 1)
-    if name in ("G_b_vertex", "case2_vertex"):
-        return _hopf("Vert", "XPos")
-    if name == "G_b_cvert":
-        return _hopf("CVert", "XPos")
-    if name == "ga_2vert":
-        return _petal_chain(2)
-    if name == "gb_2vert":
-        return _hopf("Vert", "Vert")
-    if name == "flower3":
-        return _petal_chain(3)
-    if name.startswith("ft_"):
-        tag = name[3:]
-        closure = "clasp"
-        for cl in _CLOSURES:
-            if tag.startswith(cl + "_"):
-                closure = cl
-                tag = tag[len(cl) + 1:]
-                break
-        quad = four_term_quadruple(closure)
-        if tag in quad:
-            return quad[tag]
-    raise DiagramError("unknown diagram name %r" % name)
+    if name not in _BUILDERS:
+        raise DiagramError("unknown diagram name %r" % name)
+    return _BUILDERS[name]()

@@ -15,7 +15,7 @@ The model is abstract in the Gauss-code sense: planarity of the induced
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 KINDS = ("XPos", "XNeg", "Vert", "CVert")
@@ -91,7 +91,6 @@ class Diagram:
         for i, k in self.nodes:
             if k not in KINDS:
                 report.append("node %s: unknown kind %s" % (i, k))
-        used: Dict[End, int] = {}
         for (a, p), (b, q) in self.arcs:
             for n, port in ((a, p), (b, q)):
                 if n not in known:

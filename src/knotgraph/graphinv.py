@@ -1,18 +1,14 @@
-"""Graph invariants from local vertex tables.
+"""Graph invariants from vertex resolution schemes.
 
 A rigid vertex stands for a weighted combination of a positive crossing,
 a negative crossing and the oriented smoothing (the unfold); the weight
 triples give the Vassiliev, plain Casimir and marked Casimir extensions
-of the bracket.  Each vertex becomes one node of the contraction engine
-whose table holds its two port pairings with the three choices' weights
-combined.  This is exact because sign and framing factor locally: a
-crossing choice moves the writhe by +-1 and an unfold the component
-count by +-1, so every choice weighs -1 (times A^-+3 at level p) and the
-graph keeps (-1)^(c - 1 + w) and A^(-3w), w the writhe of its crossings.
-A scheme puts its weights over one common denominator when it is built,
-as kernel terms, so the vertex tables, the contraction and the final
-division by the product of the denominators all stay in ring's integer
-kernel; a RationalFunc is built only for the value returned.
+of the bracket.  bracket.closed_value evaluates a graph in one
+contraction, each vertex one node whose table combines the three
+choices.  A scheme puts its weights over one common denominator when it
+is built, as kernel terms, so the vertex tables, the contraction and the
+final division by the product of the denominators all stay in ring's
+integer kernel; a RationalFunc is built only for the value returned.
 resolve_vertices and FormalSum build the explicit sum of resolved link
 diagrams, for the resolve verb and as the tests' oracle.
 """
@@ -24,12 +20,11 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from . import catalog
-from .bracket import _SMOOTHINGS, CROSSING_TABLES, Table, closed_value, z_eval
+from .bracket import closed_value, z_eval
 from .diagram import (Diagram, DiagramError, crossing_kind, path_to_reentry,
-                      replace_kind, reverse_arcs, splice_node, strand_ports,
-                      vertex_ports)
+                      replace_kind, reverse_arcs, splice_node, vertex_ports)
 from .ring import (A, A_INV, ONE, LaurentPoly, RationalFunc, RF_ONE, RF_ZERO,
-                   Terms, _terms, _times, poly_exact_div, rf, rf_from_terms)
+                   Terms, _terms, poly_exact_div, rf, rf_from_terms)
 
 
 @dataclass(frozen=True)
@@ -132,15 +127,11 @@ def vertex_reversed_unfold(g: Diagram, v: str) -> Diagram:
 # --- resolution and evaluation ----------------------------------------------
 
 
-def _reject_marked(g: Diagram) -> None:
+def resolve_vertices(g: Diagram, s: ResolutionScheme) -> FormalSum:
     g.require_valid()
     if any(k == "CVert" for _, k in g.nodes):
         raise DiagramError(
             "marked vertices present; use the marked evaluation instead")
-
-
-def resolve_vertices(g: Diagram, s: ResolutionScheme) -> FormalSum:
-    _reject_marked(g)
     out = FormalSum()
     _expand(g, RF_ONE, s, out)
     return out
@@ -161,62 +152,21 @@ def _expand(g: Diagram, coeff: RationalFunc, s: ResolutionScheme,
         _expand(vertex_unfold(g, v), coeff * s.c, s, out)
 
 
-def _vertex_table(ports: Dict[str, int], a: Terms, b: Terms, c: Terms,
-                  level: str) -> Table:
-    """State table of a vertex whose scheme weights are a, b and c over a
-    common denominator: each crossing choice contributes its two
-    smoothings and the unfold its oriented pairing, all times -1."""
-    phase = -3 if level == "p" else 0
-    unfold = tuple(sorted((tuple(sorted((ports["in_a"], ports["out_b"]))),
-                           tuple(sorted((ports["in_b"], ports["out_a"]))))))
-    weights = {unfold: {e: -k for e, k in c.items()}}
-    for sign, num in ((+1, a), (-1, b)):
-        for pair1, pair2, e in _SMOOTHINGS[crossing_kind(ports, sign)]:
-            w = weights.setdefault((pair1, pair2), {})
-            shift = e + sign * phase
-            for e2, k in num.items():
-                w[e2 + shift] = w.get(e2 + shift, 0) - k
-    return tuple((p1, p2, terms) for (p1, p2), w in weights.items()
-                 if (terms := tuple((e, k) for e, k in w.items() if k)))
-
-
-def _graph_value(g: Diagram, schemes: Dict[str, ResolutionScheme],
-                 level: str) -> RationalFunc:
-    """The graph invariant with each vertex kind resolved by its scheme,
-    by one contraction over crossing and vertex tables."""
-    _, ins = g.port_roles()
-    tables = {}
-    den: Terms = {0: 1}
-    for i, kind in g.nodes:
-        if kind in schemes:
-            d, a, b, c = schemes[kind].over_one_den
-            tables[i] = _vertex_table(strand_ports(ins, i), a, b, c, level)
-            den = _times(den, d)
-        else:
-            tables[i] = CROSSING_TABLES[kind]
-    w = g.writhe()
-    value = closed_value(g, tables, w)
-    if level == "p":
-        value = {e - 3 * w: k for e, k in value.items()}
-    return rf_from_terms(value, den)
-
-
 def eval_graph(g: Diagram, s: ResolutionScheme = VASSILIEV,
                level: str = "p") -> RationalFunc:
     """Sum of coeff * bracket over the full resolution.  Level 'p' uses
     the writhe-normalised bracket of each resolved diagram (the move
     invariant); level 'z' uses the raw bracket."""
-    _reject_marked(g)
-    return _graph_value(g, {"Vert": s}, level)
+    return rf_from_terms(*closed_value(g, {"Vert": s.over_one_den}, level))
 
 
 def eval_with_casimir_marks(g: Diagram) -> RationalFunc:
     """Evaluate a graph whose vertices may carry the mark: plain vertices
     resolve with weights (1, 1, 0)/(A + A^-1), marked ones with
     (1, -1, 0)/(4(A - A^-1)).  The result is at bracket (Z) level."""
-    g.require_valid()
-    return _graph_value(g, {"Vert": CASIMIR_PLAIN, "CVert": CASIMIR_MARKED},
-                        "z")
+    return rf_from_terms(*closed_value(
+        g, {"Vert": CASIMIR_PLAIN.over_one_den,
+            "CVert": CASIMIR_MARKED.over_one_den}, "z"))
 
 
 # --- identity checks --------------------------------------------------------

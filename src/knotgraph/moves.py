@@ -265,49 +265,32 @@ def _slide_label(kinds: Dict[str, str], site) -> Optional[Move]:
 
 
 def find_slides(d: Diagram) -> List[MoveSpec]:
-    """Every slide site: the R3 sites, then R4, then R5.  Sites come in
-    the order of their nodes as the diagram lists its crossings and
-    vertices, then in arc order.  An R3 site on crossings a, b, c lists
-    its arcs as ab, bc, ac; an R4 site on vertex v and crossings a, b as
-    va, vb, ab; an R5 site its two arcs in order."""
+    """Every slide site, sorted by label (R3, R4, R5) and then by the
+    ranks of its nodes, where vertices rank before crossings and each
+    kind ranks in the order the diagram lists it; sites on the same
+    nodes keep arc order.  The candidates are every two arcs joining two
+    nodes and every triangle of arcs; a triangle on nodes a, b, c of
+    rising rank lists its arcs as ab, ac, bc, so an R4 site on vertex v
+    and crossings a, b reads va, vb, ab."""
     kinds = d.node_map()
-    between: Dict[frozenset, List[ArcT]] = {}
+    rank = {n: i for i, n in enumerate(d.vertices() + d.crossings())}
+    after: Dict[int, Dict[int, List[ArcT]]] = {}
     for arc in d.arcs:
-        ends = frozenset(n for n, _ in arc)
-        if len(ends) == 2:
-            between.setdefault(ends, []).append(arc)
-    near: Dict[str, set] = {n: set() for n in kinds}
-    for a, b in between:
-        near[a].add(b)
-        near[b].add(a)
-    xs = d.crossings()
-    rank = {x: i for i, x in enumerate(xs)}
-
-    def arcs(a: str, b: str) -> List[ArcT]:
-        return between.get(frozenset((a, b)), [])
-
-    def joined(n: str, after: Optional[str] = None) -> List[str]:
-        """The crossings joined to n, in order, past the crossing after."""
-        start = 0 if after is None else rank[after] + 1
-        return [x for x in xs[start:] if x in near[n]]
-
-    sites: List[tuple] = []
-    for a in xs:
-        for b in joined(a, a):
-            for c in joined(b, b):
-                if c in near[a]:
-                    sites += product(arcs(a, b), arcs(b, c), arcs(a, c))
-    vs = d.vertices()
-    for v in vs:
-        for a in joined(v):
-            for b in joined(a, a):
-                if b in near[v]:
-                    sites += product(arcs(v, a), arcs(v, b), arcs(a, b))
-    for v in vs:
-        for x in joined(v):
-            sites += combinations(arcs(v, x), 2)
-    return [MoveSpec(label, site) for site in sites
-            if (label := _slide_label(kinds, site)) is not None]
+        i, j = sorted(rank[n] for n, _ in arc)
+        if i != j:
+            after.setdefault(i, {}).setdefault(j, []).append(arc)
+    found = []
+    for i, near in after.items():
+        for j, ij in near.items():
+            found += [((i, j), site) for site in combinations(ij, 2)]
+            for k, jk in after.get(j, {}).items():
+                if k in near:
+                    found += [((i, j, k), site)
+                              for site in product(ij, near[k], jk)]
+    found = [(label, nodes, site) for nodes, site in found
+             if (label := _slide_label(kinds, site)) is not None]
+    found.sort(key=lambda f: f[:2])
+    return [MoveSpec(label, site) for label, _, site in found]
 
 
 def slide(d: Diagram, m: MoveSpec) -> Diagram:

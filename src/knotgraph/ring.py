@@ -65,12 +65,6 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coeff(self, exp: int) -> Fraction:
-        for e, c in self.terms:
-            if e == exp:
-                return c
-        return Fraction(0)
-
     def min_exp(self) -> int:
         if not self.terms:
             raise RingError("zero polynomial has no minimal exponent")
@@ -489,8 +483,6 @@ def series_at_exp(f: RationalFunc, order: int) -> Series:
     """
     if f.is_zero():
         return Series.const(0, order)
-    if f.den == ONE:    # canonical dens are monic: no other monomial occurs
-        return poly_series(f.num, order)
     guard = len(f.den.terms) - 1
     q = poly_series(f.num, order + guard).divide(
         poly_series(f.den, order + guard))

@@ -1,20 +1,26 @@
 """Seeded, bounded fuzz of the input surface.
 
 Random diagram text and random --scheme polynomial text may raise only
-DiagramError or RingError, and the CLI exits 0, or 1 with exactly one
-`error:` line.  No case has more than six nodes, so none reaches the
-cost of a large evaluation.
+DiagramError or RingError, random corpus manifest lines also CorpusError
+or SpinNetError, and the CLI exits 0, or 1 with exactly one `error:`
+line.  No case has more than six nodes, a series order above 12, a walk
+above 4 steps or more than 5 strands, so none reaches the cost of a
+large evaluation.
 """
 
+import os
 import random
+import shutil
 
 from knotgraph import catalog
 from knotgraph.bracket import p_eval, z_eval
 from knotgraph.cli import main
+from knotgraph.corpus import DATA_DIR, CorpusError, run_corpus
 from knotgraph.diagram import DiagramError, parse_diagram, serialize
 from knotgraph.graphinv import (ResolutionScheme, VASSILIEV, eval_graph,
                                 eval_with_casimir_marks, resolve_vertices)
 from knotgraph.ring import RingError, parse_poly, rf
+from knotgraph.spinnet import SpinNetError
 from knotgraph.vassiliev import vassiliev_series
 
 MAX_NODES = 6
@@ -154,3 +160,67 @@ def test_cli_on_random_inputs_is_exit_0_or_one_error_line(tmp_path, capsys):
                 codes.add(_exits_cleanly(
                     capsys, [verb, str(graph), "--scheme", scheme]))
     assert codes == {0, 1}
+
+
+# manifest field junk: no digits, so every count stays within the bounds
+JUNK = ("", "-", "\x00", "é", "\x85", " ", ",", "=", "|", "#", "nope.dg",
+        "sub.dg", "manifest.txt", "eps-pair.td", "kind=x", "files")
+
+
+def _manifest_line(rng: random.Random, shipped, fields) -> str:
+    """A shipped manifest line with one to three fields replaced, by
+    another line's value in that column, generated args, a junk word, or
+    the old value with junk spliced in."""
+    line = list(rng.choice(shipped))
+    for _ in range(rng.randint(1, 3)):
+        col = rng.randrange(7)
+        pick = rng.randrange(4)
+        if pick == 0:
+            line[col] = rng.choice(fields[col])
+        elif pick == 1 and col == 3:
+            line[col] = rng.choice((
+                "order=%d" % rng.randint(0, 12),
+                "steps=%d" % rng.randint(0, 4), "n=%d" % rng.randint(0, 5),
+                "kind=%s,n=%d" % (rng.choice(("skew", "sym")),
+                                  rng.randint(0, 5))))
+        elif pick == 2:
+            line[col] = rng.choice(JUNK)
+        else:
+            i = rng.randrange(len(line[col]) + 1)
+            line[col] = line[col][:i] + rng.choice(JUNK) + line[col][i:]
+    return " | ".join(line) + "\n"
+
+
+def test_random_manifest_lines_raise_only_domain_errors(tmp_path, capsys):
+    """Run the corpus on one mutated manifest line at a time, next to
+    copies of the shipped files; the CLI reports the same outcome."""
+    for name in os.listdir(DATA_DIR):
+        if name != "manifest.txt":
+            shutil.copy(os.path.join(DATA_DIR, name), str(tmp_path))
+    (tmp_path / "sub.dg").mkdir()
+    with open(os.path.join(DATA_DIR, "manifest.txt"), encoding="utf-8") as fh:
+        shipped = [[f.strip() for f in line.split("|")]
+                   for line in fh if not line.startswith("#")]
+    fields = [sorted({row[col] for row in shipped}) for col in range(7)]
+    rng = random.Random(84)
+    outcomes = set()
+    for case in range(1000):
+        line = _manifest_line(rng, shipped, fields)
+        (tmp_path / "manifest.txt").write_text(line, encoding="utf-8")
+        try:
+            results = run_corpus(str(tmp_path))
+            expect = 0 if all(r.passed for r in results) else 1
+            outcomes.add("pass" if expect == 0 else "fail")
+        except (CorpusError, DiagramError, RingError, SpinNetError):
+            expect = None
+            outcomes.add("error")
+        if case % 5:
+            continue
+        code = main(["corpus", "--dir", str(tmp_path)])
+        out, err = capsys.readouterr()
+        if expect is None:
+            assert code == 1 and out == "" and err.startswith("error: ")
+            assert len(err.splitlines()) == 1
+        else:
+            assert code == expect and err == "" and out
+    assert outcomes == {"pass", "fail", "error"}

@@ -231,6 +231,26 @@ def test_four_term_relation():
         assert res.is_zero(), closure
 
 
+def test_four_term_relation_on_seeded_closures():
+    """The Vassiliev residual vanishes on triple-point quadruples closed
+    by 0-6 random clasps over ordered pairs of the strands a, b and c.
+    Negative control: the (A, 2, -3A^-1) scheme is no Vassiliev scheme,
+    and a quarter or more of its residuals are nonzero."""
+    general = ResolutionScheme(rf(A), RationalFunc.const(2),
+                               rf(A_INV.scale(-3)))
+    rng = random.Random(29)
+    nonzero = 0
+    for _ in range(60):
+        clasps = [tuple(rng.sample("abc", 2))
+                  for _ in range(rng.randint(0, 6))]
+        quad = [catalog._triple_core(on, side, clasps)
+                for on, side in (("a", "above"), ("a", "below"),
+                                 ("b", "above"), ("b", "below"))]
+        assert check_four_term(*quad).is_zero(), clasps
+        nonzero += not check_four_term(*quad, general).is_zero()
+    assert nonzero >= 15
+
+
 def test_four_term_fails_for_mismatched_quadruples():
     quad = catalog.four_term_quadruple("clasp")
     res = check_four_term(quad["N"], quad["S"], quad["E"], quad["N"])

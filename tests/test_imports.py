@@ -27,3 +27,21 @@ def test_every_import_is_relative_or_stdlib():
     bad = [(m.name, line, name) for m in modules
            for line, name in _outside_imports(m)]
     assert bad == []
+
+
+KERNEL = {"_terms", "_times", "_divmod", "_exact_div", "_gcd"}
+
+
+def test_private_names_stay_in_their_module():
+    """A module imports another's underscore names only for ring's Laurent
+    kernel, which the engine and graph evaluation share."""
+    bad = []
+    for m in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(m.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                bad += [(m.name, node.module, alias.name)
+                        for alias in node.names
+                        if alias.name.startswith("_")
+                        and not (node.module == "ring"
+                                 and alias.name in KERNEL)]
+    assert bad == []

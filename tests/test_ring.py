@@ -222,8 +222,8 @@ def test_series_guard_covers_the_root_at_one(k):
 
 
 def test_polynomial_series_skips_the_division():
-    # den 1, as for the Vassiliev value of gb_2vert, takes poly_series
-    # directly; that must be the general quotient byte for byte
+    # den 1, as for the Vassiliev value of gb_2vert: dividing by the
+    # series of 1 must give poly_series itself, byte for byte
     rng = random.Random(19)
     values = [parse_poly("A^8 + -1*A^4 + -1*A^-4 + A^-8")]
     values += [LaurentPoly.from_dict(

@@ -119,3 +119,27 @@ def test_weight_system_ignores_crossing_changes():
                 nonzero += before[j] != 0
                 changed += after[j + 1] != before[j + 1]
         assert nonzero > 0 and changed > 0, j
+
+
+def test_k_vertices_kill_every_coefficient_below_h_k(monkeypatch):
+    """A graph with k vertices has a series vanishing below h^k.  Braid
+    closures on 3-5 strands with k + 8 crossings, k of them drawn as
+    vertices.  Negative control: with one vertex put back as its
+    crossing, some graph per k has valuation exactly k - 1."""
+    monkeypatch.setenv("MAX_CROSSINGS", "64")
+    rng = random.Random(7)
+    for k in (4, 8, 12, 16, 20):
+        sharp = 0
+        for _ in range(10):
+            strands = rng.randint(3, 5)
+            link = catalog.braid_closure(
+                strands, [(rng.randint(1, strands - 1), rng.choice((1, -1)))
+                          for _ in range(k + 8)])
+            nodes = rng.sample(sorted(link.node_ids()), k)
+            g = link
+            for node in nodes:
+                g = replace_kind(g, node, "Vert")
+            assert vassiliev_series(g, k + 1).vanishes_below(k), k
+            h = replace_kind(g, nodes[0], link.kind_of(nodes[0]))
+            sharp += vassiliev_series(h, k + 1).vanishing_order == k - 1
+        assert sharp > 0, k
