@@ -96,8 +96,9 @@ def _sign_correction(d: Diagram) -> int:
 
 
 def bracket_naive(d: Diagram) -> LaurentPoly:
-    """Z by brute-force enumeration of every smoothing state."""
-    d.require_valid()
+    """Z by brute-force enumeration of every smoothing state.  Raises
+    DiagramError for a vertex, then above the node cap or for an empty
+    diagram."""
     if d.vertices():
         raise DiagramError("node %s is a vertex; resolve it first (graph "
                            "evaluation)" % d.vertices()[0])
@@ -363,10 +364,8 @@ def closed_value(d: Diagram, schemes: Dict[str, Tuple[Terms, ...]],
     maps a vertex kind to its scheme's (den, a, b, c) over_one_den terms;
     den is the product of the vertices' denominators.  The value is the
     state sum times LOOP^free_loops with one loop divided out, times
-    (-1)^(components - 1 + w).  Raises DiagramError for an invalid
-    diagram, then for a node of any other kind, then above the node cap
-    or for an empty diagram."""
-    d.require_valid()
+    (-1)^(components - 1 + w).  Raises DiagramError for a node of any
+    other kind, then above the node cap or for an empty diagram."""
     ins = (d.port_roles()[1] if any(k in schemes for _, k in d.nodes)
            else None)
     tables: Dict[str, Table] = {}

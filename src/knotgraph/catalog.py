@@ -128,7 +128,7 @@ def _triple_core(vertex_on: str, c_pos: str,
     return Diagram.make(nodes, arcs)
 
 
-_CLOSURES = {
+CLOSURES = {
     "plain": (),
     "clasp": (("a", "c"), ("b", "c")),
     "clasp2": (("a", "b"), ("a", "c")),
@@ -138,9 +138,9 @@ _CLOSURES = {
 def four_term_quadruple(closure: str = "clasp") -> Dict[str, Diagram]:
     """Four graphs differing only in how the third strand passes the
     central vertex; they satisfy P(N) - P(S) + P(E) - P(W) = 0."""
-    if closure not in _CLOSURES:
+    if closure not in CLOSURES:
         raise DiagramError("unknown closure %r" % closure)
-    clasps = _CLOSURES[closure]
+    clasps = CLOSURES[closure]
     return {
         "N": _triple_core("a", "above", clasps),
         "S": _triple_core("a", "below", clasps),
@@ -177,7 +177,7 @@ _BUILDERS = {
 _BUILDERS.update(
     ("ft_%s%s" % ("" if cl == "clasp" else cl + "_", tag),
      lambda cl=cl, tag=tag: four_term_quadruple(cl)[tag])
-    for cl in _CLOSURES for tag in "NSEW")
+    for cl in CLOSURES for tag in "NSEW")
 
 NAMES = tuple(_BUILDERS)
 

@@ -15,6 +15,7 @@ import os
 import sys
 from typing import List, Optional
 
+from . import catalog
 from . import corpus as corpus_mod
 from . import graphinv as gi
 from . import moves as mv
@@ -123,9 +124,8 @@ def _check_four_term(path: Optional[str]) -> int:
     if path:
         quads = [(path, _quad_from_dir(path))]
     else:
-        from . import catalog
         quads = [(closure, catalog.four_term_quadruple(closure))
-                 for closure in ("plain", "clasp", "clasp2")]
+                 for closure in catalog.CLOSURES]
     bad = 0
     for name, quad in quads:
         res = gi.check_four_term(quad["N"], quad["S"], quad["E"],
@@ -189,12 +189,15 @@ def _cmd_check(args) -> int:
         return _check_spinor(args.file)
     if what == "four-term":
         return _check_four_term(args.file)
+    if what == "reidemeister":
+        return _check_reidemeister(args.file)
+    if args.file is not None:
+        raise CliError("check %s takes no file; it checks fixed identities, "
+                       "not a diagram" % what)
     if what == "fierz":
         return _check_fierz()
     if what == "projector":
         return _check_projector()
-    if what == "reidemeister":
-        return _check_reidemeister(args.file)
     raise CliError("unknown check %r" % what)
 
 

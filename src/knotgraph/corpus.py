@@ -80,10 +80,8 @@ def load_manifest(path: Optional[str] = None) -> List[CorpusEntry]:
 
 
 def load_diagram(base: str, fname: str) -> Diagram:
-    """A corpus diagram file, parsed and checked well formed."""
-    d = parse_diagram(read_text(os.path.join(base, fname)))
-    d.require_valid()
-    return d
+    """A corpus diagram file, parsed; parsing checks it well formed."""
+    return parse_diagram(read_text(os.path.join(base, fname)))
 
 
 def corpus_diagrams(path: Optional[str] = None) -> Dict[str, Diagram]:

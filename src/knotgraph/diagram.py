@@ -8,6 +8,13 @@ pair the ports 0-2 and 1-3; at a positive crossing (kind XPos) the 0-2
 strand passes over, at XNeg the 1-3 strand does.  Vert is a plain rigid
 vertex, CVert a marked one.
 
+A Diagram is well formed from construction: every node has a known kind,
+every arc joins ports 0-3 of known nodes, no port is used twice, and each
+strand through a node has one in-port and one out-port.  __post_init__
+checks this (Diagram.validate states the rule) and raises DiagramError,
+so a diagram parsed, built with make, or returned by a move or a surgery
+obeys it, and no consumer checks it again.
+
 The model is abstract in the Gauss-code sense: planarity of the induced
 4-valent graph is never checked.
 """
@@ -35,6 +42,11 @@ class Diagram:
     nodes: Tuple[Tuple[str, str], ...] = ()   # (id, kind), id-sorted
     arcs: Tuple[ArcT, ...] = ()               # sorted
     free_loops: int = 0
+
+    def __post_init__(self) -> None:
+        report = self.validate()
+        if report:
+            raise DiagramError("; ".join(report))
 
     @staticmethod
     def make(nodes: Dict[str, str], arcs: Iterable[ArcT],
@@ -66,17 +78,8 @@ class Diagram:
 
     def port_roles(self) -> Tuple[Dict[End, ArcT], Dict[End, ArcT]]:
         """Maps out-port -> arc and in-port -> arc."""
-        outs: Dict[End, ArcT] = {}
-        ins: Dict[End, ArcT] = {}
-        for arc in self.arcs:
-            tail, head = arc
-            if tail in outs:
-                raise DiagramError("port %s used twice as tail" % (tail,))
-            if head in ins:
-                raise DiagramError("port %s used twice as head" % (head,))
-            outs[tail] = arc
-            ins[head] = arc
-        return outs, ins
+        return ({arc[0]: arc for arc in self.arcs},
+                {arc[1]: arc for arc in self.arcs})
 
     # --- validation
 
@@ -130,9 +133,7 @@ class Diagram:
         return report
 
     def require_valid(self) -> None:
-        r = self.validate()
-        if r:
-            raise DiagramError("; ".join(r))
+        """Nothing to do: construction has already checked the diagram."""
 
     # --- signs, writhe, components
 
@@ -146,7 +147,7 @@ class Diagram:
     def trace_components(self) -> List[List[ArcT]]:
         """Closed oriented loops through nodes, as arc lists (free loops
         excluded)."""
-        outs, ins = self.port_roles()
+        outs = self.port_roles()[0]
         seen: Set[ArcT] = set()
         comps: List[List[ArcT]] = []
         for start in self.arcs:
@@ -154,16 +155,11 @@ class Diagram:
                 continue
             comp = []
             arc = start
-            while True:
+            while arc not in seen:
                 comp.append(arc)
                 seen.add(arc)
                 n, p = arc[1]
-                nxt = outs[(n, (p + 2) % 4)]
-                if nxt == start:
-                    break
-                if nxt in seen:
-                    raise DiagramError("strand tracing does not close")
-                arc = nxt
+                arc = outs[(n, (p + 2) % 4)]
             comps.append(comp)
         return comps
 
@@ -174,7 +170,10 @@ class Diagram:
         comps = self.trace_components()
         if not 0 <= index < len(comps):
             raise DiagramError("unknown component %d" % index)
-        return reverse_arcs(self, comps[index])
+        flip = set(comps[index])
+        return Diagram.make(self.node_map(), [
+            (a[1], a[0]) if a in flip else a for a in self.arcs],
+            self.free_loops)
 
     def mirror(self) -> "Diagram":
         swap = {"XPos": "XNeg", "XNeg": "XPos"}
@@ -213,8 +212,6 @@ def _adjacency(d: Diagram) -> Dict[str, List[Tuple[int, str, int, str]]]:
 
 
 def _canonical_form(d: Diagram) -> str:
-    if d.validate():
-        raise DiagramError("cannot canonicalise an invalid diagram")
     adj = _adjacency(d)
     kinds = d.node_map()
     # connected parts of the node graph
@@ -318,10 +315,6 @@ def parse(text: str) -> Tuple[str, Diagram]:
             loops += number(toks[1], lineno)
         else:
             raise DiagramError("line %d: cannot parse %r" % (lineno, line))
-    for (a, _), (b, _) in arcs:
-        for n in (a, b):
-            if n not in nodes:
-                raise DiagramError("arc endpoint at undefined node %r" % n)
     return name, Diagram.make(nodes, arcs, loops)
 
 
@@ -362,16 +355,27 @@ def splice_node(d: Diagram, node: str, joins: Dict[int, int]) -> Diagram:
     Chains of arcs that close up entirely through the removed node become
     free loops.
     """
-    outs, ins = d.port_roles()
-    node_in = sorted(p for (n, p) in ins if n == node)
-    node_out = sorted(p for (n, p) in outs if n == node)
+    return reverse_and_splice(d, (), node, joins)
+
+
+def reverse_and_splice(d: Diagram, piece: Iterable[ArcT], node: str,
+                       joins: Dict[int, int]) -> Diagram:
+    """splice_node on d with the arcs of piece reversed first, joins naming
+    the ports as they are after the reversal.  A piece leaving the node and
+    re-entering it on its other strand breaks the node's orientation until
+    the node is gone, so no diagram is built in between."""
+    flip = set(piece)
+    arcs = [(h, t) if (t, h) in flip else (t, h) for t, h in d.arcs]
+    outs = {arc[0]: arc for arc in arcs}
+    node_in = sorted(h[1] for _, h in arcs if h[0] == node)
+    node_out = sorted(t[1] for t, _ in arcs if t[0] == node)
     if sorted(joins.keys()) != node_in or sorted(joins.values()) != node_out:
         raise DiagramError("joins %r do not match ports of node %s"
                            % (joins, node))
     nodes = d.node_map()
     del nodes[node]
-    touched = [a for a in d.arcs if a[0][0] == node or a[1][0] == node]
-    arcs = [a for a in d.arcs if a not in touched]
+    touched = [a for a in arcs if a[0][0] == node or a[1][0] == node]
+    arcs = [a for a in arcs if a not in touched]
     loops = d.free_loops
     consumed = set()
     for start in touched:
@@ -381,20 +385,17 @@ def splice_node(d: Diagram, node: str, joins: Dict[int, int]) -> Diagram:
         arc = start
         consumed.add(arc)
         while arc[1][0] == node:
-            arc2 = outs[(node, joins[arc[1][1]])]
-            consumed.add(arc2)
-            arc = arc2
+            arc = outs[(node, joins[arc[1][1]])]
+            consumed.add(arc)
         arcs.append((start[0], arc[1]))
     for start in touched:
         # leftover cycles run entirely through the node
         if start in consumed:
             continue
         arc = start
-        while True:
+        while arc not in consumed:
             consumed.add(arc)
             arc = outs[(node, joins[arc[1][1]])]
-            if arc == start:
-                break
         loops += 1
     return Diagram.make(nodes, arcs, loops)
 
@@ -441,12 +442,6 @@ def path_to_reentry(d: Diagram, node: str, out_port: int):
         if n == node:
             return path, p
         arc = outs[(n, (p + 2) % 4)]
-
-
-def reverse_arcs(d: Diagram, subset) -> Diagram:
-    flip = set(subset)
-    arcs = [((a[1], a[0]) if a in flip else a) for a in d.arcs]
-    return Diagram.make(d.node_map(), arcs, d.free_loops)
 
 
 def disjoint_union(d1: Diagram, d2: Diagram, suffix: str = "'") -> Diagram:

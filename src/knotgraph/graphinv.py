@@ -22,7 +22,8 @@ from typing import Dict, List, Optional, Tuple
 from . import catalog
 from .bracket import closed_value, z_eval
 from .diagram import (Diagram, DiagramError, crossing_kind, path_to_reentry,
-                      replace_kind, reverse_arcs, splice_node, vertex_ports)
+                      replace_kind, reverse_and_splice, splice_node,
+                      vertex_ports)
 from .ring import (A, A_INV, ONE, LaurentPoly, RationalFunc, RF_ONE, RF_ZERO,
                    Terms, _terms, poly_exact_div, rf, rf_from_terms)
 
@@ -110,6 +111,7 @@ def vertex_case(g: Diagram, v: str) -> int:
     _, reentry = path_to_reentry(g, v, p["out_b"])
     return 1 if reentry == p["in_a"] else 2
 
+
 def vertex_reversed_unfold(g: Diagram, v: str) -> Diagram:
     """The other unfolding: reverse the strand piece leaving the vertex's
     1-3 strand until it re-enters the vertex, then smooth.  For a
@@ -117,18 +119,15 @@ def vertex_reversed_unfold(g: Diagram, v: str) -> Diagram:
     it reverses the whole second loop."""
     p = vertex_ports(g, v)
     path, reentry = path_to_reentry(g, v, p["out_b"])
-    if reentry not in (p["in_a"], p["in_b"]):
-        raise DiagramError("strand from vertex %s does not re-enter cleanly" % v)
-    h = reverse_arcs(g, path)
     other_in = p["in_b"] if reentry == p["in_a"] else p["in_a"]
-    return splice_node(h, v, {other_in: reentry, p["out_b"]: p["out_a"]})
+    return reverse_and_splice(g, path, v,
+                              {other_in: reentry, p["out_b"]: p["out_a"]})
 
 
 # --- resolution and evaluation ----------------------------------------------
 
 
 def resolve_vertices(g: Diagram, s: ResolutionScheme) -> FormalSum:
-    g.require_valid()
     if any(k == "CVert" for _, k in g.nodes):
         raise DiagramError(
             "marked vertices present; use the marked evaluation instead")
@@ -177,7 +176,6 @@ def check_spinor(g: Diagram, vertex: Optional[str] = None) -> dict:
     unfold value plus (two loops) or minus (self-intersection) the
     reversed-unfold value.  All values at bracket (Z) level with any
     remaining vertices resolved plainly."""
-    g.require_valid()
     vs = [v for v in g.vertices() if g.kind_of(v) == "Vert"]
     if vertex is None:
         if not vs:
@@ -209,7 +207,6 @@ def casimir_decompose(g: Diagram) -> dict:
     """For a one-vertex graph, compare the Vassiliev-scheme value with
     its expression through the plain and marked evaluations, and check
     that the crossing values are recovered from the two evaluations."""
-    g.require_valid()
     vs = g.vertices()
     if len(vs) != 1 or g.kind_of(vs[0]) != "Vert":
         raise DiagramError("expected exactly one plain vertex")

@@ -42,10 +42,10 @@ class MoveError(DiagramError):
     pass
 
 
-def _fresh_id(d: Diagram, base: str) -> str:
-    ids = set(d.node_ids())
+def _fresh_id(nodes: Dict[str, str], base: str) -> str:
+    """The first of base0, base1, ... that names no node."""
     i = 0
-    while "%s%d" % (base, i) in ids:
+    while "%s%d" % (base, i) in nodes:
         i += 1
     return "%s%d" % (base, i)
 
@@ -82,15 +82,13 @@ def r1_plus(d: Diagram, arc: ArcT, variant: str = "+a") -> Diagram:
     side of the curl."""
     arc = _arc_lookup(d, arc)
     kind, exit_port, lt, lh = KINK_VARIANTS[variant]
-    k = _fresh_id(d, "k")
     nodes = d.node_map()
+    k = _fresh_id(nodes, "k")
     nodes[k] = kind
     arcs = [a for a in d.arcs if a != arc]
     tail, head = arc
     arcs += [(tail, (k, 0)), ((k, exit_port), head), ((k, lt), (k, lh))]
-    out = Diagram.make(nodes, arcs, d.free_loops)
-    out.require_valid()
-    return out
+    return Diagram.make(nodes, arcs, d.free_loops)
 
 
 def find_r1_minus(d: Diagram) -> List[MoveSpec]:
@@ -113,9 +111,7 @@ def r1_minus(d: Diagram, node: str) -> Diagram:
                for (a, p), (b, q) in d.arcs):
         raise MoveError("node %s carries no kink loop" % node)
     p = vertex_ports(d, node)
-    out = splice_node(d, node, {p["in_a"]: p["out_a"], p["in_b"]: p["out_b"]})
-    out.require_valid()
-    return out
+    return splice_node(d, node, {p["in_a"]: p["out_a"], p["in_b"]: p["out_b"]})
 
 
 # --- R2 ---------------------------------------------------------------------
@@ -128,19 +124,17 @@ def r2_plus(d: Diagram, arc1: ArcT, arc2: ArcT) -> Diagram:
     arc2 = _arc_lookup(d, arc2)
     if arc1 == arc2:
         raise MoveError("R2 needs two distinct arcs")
-    x = _fresh_id(d, "x")
     nodes = d.node_map()
+    x = _fresh_id(nodes, "x")
     nodes[x] = "XPos"
-    y = _fresh_id(Diagram.make(nodes, [], 0), "x")
+    y = _fresh_id(nodes, "x")
     nodes[y] = "XNeg"
     t1, h1 = arc1
     t2, h2 = arc2
     arcs = [a for a in d.arcs if a not in (arc1, arc2)]
     arcs += [(t1, (x, 0)), ((x, 2), (y, 0)), ((y, 2), h1),
              (t2, (x, 1)), ((x, 3), (y, 1)), ((y, 3), h2)]
-    out = Diagram.make(nodes, arcs, d.free_loops)
-    out.require_valid()
-    return out
+    return Diagram.make(nodes, arcs, d.free_loops)
 
 
 def find_r2_minus(d: Diagram) -> List[MoveSpec]:
@@ -176,7 +170,6 @@ def r2_minus(d: Diagram, node1: str, node2: str) -> Diagram:
         p = vertex_ports(out, n)
         out = splice_node(out, n, {p["in_a"]: p["out_a"],
                                    p["in_b"]: p["out_b"]})
-    out.require_valid()
     return out
 
 
@@ -299,9 +292,7 @@ def slide(d: Diagram, m: MoveSpec) -> Diagram:
     site = [_arc_lookup(d, arc) for arc in m.site]
     if _slide_label(d.node_map(), site) != m.move:
         raise MoveError("arcs %s form no %s site" % (m.site, m.move))
-    out = Diagram.make(d.node_map(), _swapped(d.arcs, site), d.free_loops)
-    out.require_valid()
-    return out
+    return Diagram.make(d.node_map(), _swapped(d.arcs, site), d.free_loops)
 
 
 # --- dispatch ---------------------------------------------------------------
@@ -325,7 +316,6 @@ def applicable_moves(d: Diagram) -> List[MoveSpec]:
 
 
 def apply_move(d: Diagram, m: MoveSpec) -> Diagram:
-    d.require_valid()
     if m.move == "R1+":
         return r1_plus(d, *m.site)
     if m.move == "R1-":

@@ -112,7 +112,9 @@ def test_check_reidemeister_on_file(dg, capsys):
     ("reidemeister", "braid8", "more than 6 crossings"),
     ("reidemeister", "G_b_cvert", "a marked vertex"),
     ("spinor", "braid8", "no plain vertex"),
-    ("spinor", "G_b_cvert", "no plain vertex")])
+    ("spinor", "G_b_cvert", "no plain vertex"),
+    ("fierz", "trefoil+", "takes no file"),
+    ("projector", "trefoil+", "takes no file")])
 def test_check_refuses_a_file_it_does_not_check(tmp_path, capsys, what, name,
                                                 why):
     d = (catalog.braid_closure(3, [(1, 1), (2, -1)] * 4) if name == "braid8"
@@ -122,6 +124,13 @@ def test_check_refuses_a_file_it_does_not_check(tmp_path, capsys, what, name,
     code, out, err = run(capsys, ["check", what, str(path)])
     assert code == 1 and out == ""
     assert _one_error_line(err) and why in err
+
+
+@pytest.mark.parametrize("what", ["fierz", "projector"])
+def test_check_refuses_a_file_without_reading_it(tmp_path, capsys, what):
+    code, out, err = run(capsys, ["check", what, str(tmp_path / "no.dg")])
+    assert code == 1 and out == ""
+    assert _one_error_line(err) and "takes no file" in err
 
 
 def test_corpus_verb_passes_and_is_deterministic(capsys):

@@ -117,7 +117,8 @@ def _entry(fname, op):
     return ("e | %s | %s | - | 0 | known | note\n" % (fname, op)).encode()
 
 
-# a node whose 0-2 strand has no in-port: parse accepts it, validate not
+# a node whose 0-2 strand has no in-port: every line parses, but the
+# diagram is ill formed
 _BROKEN = b"diagram b\nnode a XPos\narc a.2 -> a.1\n"
 
 _BAD_INPUTS = {       # file name -> bytes, or None for a directory

@@ -17,26 +17,52 @@ def test_validate_accepts_all_catalog_diagrams():
 
 
 def test_validate_rejects_duplicate_port_use():
-    d = Diagram.make({"n": "XPos"},
+    with pytest.raises(DiagramError, match="duplicate port"):
+        Diagram.make({"n": "XPos"},
                      [(("n", 2), ("n", 1)), (("n", 2), ("n", 0))])
-    assert any("duplicate port" in msg for msg in d.validate())
 
 
 def test_validate_rejects_broken_orientation():
     # both ports of the 0-2 strand used as heads
-    d = Diagram.make({"n": "XPos", "m": "XPos"},
+    with pytest.raises(DiagramError, match="orientation"):
+        Diagram.make({"n": "XPos", "m": "XPos"},
                      [(("m", 2), ("n", 0)), (("m", 3), ("n", 2)),
                       (("n", 1), ("m", 0)), (("n", 3), ("m", 1))])
-    assert any("orientation" in msg for msg in d.validate())
 
 
 def test_validate_rejects_unknown_kind_and_bad_port():
-    d = Diagram.make({"n": "Weird"}, [])
-    assert any("unknown kind" in m for m in d.validate())
-    d2 = Diagram.make({"n": "XPos"}, [(("n", 5), ("n", 0)),
-                                      (("n", 2), ("n", 1)),
-                                      (("n", 3), ("n", 4))])
-    assert any("out of range" in m for m in d2.validate())
+    with pytest.raises(DiagramError, match="unknown kind"):
+        Diagram.make({"n": "Weird"}, [])
+    with pytest.raises(DiagramError, match="out of range"):
+        Diagram.make({"n": "XPos"}, [(("n", 5), ("n", 0)),
+                                     (("n", 2), ("n", 1)),
+                                     (("n", 3), ("n", 4))])
+
+
+# the 0-2 strand of a leaves at port 2 and nothing enters it at port 0
+_BROKEN_TEXT = "node a XPos\narc a.2 -> a.1\n"
+
+
+_ILL_FORMED = {
+    "raw": lambda: Diagram((("a", "XPos"),), ((("a", 2), ("a", 1)),)),
+    "make": lambda: Diagram.make({"a": "XPos"}, [(("a", 2), ("a", 1))]),
+    "parse": lambda: parse_diagram(_BROKEN_TEXT),
+    "replace_kind": lambda: replace_kind(catalog.named_diagram("hopf+"),
+                                         "n0", "Weird"),
+}
+
+
+@pytest.mark.parametrize("build", _ILL_FORMED.values(),
+                         ids=_ILL_FORMED.keys())
+def test_every_way_of_building_checks_the_diagram(build):
+    with pytest.raises(DiagramError, match="orientation|unknown kind"):
+        build()
+
+
+def test_require_valid_is_a_no_op():
+    d = catalog.named_diagram("trefoil+")
+    assert d.require_valid() is None
+    assert "validate" in Diagram.__dict__
 
 
 def test_component_counts():

@@ -9,7 +9,7 @@ import pytest
 from conftest import random_vertex_graph
 from knotgraph import catalog
 from knotgraph.bracket import p_eval, z_eval
-from knotgraph.diagram import DiagramError, replace_kind
+from knotgraph.diagram import Diagram, DiagramError, replace_kind, serialize
 from knotgraph.graphinv import (CASIMIR_MARKED, CASIMIR_PLAIN, VASSILIEV,
                                 C1, C2, FormalSum, ResolutionScheme,
                                 casimir_decompose, check_four_term,
@@ -51,6 +51,30 @@ def test_reversed_unfold_is_valid():
             h = vertex_reversed_unfold(g, v)
             assert h.validate() == []
             assert len(h.vertices()) == len(g.vertices()) - 1
+
+
+# (graph, vertex) -> (case, the reversed unfold as diagram text); frozen
+_REVERSED_UNFOLDS = {
+    ("G_a_vertex", "v0"): (1, "loop 1\n"),
+    ("ga_2vert", "v0"): (1, "node v1 Vert\narc v1.0 -> v1.3\n"
+                            "arc v1.1 -> v1.2\n"),
+    ("ga_2vert", "v1"): (1, "node v0 Vert\narc v0.0 -> v0.3\n"
+                            "arc v0.1 -> v0.2\n"),
+    ("G_b_vertex", "n0"): (2, "node n1 XPos\narc n1.1 -> n1.0\n"
+                              "arc n1.2 -> n1.3\n"),
+    ("gb_2vert", "n0"): (2, "node n1 Vert\narc n1.1 -> n1.0\n"
+                            "arc n1.2 -> n1.3\n"),
+    ("gb_2vert", "n1"): (2, "node n0 Vert\narc n0.1 -> n0.0\n"
+                            "arc n0.2 -> n0.3\n"),
+}
+
+
+@pytest.mark.parametrize("name,v", _REVERSED_UNFOLDS)
+def test_reversed_unfold_of_the_reference_graphs(name, v):
+    g = catalog.named_diagram(name)
+    case, text = _REVERSED_UNFOLDS[name, v]
+    assert vertex_case(g, v) == case
+    assert serialize(vertex_reversed_unfold(g, v), "r") == "diagram r\n" + text
 
 
 def test_formal_sum_merges_equal_diagrams():
@@ -116,6 +140,38 @@ def test_local_tables_match_the_resolution_sum():
             fs = resolve_vertices(g, scheme)
             assert eval_graph(g, scheme, level="p") == fs.evaluate(p_eval)
             assert eval_graph(g, scheme, level="z") == fs.evaluate(z_eval)
+
+
+def test_evaluation_does_not_validate_again(monkeypatch):
+    """A Diagram is checked when it is built, so evaluating one checks
+    nothing again."""
+    rng = random.Random(47)
+    graphs = [catalog.named_diagram(n)
+              for n in ("G_a_vertex", "gb_2vert", "flower3")]
+    graphs += [random_vertex_graph(rng) for _ in range(4)]
+    marked = [replace_kind(g, g.vertices()[0], "CVert") for g in graphs]
+    links = [catalog.named_diagram(n)
+             for n in ("trefoil+", "hopf-", "figure-eight", "two-circles")]
+    calls = []
+    validate = Diagram.validate
+
+    def counted(self):
+        calls.append(self)
+        return validate(self)
+
+    monkeypatch.setattr(Diagram, "validate", counted)
+    for d in links:
+        z_eval(d)
+        p_eval(d)
+    for g in graphs:
+        for scheme in SCHEMES:
+            for level in ("p", "z"):
+                eval_graph(g, scheme, level=level)
+    for g in graphs + marked:
+        eval_with_casimir_marks(g)
+    assert calls == []
+    catalog.named_diagram("hopf+")      # the count does see a construction
+    assert len(calls) == 1
 
 
 def test_marked_vertex_matches_its_expansion():

@@ -45,3 +45,25 @@ def test_private_names_stay_in_their_module():
                         and not (node.module == "ring"
                                  and alias.name in KERNEL)]
     assert bad == []
+
+
+# spinnet's tensor diagrams have a validate of their own
+OWN_VALIDATE = {"spinnet.py": "td.validate()"}
+
+
+def test_only_the_diagram_module_checks_diagrams():
+    """A Diagram checks itself when it is built (Diagram.__post_init__
+    runs validate), so every Diagram a module is handed is well formed.
+    A second check elsewhere would only repeat the first, and a consumer
+    that relied on its own check could forget it, so no other module
+    calls require_valid or validate."""
+    bad = []
+    for m in sorted(SRC.glob("*.py")):
+        if m.name == "diagram.py":
+            continue
+        text = m.read_text(encoding="utf-8")
+        own = OWN_VALIDATE.get(m.name)
+        calls = text.count(".validate(") - (text.count(own) if own else 0)
+        if "require_valid(" in text or calls:
+            bad.append(m.name)
+    assert bad == []
