@@ -1,0 +1,106 @@
+"""Alternated A/B runs of the benchmark on two source trees.
+
+    python3 scripts/ab_bench.py BASE NEW --workload links --seed 101 --pairs 10
+
+Each pair runs BASE/perfbench/run.py and NEW/perfbench/run.py once, each
+for BASE/BENCHMARK.json's run_seconds, in a fresh process with its own
+tree as the working directory.  The tree that goes first alternates from
+pair to pair, so neither side always runs on a warmer or a cooler
+machine.  For every end-to-end metric that
+BASE/BENCHMARK.json declares, the script prints each side's median and
+quartiles over the pairs, the ratio of the medians (NEW / BASE), how
+many pairs NEW wins (is better in the metric's own direction), and
+whether NEW's median beats BASE's by more than BASE's interquartile
+distance.  Both trees are only read; each run's results file goes to a
+temporary directory.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import Dict, List
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float,
+             out: Path) -> dict:
+    """One benchmark run of a tree: its last stdout line, a JSON object."""
+    argv = [sys.executable, str(tree / "perfbench" / "run.py"),
+            "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--out", str(out)]
+    done = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise SystemExit("%s exited %d:\n%s" % (" ".join(argv),
+                                                 done.returncode,
+                                                 done.stderr[-2000:]))
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def quartiles(values: List[float]):
+    """(q1, median, q3) as statistics.quantiles(n=4) gives them."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, med, q3 = statistics.quantiles(values, n=4)
+    return q1, med, q3
+
+
+def report(metrics: List[dict], runs: Dict[str, List[dict]]) -> None:
+    print("%-12s %-6s %-28s %-28s %6s %5s %s" % (
+        "metric", "better", "base median [q1, q3]", "new median [q1, q3]",
+        "ratio", "wins", "beats base IQR"))
+    pairs = len(runs["base"])
+    for m in metrics:
+        name, higher = m["name"], m["better"] == "higher"
+        base = [r["metrics"][name]["value"] for r in runs["base"]]
+        new = [r["metrics"][name]["value"] for r in runs["new"]]
+        (b1, bm, b3), (n1, nm, n3) = quartiles(base), quartiles(new)
+        wins = sum((n > b) if higher else (n < b) for b, n in zip(base, new))
+        gain = (nm - bm) if higher else (bm - nm)
+        print("%-12s %-6s %-28s %-28s %6s %2d/%-2d %s" % (
+            name, m["better"], "%.4g [%.4g, %.4g]" % (bm, b1, b3),
+            "%.4g [%.4g, %.4g]" % (nm, n1, n3),
+            "%.3f" % (nm / bm) if bm else "-", wins, pairs,
+            "yes" if gain > b3 - b1 else "no"))
+    for side in ("base", "new"):
+        failed = sum(r["failed"] for r in runs[side])
+        attempted = sum(r["attempted"] for r in runs[side])
+        print("%s: %d of %d items failed" % (side, failed, attempted))
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("base", type=Path, help="the tree to compare against")
+    p.add_argument("new", type=Path, help="the tree with the change")
+    p.add_argument("--workload", required=True)
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--pairs", type=int, required=True)
+    args = p.parse_args(argv)
+    trees = {"base": args.base.resolve(), "new": args.new.resolve()}
+    spec = json.loads((trees["base"] / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
+    print("workload %s, seed %d: %d pairs of %g s runs, first tree "
+          "alternated" % (args.workload, args.seed, args.pairs, seconds))
+    runs: Dict[str, List[dict]] = {"base": [], "new": []}
+    with tempfile.TemporaryDirectory() as tmp:
+        for k in range(args.pairs):
+            sides = ("base", "new") if k % 2 == 0 else ("new", "base")
+            for side in sides:
+                runs[side].append(run_once(
+                    trees[side], args.workload, args.seed, seconds,
+                    Path(tmp) / (side + ".jsonl")))
+            print("pair %d (%s first): items_per_s base %.4g, new %.4g" % (
+                k + 1, sides[0],
+                runs["base"][-1]["metrics"]["items_per_s"]["value"],
+                runs["new"][-1]["metrics"]["items_per_s"]["value"]),
+                flush=True)
+    report(spec["end_to_end"], runs)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

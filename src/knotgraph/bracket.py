@@ -9,11 +9,19 @@ smoothings independently and is the oracle.
 
 A contraction is planned, then run.  The plan fixes the node order and
 gives each open arc a slot, reusing freed ones; a state gives each slot
-its mate slot.  A node's local joins depend only on its table, its port
-roles and which closing ports the state mates, so they are memoised for
-the call and shared by alike nodes, such as a braid's crossings.  The
-joins themselves come from a constant table, built at import, of the 30
-ways an entry's pairing can meet the ports that lead back to the node.
+its mate slot.  One pass over the arcs indexes each node by its place
+in the order, port by port, and records the boundary ends, so each
+step can carry what the run reads a state with: a fixed tuple of the
+node's new slots, getters for the slot each port's strand goes on in
+and for the ports its closing arcs lead back to, and the slots it
+frees.  What a table entry does to a state depends only on the table
+and on which of the node's ports lead back to which.  For the two
+crossing tables it comes from a constant table, built at import, of
+their 20 (table, local links) cases, keyed by the identity of those
+module-lifetime tables; a vertex table is built per call, so its cases
+are memoised for the call.  Both rest on a constant table, built at
+import, of the 30 ways an entry's pairing can meet the ports that lead
+back to the node.
 
 Inside the engine a weight is a term dict of ring's Laurent kernel.
 Bracket values lie in Z[A, A^-1], so the coefficients are ints, and
@@ -44,7 +52,8 @@ import heapq
 import os
 from fractions import Fraction
 from operator import itemgetter
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import (Dict, Iterable, List, Optional, Sequence, Tuple,
+                    Union)
 
 from .diagram import (CROSSING_KINDS, ArcT, Diagram, DiagramError, End,
                       crossing_kind, strand_ports)
@@ -143,30 +152,44 @@ def bracket_naive(d: Diagram) -> LaurentPoly:
 # --- frontier contraction ---------------------------------------------------
 
 
-def _node_order(at: Dict[str, Dict[int, int]], arcs: Sequence[ArcT]) -> List[str]:
-    """Greedy ordering that keeps the number of open arcs small: next comes
-    the node whose absorption grows the frontier least, first in sorted
-    order on ties.  A node's growth counts +1 for each of its arcs that
-    would open and -1 for each it would close; placing a node opens its
-    arcs to the nodes still waiting, so only their growth changes, by -2
-    per shared arc."""
-    growth = {n: sum(1 for ai in set(ports.values())
-                     if not arcs[ai][0][0] == arcs[ai][1][0] == n)
-              for n, ports in at.items()}
-    heap = [(g, n) for n, g in growth.items()]
+def _node_order(nodes: Iterable[str], arcs: Sequence[ArcT]) -> List[str]:
+    """Greedy ordering of the given nodes that keeps the number of open
+    arcs small: next comes the node whose absorption grows the frontier
+    least, first in sorted order on ties.  A node's growth counts +1 for
+    each of its arcs that would open and -1 for each it would close;
+    placing a node opens its arcs to the nodes still waiting, so only
+    their growth changes, by -2 per shared arc.  The nodes are indexed in
+    sorted order and a heap key g * n + i orders by (growth, index)."""
+    ids = sorted(nodes)
+    n = len(ids)
+    num = {node: i for i, node in enumerate(ids)}
+    growth = [0] * n
+    nbrs: List[List[int]] = [[] for _ in ids]
+    for (a, _), (b, _) in arcs:
+        i, j = num.get(a, -1), num.get(b, -1)
+        if i == j:      # a loop at one node, or an arc outside the nodes
+            continue
+        if i >= 0:
+            growth[i] += 1
+            if j >= 0:
+                nbrs[i].append(j)
+                nbrs[j].append(i)
+        if j >= 0:
+            growth[j] += 1
+    heap = [g * n + i for i, g in enumerate(growth)]
     heapq.heapify(heap)
+    placed = [False] * n
     order = []
     while heap:
-        g, n = heapq.heappop(heap)
-        if growth.get(n) != g:      # placed already, or a stale growth
+        g, i = divmod(heapq.heappop(heap), n)
+        if placed[i] or growth[i] != g:     # a stale growth
             continue
-        del growth[n]
-        order.append(n)
-        for ai in set(at[n].values()):
-            for m, _ in arcs[ai]:
-                if m in growth:
-                    growth[m] -= 2
-                    heapq.heappush(heap, (growth[m], m))
+        placed[i] = True
+        order.append(ids[i])
+        for j in nbrs[i]:
+            if not placed[j]:
+                growth[j] -= 2
+                heapq.heappush(heap, growth[j] * n + j)
     return order
 
 
@@ -214,100 +237,137 @@ _MATCHINGS = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
 # ten ways (some part of a perfect matching), and a table entry is one of
 # the three perfect matchings.  A key outside these (a corrupt state)
 # raises KeyError.
+_LINKS = tuple(sorted({_links(part) for m in _MATCHINGS
+                       for part in ((), m[:1], m[1:], m)}))
 _JOINS = {(links, pair1, pair2): _join(links, pair1, pair2)
-          for links in {_links(part) for m in _MATCHINGS
-                        for part in ((), m[:1], m[1:], m)}
-          for pair1, pair2 in _MATCHINGS}
+          for links in _LINKS for pair1, pair2 in _MATCHINGS}
 
 
-def _plan(at: Dict[str, Dict[int, int]], arcs: Sequence[ArcT]
-          ) -> Tuple[List[tuple], Dict[int, int], int]:
+def _entries(table: Table, links: Tuple[int, ...]
+             ) -> Tuple[Tuple[Tuple[Pair, ...], Weight], ...]:
+    """What each entry of a node's table does to a state whose ports lead
+    back along links: the outward ports it joins and its weight times
+    LOOP^k for the k loops it closes, as kernel terms."""
+    found = []
+    for pair1, pair2, w in table:
+        joins, k = _JOINS[links, pair1, pair2]
+        factor = dict(w)
+        for _ in range(k):
+            factor = _times(factor, _LOOP)
+        found.append((joins, tuple(factor.items())))
+    return tuple(found)
+
+
+# The entries of both crossing tables for each of the ten ways their
+# ports can lead back, keyed by the identity of the table: these tables
+# live as long as the module, so no other table shares their identity.
+_CROSSING_JOINS = {id(table): {links: _entries(table, links)
+                               for links in _LINKS}
+                   for table in CROSSING_TABLES.values()}
+
+
+def _plan(nodes: Iterable[str], arcs: Sequence[ArcT]
+          ) -> Tuple[List[tuple], Dict[int, End], int]:
     """The order of _node_order and a slot for each open arc: a closing arc
-    frees its slot, an opening arc takes a freed slot first.  A step is
-    (node, closing port -> slot, opening port -> slot, self-loop port
-    pairs, frontier width after it).  Also returns the slots of the arcs
-    left open (the boundary) and the number of slots."""
-    slot_of: Dict[int, int] = {}
+    frees its slot, an opening arc takes a freed slot first.
+
+    A state holds each slot's mate slot (-1 for a free slot), and a step
+    reads it through ext = fixed + state.  A step is (node, fixed,
+    mates_of, port_at, dest_of, cleared, frontier width after it):
+    fixed[p] is port p's new slot if its arc opens, -2 - q if it is a
+    self-loop to port q, else -1, and fixed[4] = -1; mates_of(ext) gives
+    each closing port's mate slot (fixed[p] for a self-loop port, -1 for
+    an opening one), and port_at maps such a value to the port it leads
+    back to (-1 if none); dest_of(ext) gives each port the slot its
+    strand goes on in: an opening port's new slot, a closing port's mate;
+    cleared holds the slots freed and not taken again.  Also returns the
+    boundary end of each slot left open and the number of slots."""
+    order = _node_order(nodes, arcs)
+    pos = {node: i for i, node in enumerate(order)}
+    # at[4 * i + p]: (arc, step of its other end or -1, other end's port)
+    # for port p of the i-th node
+    at: List[Optional[tuple]] = [None] * (4 * len(order))
+    boundary: Dict[int, End] = {}
+    for ai, ((a, ap), (b, bp)) in enumerate(arcs):
+        i, j = pos.get(a, -1), pos.get(b, -1)
+        if i >= 0:
+            at[4 * i + ap] = (ai, j, bp)
+            if j < 0:
+                boundary[ai] = (b, bp)
+        if j >= 0:
+            at[4 * j + bp] = (ai, i, ap)
+            if i < 0:
+                boundary[ai] = (a, ap)
+    held: Dict[int, int] = {}       # open arc -> slot
     free: List[int] = []
     steps = []
-    for node in _node_order(at, arcs):
-        closing, fresh, loops = {}, [], []
-        for p, ai in sorted(at[node].items()):
-            (a, ap), (b, bp) = arcs[ai]
-            if a == b == node:
-                loops.append((p, bp if p == ap else ap))
-            elif ai in slot_of:
-                closing[p] = slot_of.pop(ai)
+    for i, node in enumerate(order):
+        fixed = [-1] * 5
+        dest_ix, mate_ix = [0, 1, 2, 3], [4] * 4
+        port_at = [-1] * (len(held) + len(free)) + [3, 2, 1, 0, -1]
+        kept, fresh = len(free), []
+        for p in range(4):
+            if at[4 * i + p] is None:
+                continue
+            ai, j, q = at[4 * i + p]
+            if j == i:
+                fixed[p] = -2 - q
+                mate_ix[p] = p
+            elif 0 <= j < i:
+                s = held.pop(ai)
+                dest_ix[p] = mate_ix[p] = 5 + s
+                port_at[s] = p
+                free.append(s)
             else:
                 fresh.append((p, ai))
-        free += closing.values()
-        opening = {}
         for p, ai in fresh:
-            slot_of[ai] = opening[p] = free.pop() if free else len(slot_of)
-        steps.append((node, closing, opening, tuple(loops), len(slot_of)))
-    return steps, slot_of, len(slot_of) + len(free)
+            held[ai] = fixed[p] = free.pop() if free else len(held)
+        # the slots this step freed and no opening arc took
+        cleared = tuple(free[kept:])
+        steps.append((node, tuple(fixed), itemgetter(*mate_ix), port_at,
+                      itemgetter(*dest_ix), cleared, len(held)))
+    return (steps, {s: boundary[ai] for ai, s in held.items()},
+            len(held) + len(free))
 
 
 def _state_sum(tables: Dict[str, Table], arcs: Sequence[ArcT]
-               ) -> Tuple[Dict[Tuple[Pair, ...], Terms], Dict[int, End]]:
-    """Run the plan: the nonzero state weights, keyed by the sorted pairs
-    of boundary arcs that each state joins, and each boundary arc's end
-    outside the tables."""
-    at: Dict[str, Dict[int, int]] = {n: {} for n in tables}
-    for ai, arc in enumerate(arcs):
-        for n, p in arc:
-            if n in at:
-                at[n][p] = ai
-    boundary = {ai: end for ai, arc in enumerate(arcs)
-                for end in arc if end[0] not in at}
-    steps, last, width = _plan(at, arcs)
-    memo: Dict[tuple, dict] = {}
+               ) -> Dict[frozenset, Terms]:
+    """Run the plan: the nonzero state weights, keyed by the pairs of
+    boundary ends that each state joins."""
+    steps, ends, width = _plan(tables, arcs)
+    memo: Dict[int, dict] = {}
     states: Dict[Tuple[int, ...], Terms] = {(-1,) * width: {0: 1}}
-    for node, closing, opening, loops, _ in steps:
+    for node, fixed, mates_of, port_at, dest_of, cleared, _ in steps:
         table = tables[node]
-        moves = memo.setdefault((id(table), tuple(closing), loops), {})
-        # In ext = fixed + state, dest_of gives each closing port its mate
-        # and each opening port its new slot; mates_of (other ports read
-        # fixed[4] = -1) and port_at give the closing port each is mated to.
-        fixed, dest_ix, mate_ix = [-1] * 5, [0, 1, 2, 3], [4] * 4
-        port_at = [-1] * (width + 1)
-        for p, s in opening.items():
-            fixed[p] = s
-        for p, s in closing.items():
-            dest_ix[p] = mate_ix[p] = 5 + s
-            port_at[s] = p
-        fixed = tuple(fixed)
-        dest_of, mates_of = itemgetter(*dest_ix), itemgetter(*mate_ix)
-        cleared = set(closing.values()).difference(fixed)
+        cases = _CROSSING_JOINS.get(id(table))
+        if cases is None:
+            cases = memo.setdefault(id(table), {})
+        port_of = port_at.__getitem__
         new_states: Dict[Tuple[int, ...], Terms] = {}
         for state, weight in states.items():
             ext = fixed + state
-            mated = tuple(map(port_at.__getitem__, mates_of(ext)))
-            found = moves.get(mated)
+            links = tuple(map(port_of, mates_of(ext)))
+            found = cases.get(links)
             if found is None:
-                links = list(mated)     # the port each port leads back to
-                for p, q in loops:
-                    links[p] = q
-                links = tuple(links)
-                found = moves[mated] = []
-                for pair1, pair2, w in table:
-                    joins, k = _JOINS[links, pair1, pair2]
-                    factor = dict(w)        # w * LOOP^k
-                    for _ in range(k):
-                        factor = _times(factor, _LOOP)
-                    found.append((joins, tuple(factor.items())))
+                found = cases[links] = _entries(table, links)
             dest = dest_of(ext)
             wterms = weight.items()
+            base = list(state)
+            for s in cleared:
+                base[s] = -1
             for joins, factor in found:
-                new = list(state)
-                for s in cleared:
-                    new[s] = -1
+                new = base[:]
                 for p, q in joins:
                     a, b = dest[p], dest[q]
                     new[a], new[b] = b, a
                 key = tuple(new)
                 target = new_states.get(key)
                 if target is None:
+                    if len(factor) == 1:
+                        (e2, c2), = factor
+                        new_states[key] = {e1 + e2: c1 * c2
+                                           for e1, c1 in wterms}
+                        continue
                     target = new_states[key] = {}
                 for e2, c2 in factor:
                     for e1, c1 in wterms:
@@ -319,23 +379,21 @@ def _state_sum(tables: Dict[str, Table], arcs: Sequence[ArcT]
                 terms = {e: c for e, c in terms.items() if c}
             if terms:
                 states[key] = terms
-    arc_at = {s: ai for ai, s in last.items()}
-    return {tuple(sorted(tuple(sorted((arc_at[s], arc_at[t])))
-                         for s, t in enumerate(state) if s < t)): terms
-            for state, terms in states.items()}, boundary
+    return {frozenset(frozenset((ends[s], ends[t]))
+                      for s, t in enumerate(state) if s < t): terms
+            for state, terms in states.items()}
 
 
 def contract(tables: Dict[str, Table],
              arcs: Sequence[ArcT]) -> Dict[frozenset, LaurentPoly]:
     """State sum of the tangle whose nodes are the keys of tables, by
-    memoised frontier contraction.  A table entry (pair1, pair2, weight)
-    joins the node's ports along both pairings.  Every port of a table
-    node lies on an arc; an arc end at a node outside the tables is a
-    boundary end.  Returns the nonzero weights by boundary pairing (a
-    frozenset of two-end frozensets; empty for a closed diagram)."""
-    states, boundary = _state_sum(tables, arcs)
-    return {frozenset(frozenset((boundary[a], boundary[b])) for a, b in key):
-            LaurentPoly.from_dict(terms) for key, terms in states.items()}
+    frontier contraction.  A table entry (pair1, pair2, weight) joins the
+    node's ports along both pairings.  Every port of a table node lies on
+    an arc; an arc end at a node outside the tables is a boundary end.
+    Returns the nonzero weights by boundary pairing (a frozenset of
+    two-end frozensets; empty for a closed diagram)."""
+    return {key: LaurentPoly.from_dict(terms)
+            for key, terms in _state_sum(tables, arcs).items()}
 
 
 def _vertex_table(ports: Dict[str, int], a: Terms, b: Terms, c: Terms,
@@ -366,8 +424,7 @@ def closed_value(d: Diagram, schemes: Dict[str, Tuple[Terms, ...]],
     state sum times LOOP^free_loops with one loop divided out, times
     (-1)^(components - 1 + w).  Raises DiagramError for a node of any
     other kind, then above the node cap or for an empty diagram."""
-    ins = (d.port_roles()[1] if any(k in schemes for _, k in d.nodes)
-           else None)
+    ins = d.in_ports() if any(k in schemes for _, k in d.nodes) else None
     tables: Dict[str, Table] = {}
     den: Terms = {0: 1}
     for i, kind in d.nodes:
@@ -384,7 +441,7 @@ def closed_value(d: Diagram, schemes: Dict[str, Tuple[Terms, ...]],
                                                       + tuple(schemes))))
     components, writhe = d.components(), d.writhe()
     _check_size(d, components)
-    total = _state_sum(tables, d.arcs)[0].get((), {})
+    total = _state_sum(tables, d.arcs).get(frozenset(), {})
     for _ in range(d.free_loops):
         total = _times(total, _LOOP)
     total = _exact_div(total, _LOOP)

@@ -76,10 +76,17 @@ class Diagram:
 
     # --- port bookkeeping
 
+    def out_ports(self) -> Dict[End, ArcT]:
+        """Maps out-port -> arc."""
+        return {arc[0]: arc for arc in self.arcs}
+
+    def in_ports(self) -> Dict[End, ArcT]:
+        """Maps in-port -> arc."""
+        return {arc[1]: arc for arc in self.arcs}
+
     def port_roles(self) -> Tuple[Dict[End, ArcT], Dict[End, ArcT]]:
         """Maps out-port -> arc and in-port -> arc."""
-        return ({arc[0]: arc for arc in self.arcs},
-                {arc[1]: arc for arc in self.arcs})
+        return self.out_ports(), self.in_ports()
 
     # --- validation
 
@@ -141,13 +148,13 @@ class Diagram:
         return _sign(self.kind_of(node), vertex_ports(self, node))
 
     def writhe(self) -> int:
-        _, ins = self.port_roles()
+        ins = self.in_ports()
         return sum(_sign(k, strand_ports(ins, i)) for i, k in self.nodes)
 
     def trace_components(self) -> List[List[ArcT]]:
         """Closed oriented loops through nodes, as arc lists (free loops
         excluded)."""
-        outs = self.port_roles()[0]
+        outs = self.out_ports()
         seen: Set[ArcT] = set()
         comps: List[List[ArcT]] = []
         for start in self.arcs:
@@ -403,11 +410,11 @@ def reverse_and_splice(d: Diagram, piece: Iterable[ArcT], node: str,
 def vertex_ports(d: Diagram, node: str) -> Dict[str, int]:
     """The in/out ports of the two strands through a node: keys in_a,
     out_a (the 0-2 strand) and in_b, out_b (the 1-3 strand)."""
-    return strand_ports(d.port_roles()[1], node)
+    return strand_ports(d.in_ports(), node)
 
 
 def strand_ports(ins: Dict[End, ArcT], node: str) -> Dict[str, int]:
-    """vertex_ports read off the in-port map of Diagram.port_roles, so
+    """vertex_ports read off the in-port map of Diagram.in_ports, so
     that one pass serves every node."""
     in_a = 0 if (node, 0) in ins else 2
     in_b = 1 if (node, 1) in ins else 3
@@ -433,7 +440,7 @@ def _sign(kind: str, ports: Dict[str, int]) -> int:
 def path_to_reentry(d: Diagram, node: str, out_port: int):
     """Arcs followed from a node's out-port until the strand re-enters the
     same node; returns (arcs, re-entry port)."""
-    outs, _ = d.port_roles()
+    outs = d.out_ports()
     path = []
     arc = outs[(node, out_port)]
     while True:

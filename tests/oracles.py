@@ -1,0 +1,111 @@
+"""Independent values for links far above bracket_naive's reach.
+
+Each oracle reads only a diagram or a pair of numbers, never the
+contraction engine, so it checks the engine at any size:
+
+- torus_jones: Jones's closed form for the torus knot T(p, q),
+  V = t^((p-1)(q-1)/2) (1 - t^(p+1) - t^(q+1) + t^(p+q)) / (1 - t^2)
+  (Jones, Annals of Math. 126, 1987), written in A with t = A^-4, the
+  substitution under which it equals p_eval of a positive braid_closure
+  word.
+- fox_determinant: the determinant of a link, the absolute value of a
+  first minor of its Fox colouring matrix (Lickorish, "An Introduction
+  to Knot Theory", 1997).  It equals |V(-1)|, that is |P(zeta)| for
+  zeta = e^(i pi / 4), which value_at_zeta_squared gives exactly.
+"""
+
+from typing import Dict, List
+
+from knotgraph.diagram import Diagram
+from knotgraph.ring import LaurentPoly
+
+
+def torus_jones(p: int, q: int) -> LaurentPoly:
+    """Jones's closed form for T(p, q), p and q coprime, with t = A^-4."""
+    top = p + q
+    num = [0] * (top + 1)           # 1 - t^(p+1) - t^(q+1) + t^(p+q)
+    num[0] += 1
+    num[p + 1] -= 1
+    num[q + 1] -= 1
+    num[top] += 1
+    quot = [0] * (top - 1)          # num / (1 - t^2): q_k = n_k + q_(k-2)
+    for k in range(top - 1):
+        quot[k] = num[k] + (quot[k - 2] if k >= 2 else 0)
+    assert num[top - 1] + quot[top - 3] == 0 and num[top] + quot[top - 2] == 0
+    shift = (p - 1) * (q - 1) // 2
+    return LaurentPoly.from_dict({-4 * (k + shift): c
+                                  for k, c in enumerate(quot) if c})
+
+
+def value_at_zeta_squared(poly: LaurentPoly) -> int:
+    """|P(zeta)|^2 for zeta = e^(i pi / 4).  A link's P has only even
+    powers of A, so P(zeta) = X + iY with zeta^2 = i and X, Y integers."""
+    parts = [0, 0, 0, 0]            # coefficients of 1, i, -1, -i
+    for e, c in poly.as_dict().items():
+        assert e % 2 == 0 and c.denominator == 1, "not a link's value"
+        parts[(e // 2) % 4] += int(c)
+    x, y = parts[0] - parts[2], parts[1] - parts[3]
+    return x * x + y * y
+
+
+def _bareiss(rows: List[List[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free elimination."""
+    m = [row[:] for row in rows]
+    n, sign, prev = len(m), 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if m[r][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1] if n else 1
+
+
+def fox_determinant(d: Diagram) -> int:
+    """The determinant of a link diagram without vertices.  Its Wirtinger
+    arcs run from one under-passage to the next; crossing x gives the row
+    2 over - under-in - under-out.  A free loop, or a component that never
+    passes under, can be lifted off the rest: the link is split and its
+    determinant is 0."""
+    if d.free_loops:
+        return 0 if d.nodes or d.free_loops > 1 else 1
+    ins, outs = d.in_ports(), d.out_ports()
+    index = {arc: i for i, arc in enumerate(d.arcs)}
+    parent = list(range(len(d.arcs)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    rows = []
+    for x, kind in d.nodes:
+        over = (0, 2) if kind == "XPos" else (1, 3)
+        under = (1, 3) if kind == "XPos" else (0, 2)
+        over_in = over[0] if (x, over[0]) in ins else over[1]
+        under_in = under[0] if (x, under[0]) in ins else under[1]
+        # the over strand continues one Wirtinger arc through x
+        a = find(index[ins[(x, over_in)]])
+        b = find(index[outs[(x, (over_in + 2) % 4)]])
+        parent[a] = b
+        rows.append((ins[(x, over_in)], ins[(x, under_in)],
+                     outs[(x, (under_in + 2) % 4)]))
+    column: Dict[int, int] = {}
+    for i in range(len(d.arcs)):
+        column.setdefault(find(i), len(column))
+    if len(column) != len(rows):
+        return 0
+    matrix = []
+    for over, under_in, under_out in rows:
+        row = [0] * len(column)
+        row[column[find(index[over])]] += 2
+        row[column[find(index[under_in])]] -= 1
+        row[column[find(index[under_out])]] -= 1
+        matrix.append(row[:-1])
+    return abs(_bareiss(matrix[:-1]))

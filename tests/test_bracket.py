@@ -14,7 +14,7 @@ from knotgraph.bracket import (CROSSING_TABLES, bracket_naive, contract,
                                max_crossings, p_eval, z_eval)
 from knotgraph.bracket import _node_order, _plan, _sign_correction
 from knotgraph.diagram import (Diagram, DiagramError, disjoint_union,
-                               replace_kind)
+                               replace_kind, vertex_ports)
 from knotgraph.graphinv import (CASIMIR_PLAIN, VASSILIEV, ResolutionScheme,
                                 eval_graph, vertex_to_crossing, vertex_unfold)
 from knotgraph.moves import KINK_VARIANTS, r1_plus
@@ -313,7 +313,8 @@ def test_plan_gives_each_open_arc_its_own_slot():
     tangles: a closing port frees the slot its arc holds, an opening port
     takes a slot no open arc holds, the recorded width is the number of
     open arcs, and there are no more slots than the widest frontier
-    needs."""
+    needs.  A step's getters read what its fixed tuple and port map say,
+    and it clears exactly the freed slots no opening port takes."""
     rng = random.Random(20)
     cases = []
     for _ in range(20):
@@ -322,13 +323,25 @@ def test_plan_gives_each_open_arc_its_own_slot():
         cases += _graph_and_tangles(rng)
     for nodes, arcs in cases:
         at = _ports_at(nodes, arcs)
-        steps, last, width = _plan(at, arcs)
+        steps, ends, width = _plan(at, arcs)
         assert [step[0] for step in steps] == _node_order(at, arcs)
         held, placed, widths = {}, set(), []
-        for node, closing, opening, loops, w in steps:
+        probe = tuple(range(5 + width))
+        for node, fixed, mates_of, port_at, dest_of, cleared, w in steps:
             placed.add(node)
+            closing = {p: s for s, p in enumerate(port_at[:-5]) if p >= 0}
+            opening = {p: fixed[p] for p in range(4) if fixed[p] >= 0}
+            loops = [(p, -2 - fixed[p]) for p in range(4) if fixed[p] < -1]
+            assert port_at[-5:] == [3, 2, 1, 0, -1] and fixed[4] == -1
+            for p in range(4):
+                s = closing.get(p)
+                assert dest_of(probe)[p] == (p if s is None else 5 + s)
+                assert mates_of(probe)[p] == (
+                    5 + s if s is not None else p if fixed[p] < -1 else 4)
             for p, s in closing.items():
                 assert held.pop(at[node][p]) == s
+            assert set(cleared) == (set(closing.values())
+                                    - set(opening.values()))
             for p, s in opening.items():
                 assert 0 <= s < width and s not in held.values()
                 held[at[node][p]] = s
@@ -339,7 +352,8 @@ def test_plan_gives_each_open_arc_its_own_slot():
                          if (a in placed) != (b in placed)]
             assert sorted(held) == open_arcs and w == len(open_arcs)
             widths.append(w)
-        assert last == held
+        assert ends == {s: next(end for end in arcs[ai] if end[0] not in at)
+                        for ai, s in held.items()}
         assert width == max(widths, default=0)
 
 
@@ -374,3 +388,63 @@ def test_join_table_has_every_local_state_and_no_other():
     assert bracket._JOINS[(1, 0, 3, 2), (0, 3), (1, 2)] == ((), 1)
     with pytest.raises(KeyError):
         bracket._JOINS[(1, -1, -1, -1), (0, 1), (2, 3)]
+
+
+def test_crossing_joins_are_computed_at_import_for_every_local_state():
+    """The constant table holds, for both crossing tables and each of the
+    ten ways their ports can lead back, what _join and the ring give on
+    the fly: the joined ports and the entry's weight times LOOP^k."""
+    assert set(bracket._CROSSING_JOINS) == {id(t) for t in
+                                            CROSSING_TABLES.values()}
+    all_links = {links for links, _, _ in bracket._JOINS}
+    for table in CROSSING_TABLES.values():
+        joins = bracket._CROSSING_JOINS[id(table)]
+        assert set(joins) == all_links and len(all_links) == 10
+        for links, found in joins.items():
+            expect = []
+            for pair1, pair2, w in table:
+                outward, k = bracket._join(links, pair1, pair2)
+                weight = LaurentPoly.from_dict(dict(w)) * LOOP ** k
+                expect.append((outward, weight))
+            got = [(o, LaurentPoly.from_dict(dict(f))) for o, f in found]
+            assert got == expect
+
+
+def test_a_vertex_table_equal_to_a_crossing_table_gives_its_value():
+    """A vertex table is built per call and read through the per-call
+    memo; one whose entries equal a crossing's table (the vertex taken as
+    that crossing alone) contracts to the crossing's value, so keying the
+    constant joins by table identity mixes nothing up."""
+    rng = random.Random(22)
+    for _ in range(15):
+        d = _kinked_or_looped(rng)
+        tables = {i: CROSSING_TABLES[k] for i, k in d.nodes}
+        expect = contract(tables, d.arcs)
+        for i, k in d.nodes[::2]:
+            alone = {0: -1}     # the table's entries carry a factor -1
+            a, b = (alone, {}) if d.crossing_sign(i) == 1 else ({}, alone)
+            table = bracket._vertex_table(vertex_ports(d, i), a, b, {}, "z")
+            assert (table is not CROSSING_TABLES[k]
+                    and sorted(table) == sorted(CROSSING_TABLES[k]))
+            tables[i] = table
+        assert contract(tables, d.arcs) == expect
+
+
+def test_z_eval_builds_each_port_map_at_most_once(monkeypatch):
+    """The components read only the out-port map and the writhe only the
+    in-port map, so one z_eval builds each of them once."""
+    rng = random.Random(23)
+    links = [_kinked_or_looped(rng) for _ in range(10)]
+    links.append(catalog.named_diagram("trefoil+"))
+    built = []
+    for name in ("out_ports", "in_ports"):
+        method = getattr(Diagram, name)
+
+        def counted(self, name=name, method=method):
+            built.append(name)
+            return method(self)
+        monkeypatch.setattr(Diagram, name, counted)
+    for d in links:
+        built.clear()
+        z_eval(d)
+        assert built and len(built) == len(set(built))
