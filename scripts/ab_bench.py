@@ -13,6 +13,12 @@ many pairs NEW wins (is better in the metric's own direction), and
 whether NEW's median beats BASE's by more than BASE's interquartile
 distance.  Both trees are only read; each run's results file goes to a
 temporary directory.  Standard library only.
+
+The script refuses two trees whose sets of *.pyc files under src/
+differ: where PYTHONDONTWRITEBYTECODE=1 is set, a bytecode cache on one
+side only makes that side's imports and child processes faster and
+skews the comparison.  Compare trees with no __pycache__ under src/, or
+with both compiled.
 """
 
 from __future__ import annotations
@@ -39,6 +45,11 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float,
                                                  done.returncode,
                                                  done.stderr[-2000:]))
     return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def bytecode(tree: Path) -> set:
+    """The *.pyc files under tree/src, as paths relative to tree."""
+    return {str(p.relative_to(tree)) for p in (tree / "src").rglob("*.pyc")}
 
 
 def quartiles(values: List[float]):
@@ -81,6 +92,12 @@ def main(argv=None) -> int:
     p.add_argument("--pairs", type=int, required=True)
     args = p.parse_args(argv)
     trees = {"base": args.base.resolve(), "new": args.new.resolve()}
+    only = sorted(bytecode(trees["base"]) ^ bytecode(trees["new"]))
+    if only:
+        raise SystemExit(
+            "refusing to compare: %d *.pyc file(s) under src/ are in one "
+            "tree only (%s); remove every __pycache__ under src/ in both "
+            "trees, or compile both" % (len(only), only[0]))
     spec = json.loads((trees["base"] / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     print("workload %s, seed %d: %d pairs of %g s runs, first tree "

@@ -12,9 +12,13 @@ contraction engine, so it checks the engine at any size:
   first minor of its Fox colouring matrix (Lickorish, "An Introduction
   to Knot Theory", 1997).  It equals |V(-1)|, that is |P(zeta)| for
   zeta = e^(i pi / 4), which value_at_zeta_squared gives exactly.
+- polyak_viro_c2: the second coefficient c2 of the Conway polynomial of
+  a knot by the Polyak-Viro Gauss-diagram formula (Polyak and Viro,
+  IMRN 1994 no. 11), read off gauss_code.  With A = exp(h), the h^2
+  coefficient of the knot's P is -48 c2.
 """
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from knotgraph.diagram import Diagram
 from knotgraph.ring import LaurentPoly
@@ -109,3 +113,26 @@ def fox_determinant(d: Diagram) -> int:
         row[column[find(index[under_out])]] -= 1
         matrix.append(row[:-1])
     return abs(_bareiss(matrix[:-1]))
+
+
+def gauss_code(d: Diagram) -> List[Tuple[str, bool]]:
+    """The crossings of a knot diagram in the order its strand meets them
+    from the head of its first arc, each as (node, passes over)."""
+    outs, kinds = d.out_ports(), d.node_map()
+    code = []
+    arc = d.arcs[0]
+    for _ in d.arcs:
+        x, p = arc[1]
+        code.append((x, (p % 2 == 0) == (kinds[x] == "XPos")))
+        arc = outs[(x, (p + 2) % 4)]
+    assert arc == d.arcs[0], "not a knot"
+    return code
+
+
+def polyak_viro_c2(code: List[Tuple[str, bool]], sign: Dict[str, int]) -> int:
+    """The sum of sign[a] * sign[b] over the pairs of crossings that the
+    code meets in the order a under, b over, a over, b under."""
+    under = {x: i for i, (x, over) in enumerate(code) if not over}
+    over = {x: i for i, (x, over) in enumerate(code) if over}
+    return sum(sign[a] * sign[b] for a in under for b in under
+               if under[a] < over[b] < over[a] < under[b])

@@ -2,6 +2,7 @@
 between the naive and the dynamic-programming evaluators."""
 
 import random
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -187,9 +188,30 @@ def test_loop_division_rejects_non_multiples():
             _exact_div(bad, _LOOP)
 
 
+def _last_reached(at, arcs):
+    """The last node that a breadth-first search from the first node in
+    sorted order reaches, taking each node's neighbours in arc order."""
+    nbrs = {n: [] for n in at}
+    for (a, _), (b, _) in arcs:
+        if a != b and a in at and b in at:
+            nbrs[a].append(b)
+            nbrs[b].append(a)
+    queue = deque(sorted(at)[:1])
+    seen = set(queue)
+    last = None
+    while queue:
+        last = queue.popleft()
+        for m in nbrs[last]:
+            if m not in seen:
+                seen.add(m)
+                queue.append(m)
+    return last
+
+
 def _greedy_order(at, arcs):
-    """The node order recomputed from scratch at every step: each waiting
-    node's growth is summed over its arcs again."""
+    """The node order recomputed from scratch at every step: it starts at
+    _last_reached, then each waiting node's growth is summed over its arcs
+    again."""
     remaining = sorted(at)
     processed = set()
     open_arcs = set()
@@ -200,7 +222,7 @@ def _greedy_order(at, arcs):
                    if not arcs[ai][0][0] == arcs[ai][1][0] == n)
 
     while remaining:
-        best = min(remaining, key=growth)
+        best = min(remaining, key=growth) if order else _last_reached(at, arcs)
         order.append(best)
         remaining.remove(best)
         processed.add(best)
@@ -248,6 +270,17 @@ def test_incremental_order_matches_greedy_oracle():
         cases.append((d.node_ids(), d.arcs))
     for _ in range(40):
         cases += _graph_and_tangles(rng)
+    # split links: the search from node 0 never leaves its own part
+    for _ in range(10):
+        d = disjoint_union(random_braid_link(rng, 6, 4),
+                           random_braid_link(rng, 6, 4))
+        cases.append((d.node_ids(), d.arcs))
+    # one node: kinks, a vertex with a petal, and a crossing of the Hopf
+    # link whose four arcs lead to the boundary
+    for name in ("kink+", "kink-", "G_a_vertex"):
+        d = catalog.named_diagram(name)
+        cases.append((d.node_ids(), d.arcs))
+    cases.append((["n0"], catalog.named_diagram("hopf+").arcs))
     for nodes, arcs in cases:
         at = _ports_at(nodes, arcs)
         assert _node_order(at, arcs) == _greedy_order(at, arcs)
@@ -448,3 +481,39 @@ def test_z_eval_builds_each_port_map_at_most_once(monkeypatch):
         built.clear()
         z_eval(d)
         assert built and len(built) == len(set(built))
+
+
+def test_p_eval_reads_the_writhe_and_the_components_once(monkeypatch):
+    rng = random.Random(31)
+    links = [_kinked_or_looped(rng) for _ in range(5)]
+    links.append(catalog.named_diagram("trefoil+"))
+    calls = []
+    for name in ("writhe", "components"):
+        method = getattr(Diagram, name)
+
+        def counted(self, name=name, method=method):
+            calls.append(name)
+            return method(self)
+        monkeypatch.setattr(Diagram, name, counted)
+    for d in links:
+        calls.clear()
+        p_eval(d)
+        assert sorted(calls) == ["components", "writhe"]
+
+
+def test_a_cancelled_coefficient_leaves_no_zero_entry(monkeypatch):
+    """Closing a loop onto a weight of several terms can cancel a
+    coefficient where no other state meets it.  Node a weighs A^2 - A^-2
+    and node b weighs 1; their shared loop gives (A^2 - A^-2)(-A^2 -
+    A^-2) = A^-4 - A^4 in either order, and kernel terms hold no zero."""
+    tables = {"a": (((0, 1), (2, 3), ((2, 1), (-2, -1))),),
+              "b": (((0, 1), (2, 3), ((0, 1),)),)}
+    arcs = [(("a", 0), ("b", 0)), (("b", 1), ("a", 1)),
+            (("a", 2), ("x", 0)), (("x", 1), ("a", 3)),
+            (("b", 2), ("y", 0)), (("y", 1), ("b", 3))]
+    key = frozenset({frozenset({("x", 0), ("x", 1)}),
+                     frozenset({("y", 0), ("y", 1)})})
+    for order in (["a", "b"], ["b", "a"]):
+        monkeypatch.setattr(bracket, "_node_order",
+                            lambda nodes, arcs, order=order: order)
+        assert bracket._state_sum(tables, arcs) == {key: {4: -1, -4: 1}}

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import random_braid_link
+from conftest import random_braid_link, random_vertex_graph
 from knotgraph import catalog
 from knotgraph.diagram import (Diagram, DiagramError, disjoint_union, parse,
                                parse_diagram, replace_kind, serialize,
@@ -81,6 +81,25 @@ def test_writhe_values():
     assert catalog.named_diagram("kink-").writhe() == -1
     assert catalog.named_diagram("hopf+").writhe() == 2
     assert catalog.named_diagram("hopf-").writhe() == -2
+
+
+def test_writhe_is_the_sum_of_the_crossing_signs():
+    """writhe reads the in-port ends once; crossing_sign takes the strand
+    ports of vertex_ports.  They agree on links, their mirrors and their
+    component reversals, and on vertex graphs, where a vertex adds 0."""
+    rng = random.Random(29)
+    diagrams = []
+    for _ in range(40):
+        d = random_braid_link(rng, 12, 5)
+        diagrams += [d, d.mirror()]
+        diagrams += [d.reverse_component(i)
+                     for i in range(len(d.trace_components()))]
+    diagrams += [random_vertex_graph(rng, rng.randint(0, 3))
+                 for _ in range(20)]
+    diagrams += [catalog.named_diagram(name) for name in catalog.NAMES]
+    assert any(d.vertices() for d in diagrams)
+    for d in diagrams:
+        assert d.writhe() == sum(d.crossing_sign(i) for i in d.node_ids())
 
 
 def test_mirror_flips_writhe_and_is_involutive():

@@ -1,16 +1,18 @@
 """The engine against values that do not come from a state sum: Jones's
-closed form for torus knots and the Fox-colouring determinant, on links
-of up to 99 crossings, far beyond bracket_naive."""
+closed form for torus knots, the Fox-colouring determinant and the
+Polyak-Viro count of c2, on links of up to 110 crossings, far beyond
+bracket_naive."""
 
 import random
 
 import pytest
 
-from oracles import fox_determinant, torus_jones, value_at_zeta_squared
+from oracles import (fox_determinant, gauss_code, polyak_viro_c2,
+                     torus_jones, value_at_zeta_squared)
 from knotgraph.bracket import p_eval
 from knotgraph.catalog import braid_closure, named_diagram
 from knotgraph.diagram import disjoint_union
-from knotgraph.ring import LaurentPoly
+from knotgraph.ring import LaurentPoly, poly_series
 
 
 @pytest.fixture(autouse=True)
@@ -82,3 +84,47 @@ def test_determinant_oracle_rejects_a_corrupted_coefficient():
     for d in _seeded_links(random.Random(7), 3, 3):
         det = fox_determinant(d)
         assert value_at_zeta_squared(_corrupt(p_eval(d))) != det * det
+
+
+def _seeded_knots(rng, count, low, high):
+    """Closures of random 2- to 4-strand braid words of low-high letters
+    that are knots."""
+    knots = []
+    while len(knots) < count:
+        strands = rng.randint(2, 4)
+        word = [(rng.randint(1, strands - 1), rng.choice((1, -1)))
+                for _ in range(rng.randint(low, high))]
+        d = braid_closure(strands, word)
+        if d.components() == 1 and d.nodes:
+            knots.append(d)
+    return knots
+
+
+def _c2_cases():
+    """(Gauss code, crossing signs, h^2 coefficient of p_eval) of seeded
+    knots of 5-40 and of 40-110 crossings."""
+    knots = (_seeded_knots(random.Random(3), 20, 5, 40)
+             + _seeded_knots(random.Random(17), 10, 40, 110))
+    for d in knots:
+        sign = {x: d.crossing_sign(x) for x in d.crossings()}
+        yield gauss_code(d), sign, poly_series(p_eval(d), 2).coeffs[2]
+
+
+def test_h2_coefficient_is_minus_48_c2_on_seeded_knots():
+    trefoil = named_diagram("trefoil+")
+    assert polyak_viro_c2(gauss_code(trefoil),
+                          {x: 1 for x in trefoil.crossings()}) == 1
+    nonzero = 0
+    for code, sign, h2 in _c2_cases():
+        c2 = polyak_viro_c2(code, sign)
+        assert h2 == -48 * c2, (len(sign), c2, h2)
+        nonzero += c2 != 0
+    assert nonzero >= 20
+
+
+def test_c2_oracle_rejects_a_flipped_crossing_sign():
+    """On every knot, the count with some one crossing's sign flipped
+    fails the h^2 check."""
+    for code, sign, h2 in _c2_cases():
+        assert any(h2 != -48 * polyak_viro_c2(code, dict(sign, **{x: -s}))
+                   for x, s in sign.items())
