@@ -7,25 +7,21 @@ frontier small; each closed loop weighs -A^2 - A^-2, and arcs leaving
 the tables are tangle boundary.  bracket_naive enumerates all 2^n
 smoothings independently and is the oracle.
 
-A contraction is planned, then run.  The plan fixes the node order and
-gives each open arc a slot, reusing freed ones.  The order is greedy,
-least frontier growth first, from a start far from the rest of the
-diagram (the last node a breadth-first search reaches), so the frontier
-sweeps across it; on the benchmark's links that leaves 8-11% fewer
-live states than starting at the first node.  A state gives each slot
-its mate slot.  One pass over the arcs indexes each node by its place
-in the order, port by port, and records the boundary ends, so each
-step can carry what the run reads a state with: a fixed tuple of the
-node's new slots, getters for the slot each port's strand goes on in
-and for the ports its closing arcs lead back to, and the slots it
-frees.  What a table entry does to a state depends only on the table
-and on which of the node's ports lead back to which.  For the two
-crossing tables it comes from a constant table, built at import, of
-their 20 (table, local links) cases, keyed by the identity of those
-module-lifetime tables; a vertex table is built per call, so its cases
-are memoised for the call.  Both rest on a constant table, built at
-import, of the 30 ways an entry's pairing can meet the ports that lead
-back to the node.
+A contraction is planned, then run.  The plan fixes the node order
+(greedy, from the narrower of two starts: _node_order) and gives each
+open arc a slot, reusing freed ones; a state gives each slot its mate
+slot.  One pass over the arcs indexes each node by its place in the
+order, port by port, and records the boundary ends, so each step can
+carry what the run reads a state with: a fixed tuple of the node's new
+slots, getters for the slot each port's strand goes on in and for the
+ports its closing arcs lead back to, and the slots it frees.  What a
+table entry does to a state depends only on the table and on which of
+the node's ports lead back to which.  For the two crossing tables it
+comes from a constant table, built at import, of their 20 (table, local
+links) cases, keyed by the identity of those module-lifetime tables; a
+vertex table is built per call, so its cases are memoised for the call.
+Both rest on a constant table, built at import, of the 30 ways an
+entry's pairing can meet the ports that lead back to the node.
 
 Inside the engine a weight is a term dict of ring's Laurent kernel.
 Bracket values lie in Z[A, A^-1], so the coefficients are ints, and
@@ -158,17 +154,12 @@ def bracket_naive(d: Diagram) -> LaurentPoly:
 
 def _node_order(nodes: Iterable[str], arcs: Sequence[ArcT]) -> List[str]:
     """Greedy ordering of the given nodes that keeps the number of open
-    arcs small.  It starts at the last node that a breadth-first search
-    from the first node in sorted order reaches, neighbours taken in arc
-    order: a pseudo-peripheral node (Gibbs, Poole and Stockmeyer, SIAM J.
-    Numer. Anal. 13, 1976), far from the rest, so the frontier sweeps
-    across the diagram instead of growing out from its middle.  Next
-    always comes the node whose absorption grows the frontier least,
-    first in sorted order on ties.  A node's growth counts +1 for each of
-    its arcs that would open and -1 for each it would close; placing a
-    node opens its arcs to the nodes still waiting, so only their growth
-    changes, by -2 per shared arc.  The nodes are indexed in sorted order
-    and a heap key g * n + i orders by (growth, index)."""
+    arcs small: next comes the node whose absorption grows the frontier
+    least, first in sorted order on ties.  It starts at the last node a
+    breadth-first search from the first node reaches (pseudo-peripheral:
+    Gibbs, Poole and Stockmeyer, SIAM J. Numer. Anal. 13, 1976), unless a
+    start at the node of least growth keeps the widest frontier narrower:
+    a far start sweeps across many narrow links but widens many wide ones."""
     ids = sorted(nodes)
     n = len(ids)
     num = {node: i for i, node in enumerate(ids)}
@@ -185,29 +176,51 @@ def _node_order(nodes: Iterable[str], arcs: Sequence[ArcT]) -> List[str]:
                 nbrs[j].append(i)
         if j >= 0:
             growth[j] += 1
-    if n:       # start at the last node a breadth-first search reaches
-        queue, seen = [0], [True] + [False] * (n - 1)
-        for i in queue:
-            for j in nbrs[i]:
-                if not seen[j]:
-                    seen[j] = True
-                    queue.append(j)
-        growth[queue[-1]] = -1      # below every other growth, all >= 0
-    heap = [g * n + i for i, g in enumerate(growth)]
-    heapq.heapify(heap)
-    placed = [False] * n
-    order = []
-    while heap:
-        g, i = divmod(heapq.heappop(heap), n)
-        if placed[i] or growth[i] != g:     # a stale growth
-            continue
-        placed[i] = True
-        order.append(ids[i])
+    if not n:
+        return []
+    queue, seen = [0], [True] + [False] * (n - 1)
+    for i in queue:         # a breadth-first search from the first node
         for j in nbrs[i]:
-            if not placed[j]:
-                growth[j] -= 2
-                heapq.heappush(heap, growth[j] * n + j)
-    return order
+            if not seen[j]:
+                seen[j] = True
+                queue.append(j)
+    far = _greedy(ids, growth, nbrs, queue[-1], len(arcs) + 1)
+    near = _greedy(ids, growth, nbrs, min(range(n), key=growth.__getitem__),
+                   far[0])
+    return (near or far)[1]
+
+
+def _greedy(ids: List[str], growth: List[int], nbrs: List[List[int]],
+            start: int, bound: int) -> Optional[Tuple[int, List[str]]]:
+    """The greedy order from node start and its widest frontier, or None
+    once the frontier reaches bound.  Placing a node opens its arcs to the
+    nodes still waiting, and each shared arc lowers their growth (arcs
+    opened less arcs closed) by 2.  Heap key g * n + i: (growth, index)."""
+    n = len(ids)
+    key = [g * n + i for i, g in enumerate(growth)]
+    # the start goes first: growth -1 is below every other (all >= 0)
+    key[start], width = start - n, growth[start] + 1
+    heap = key[:]
+    heapq.heapify(heap)
+    pop, push = heapq.heappop, heapq.heappush
+    order, widest = [], -1
+    while heap:
+        k = pop(heap)
+        i = k % n
+        if key[i] != k:     # a stale key, or a placed node's (None)
+            continue
+        key[i] = None
+        order.append(ids[i])
+        width += k // n
+        if width > widest:
+            if width >= bound:
+                return None
+            widest = width
+        for j in nbrs[i]:
+            if key[j] is not None:
+                key[j] -= 2 * n
+                push(heap, key[j])
+    return widest, order
 
 
 def _join(links: Tuple[int, ...], pair1: Pair,
@@ -482,4 +495,4 @@ def z_eval(d: Diagram) -> LaurentPoly:
 def p_eval(d: Diagram) -> LaurentPoly:
     """The writhe-normalised invariant A^(-3w) * Z; unchanged under the
     first three Reidemeister moves."""
-    return LaurentPoly.from_dict(closed_value(d, {}, "p")[0])
+    return z_eval(d).shift(-3 * d.writhe())

@@ -148,16 +148,11 @@ class Diagram:
         return _sign(self.kind_of(node), vertex_ports(self, node))
 
     def writhe(self) -> int:
-        """The sum of the crossing signs.  An XPos crossing is positive
-        where its ports 0 and 1 are both in-ports or both out-ports, an
-        XNeg crossing where they are not (crossing_kind's rule)."""
+        """The sum of the crossing signs: an XPos crossing is positive where
+        its ports 0 and 1 both lead in or both lead out (crossing_kind)."""
         ins = {head for _, head in self.arcs}
-        w = 0
-        for i, k in self.nodes:
-            if k in CROSSING_KINDS:
-                same = ((i, 0) in ins) == ((i, 1) in ins)
-                w += 1 if same == (k == "XPos") else -1
-        return w
+        return sum(1 if (((i, 0) in ins) == ((i, 1) in ins)) == (k == "XPos")
+                   else -1 for i, k in self.nodes if k in CROSSING_KINDS)
 
     def trace_components(self) -> List[List[ArcT]]:
         """Closed oriented loops through nodes, as arc lists (free loops

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from conftest import random_braid_link, random_vertex_graph
-from knotgraph import catalog
+from knotgraph import catalog, diagram
 from knotgraph.diagram import (Diagram, DiagramError, disjoint_union, parse,
                                parse_diagram, replace_kind, serialize,
                                splice_node, vertex_ports)
@@ -100,6 +100,21 @@ def test_writhe_is_the_sum_of_the_crossing_signs():
     assert any(d.vertices() for d in diagrams)
     for d in diagrams:
         assert d.writhe() == sum(d.crossing_sign(i) for i in d.node_ids())
+
+
+def test_writhe_builds_no_port_map_per_node(monkeypatch):
+    """writhe signs each crossing from one set of in-port ends; it calls
+    neither strand_ports nor in_ports, which build a dict per node and
+    per diagram."""
+    def refuse(*args):
+        raise AssertionError("writhe built a port map")
+    monkeypatch.setattr(diagram, "strand_ports", refuse)
+    monkeypatch.setattr(Diagram, "in_ports", refuse)
+    rng = random.Random(31)
+    for _ in range(10):
+        d = random_braid_link(rng, 12, 5)
+        assert d.writhe() == -d.mirror().writhe()
+    assert catalog.named_diagram("trefoil+").writhe() == 3
 
 
 def test_mirror_flips_writhe_and_is_involutive():
