@@ -12,7 +12,8 @@ quartiles over the pairs, the ratio of the medians (NEW / BASE), how
 many pairs NEW wins (is better in the metric's own direction), and
 whether NEW's median beats BASE's by more than BASE's interquartile
 distance.  Both trees are only read; each run's results file goes to a
-temporary directory.  Standard library only.
+temporary directory.  SIGTERM ends the running child and removes that
+directory before the script exits.  Standard library only.
 
 The script refuses two trees whose sets of *.pyc files under src/
 differ: where PYTHONDONTWRITEBYTECODE=1 is set, a bytecode cache on one
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import statistics
 import subprocess
 import sys
@@ -83,7 +85,14 @@ def report(metrics: List[dict], runs: Dict[str, List[dict]]) -> None:
         print("%s: %d of %d items failed" % (side, failed, attempted))
 
 
+def _exit_on_signal(signum, frame):
+    """Unwind instead of dying at once, so that subprocess.run kills the
+    running child and the temporary directory is removed."""
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
+    signal.signal(signal.SIGTERM, _exit_on_signal)
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("base", type=Path, help="the tree to compare against")
     p.add_argument("new", type=Path, help="the tree with the change")

@@ -3,33 +3,35 @@
 One engine, `contract`, sums the state model of a network of 4-port
 nodes, each given by a table of local states (two port pairings and a
 weight).  It absorbs the nodes in an order that keeps the open-strand
-frontier small; each closed loop weighs -A^2 - A^-2, and arcs leaving
-the tables are tangle boundary.  bracket_naive enumerates all 2^n
-smoothings independently and is the oracle.
+frontier small; each closed loop weighs -A^2 - A^-2.  Every arc joins
+two nodes, and a port on no arc is a boundary end of the tangle, named
+by its (node, port): one rule serves closed diagrams, vertex graphs and
+open tangles.  bracket_naive enumerates all 2^n smoothings independently
+and is the oracle.
 
 A contraction is planned, then run.  The plan fixes the node order
 (greedy, from the narrower of two starts: _node_order) and gives each
-open arc a slot, reusing freed ones; a state gives each slot its mate
-slot.  One pass over the arcs indexes each node by its place in the
-order, port by port, and records the boundary ends, so each step can
-carry what the run reads a state with: a fixed tuple of the node's new
-slots, getters for the slot each port's strand goes on in and for the
-ports its closing arcs lead back to, and the slots it frees.  What a
-table entry does to a state depends only on the table and on which of
-the node's ports lead back to which.  For the two crossing tables it
-comes from a constant table, built at import, of their 20 (table, local
-links) cases, keyed by the identity of those module-lifetime tables; a
-vertex table is built per call, so its cases are memoised for the call.
-Both rest on a constant table, built at import, of the 30 ways an
-entry's pairing can meet the ports that lead back to the node.
+open arc and boundary end a slot, reusing freed ones; a state gives
+each slot its mate slot.  One pass over the arcs indexes each node by
+its place in the order, port by port, so each step can carry what the
+run reads a state with: a fixed tuple of the node's new slots, getters
+for the slot each port's strand goes on in and for the ports its
+closing arcs lead back to, and the slots it frees.  What a table entry
+does to a state depends only on the table and on which of the node's
+ports lead back to which.  For the two crossing tables it comes from a
+constant table, built at import, of their 20 (table, local links) cases,
+keyed by the identity of those module-lifetime tables; a vertex table is
+built per call, so its cases are memoised for the call.  Both rest on a
+constant table, built at import, of the 30 ways an entry's pairing can
+meet the ports that lead back to the node.
 
 Inside the engine a weight is a term dict of ring's Laurent kernel.
 Bracket values lie in Z[A, A^-1], so the coefficients are ints, and
 Fractions only where a table weight is non-integral (a marked vertex
 carries 1/4).  Table weights are kernel terms already, the closing
 division by the loop value stays in the same integer domain, and
-closed_value returns kernel terms: LaurentPoly is built only where
-z_eval and contract return a value.
+contract and closed_value return kernel terms: LaurentPoly is built
+only where z_eval returns a value.
 
 closed_value is the one route from a closed diagram, link or graph, to
 its value.  A crossing's table holds its two smoothings.  A rigid vertex
@@ -88,15 +90,21 @@ def max_crossings() -> int:
                            % text) from None
 
 
-def _check_size(d: Diagram, components: int) -> None:
-    """The cap counts every node, crossings and vertices alike, and every
-    free loop, which multiplies the state sum by one loop factor."""
+def check_size(d: Diagram) -> None:
+    """Refuse a diagram above the node cap.  The cap counts every node,
+    crossings and vertices alike, and every free loop, which multiplies
+    the state sum by one loop factor."""
     size = len(d.nodes) + d.free_loops
     if size > max_crossings():
         raise DiagramError(
             "diagram has %d nodes and free loops, above the MAX_CROSSINGS "
             "limit %d" % (size, max_crossings()))
-    if components == 0:
+
+
+def _check_value(d: Diagram) -> None:
+    """Refuse a diagram above the node cap, or an empty one."""
+    check_size(d)
+    if not d.nodes and not d.free_loops:
         raise DiagramError("empty diagram has no bracket value")
 
 
@@ -111,7 +119,7 @@ def bracket_naive(d: Diagram) -> LaurentPoly:
     if d.vertices():
         raise DiagramError("node %s is a vertex; resolve it first (graph "
                            "evaluation)" % d.vertices()[0])
-    _check_size(d, d.components())
+    _check_value(d)
     ids = [i for i, _ in d.nodes]
     kinds = d.node_map()
     parent: Dict[Tuple[str, int], Tuple[str, int]] = {}
@@ -162,29 +170,26 @@ def _node_order(nodes: Iterable[str], arcs: Sequence[ArcT]) -> List[str]:
     a far start sweeps across many narrow links but widens many wide ones."""
     ids = sorted(nodes)
     n = len(ids)
-    num = {node: i for i, node in enumerate(ids)}
-    growth = [0] * n
-    nbrs: List[List[int]] = [[] for _ in ids]
-    for (a, _), (b, _) in arcs:
-        i, j = num.get(a, -1), num.get(b, -1)
-        if i == j:      # a loop at one node, or an arc outside the nodes
-            continue
-        if i >= 0:
-            growth[i] += 1
-            if j >= 0:
-                nbrs[i].append(j)
-                nbrs[j].append(i)
-        if j >= 0:
-            growth[j] += 1
     if not n:
         return []
+    num = {node: i for i, node in enumerate(ids)}
+    growth = [4] * n        # every port opens an arc or a boundary end
+    nbrs: List[List[int]] = [[] for _ in ids]
+    for (a, _), (b, _) in arcs:
+        i, j = num[a], num[b]
+        if i == j:          # but a loop at one node opens nothing
+            growth[i] -= 2
+        else:
+            nbrs[i].append(j)
+            nbrs[j].append(i)
     queue, seen = [0], [True] + [False] * (n - 1)
     for i in queue:         # a breadth-first search from the first node
         for j in nbrs[i]:
             if not seen[j]:
                 seen[j] = True
                 queue.append(j)
-    far = _greedy(ids, growth, nbrs, queue[-1], len(arcs) + 1)
+    # no frontier holds more than the 4n ports
+    far = _greedy(ids, growth, nbrs, queue[-1], 4 * n + 1)
     near = _greedy(ids, growth, nbrs, min(range(n), key=growth.__getitem__),
                    far[0])
     return (near or far)[1]
@@ -298,72 +303,69 @@ _CROSSING_JOINS = {id(table): {links: _entries(table, links)
 
 def _plan(nodes: Iterable[str], arcs: Sequence[ArcT]
           ) -> Tuple[List[tuple], Dict[int, End], int]:
-    """The order of _node_order and a slot for each open arc: a closing arc
-    frees its slot, an opening arc takes a freed slot first.
+    """The order of _node_order and a slot for each open arc or boundary
+    end (a port on no arc): a closing arc frees its slot, an opening arc
+    or a boundary end takes a freed slot first.
 
     A state holds each slot's mate slot (-1 for a free slot), and a step
     reads it through ext = fixed + state.  A step is (node, fixed,
     mates_of, port_at, dest_of, cleared, frontier width after it):
-    fixed[p] is port p's new slot if its arc opens, -2 - q if it is a
+    fixed[p] is port p's new slot if it opens, -2 - q if it is a
     self-loop to port q, else -1, and fixed[4] = -1; mates_of(ext) gives
     each closing port's mate slot (fixed[p] for a self-loop port, -1 for
     an opening one), and port_at maps such a value to the port it leads
     back to (-1 if none); dest_of(ext) gives each port the slot its
     strand goes on in: an opening port's new slot, a closing port's mate;
     cleared holds the slots freed and not taken again.  Also returns the
-    boundary end of each slot left open and the number of slots."""
+    boundary end held by each slot left open and the number of slots."""
     order = _node_order(nodes, arcs)
     pos = {node: i for i, node in enumerate(order)}
-    # at[4 * i + p]: (arc, step of its other end or -1, other end's port)
-    # for port p of the i-th node
-    at: List[Optional[tuple]] = [None] * (4 * len(order))
-    boundary: Dict[int, End] = {}
-    for ai, ((a, ap), (b, bp)) in enumerate(arcs):
-        i, j = pos.get(a, -1), pos.get(b, -1)
-        if i >= 0:
-            at[4 * i + ap] = (ai, j, bp)
-            if j < 0:
-                boundary[ai] = (b, bp)
-        if j >= 0:
-            at[4 * j + bp] = (ai, i, ap)
-            if i < 0:
-                boundary[ai] = (a, ap)
-    held: Dict[int, int] = {}       # open arc -> slot
+    # port p of the i-th node has index 4 * i + p; at[k] is the index of
+    # the other end of port k's arc, None for a boundary end
+    at: List[Optional[int]] = [None] * (4 * len(order))
+    for (a, ap), (b, bp) in arcs:
+        k, m = 4 * pos[a] + ap, 4 * pos[b] + bp
+        at[k], at[m] = m, k
+    held: Dict[int, int] = {}       # index of an opening port -> slot
     free: List[int] = []
     steps = []
     for i, node in enumerate(order):
+        base = 4 * i
         fixed = [-1] * 5
         dest_ix, mate_ix = [0, 1, 2, 3], [4] * 4
         port_at = [-1] * (len(held) + len(free)) + [3, 2, 1, 0, -1]
         kept, fresh = len(free), []
         for p in range(4):
-            if at[4 * i + p] is None:
-                continue
-            ai, j, q = at[4 * i + p]
-            if j == i:
-                fixed[p] = -2 - q
+            k = at[base + p]
+            if k is None or k >= base + 4:  # a boundary end or a later node
+                fresh.append(p)
+            elif k >= base:                 # a loop at this node
+                fixed[p] = -2 - (k - base)
                 mate_ix[p] = p
-            elif 0 <= j < i:
-                s = held.pop(ai)
+            else:
+                s = held.pop(k)
                 dest_ix[p] = mate_ix[p] = 5 + s
                 port_at[s] = p
                 free.append(s)
-            else:
-                fresh.append((p, ai))
-        for p, ai in fresh:
-            held[ai] = fixed[p] = free.pop() if free else len(held)
-        # the slots this step freed and no opening arc took
+        for p in fresh:
+            held[base + p] = fixed[p] = free.pop() if free else len(held)
+        # the slots this step freed and no opening port took
         cleared = tuple(free[kept:])
         steps.append((node, tuple(fixed), itemgetter(*mate_ix), port_at,
                       itemgetter(*dest_ix), cleared, len(held)))
-    return (steps, {s: boundary[ai] for ai, s in held.items()},
+    return (steps, {s: (order[k // 4], k % 4) for k, s in held.items()},
             len(held) + len(free))
 
 
-def _state_sum(tables: Dict[str, Table], arcs: Sequence[ArcT]
-               ) -> Dict[frozenset, Terms]:
-    """Run the plan: the nonzero state weights, keyed by the pairs of
-    boundary ends that each state joins."""
+def contract(tables: Dict[str, Table], arcs: Sequence[ArcT]
+             ) -> Dict[frozenset, Terms]:
+    """State sum of the tangle whose nodes are the keys of tables, by
+    frontier contraction.  A table entry (pair1, pair2, weight) joins the
+    node's ports along both pairings.  Every arc joins two table nodes,
+    and a port on no arc is a boundary end, named by its (node, port).
+    Returns the nonzero weights, as kernel terms, by the pairing of the
+    boundary ends that each state makes (a frozenset of two-end
+    frozensets; empty for a closed diagram)."""
     steps, ends, width = _plan(tables, arcs)
     memo: Dict[int, dict] = {}
     states: Dict[Tuple[int, ...], Terms] = {(-1,) * width: {0: 1}}
@@ -421,18 +423,6 @@ def _state_sum(tables: Dict[str, Table], arcs: Sequence[ArcT]
             for state, terms in states.items()}
 
 
-def contract(tables: Dict[str, Table],
-             arcs: Sequence[ArcT]) -> Dict[frozenset, LaurentPoly]:
-    """State sum of the tangle whose nodes are the keys of tables, by
-    frontier contraction.  A table entry (pair1, pair2, weight) joins the
-    node's ports along both pairings.  Every port of a table node lies on
-    an arc; an arc end at a node outside the tables is a boundary end.
-    Returns the nonzero weights by boundary pairing (a frozenset of
-    two-end frozensets; empty for a closed diagram)."""
-    return {key: LaurentPoly.from_dict(terms)
-            for key, terms in _state_sum(tables, arcs).items()}
-
-
 def _vertex_table(ports: Dict[str, int], a: Terms, b: Terms, c: Terms,
                   level: str) -> Table:
     """State table of a vertex whose scheme weights are a, b and c over a
@@ -476,9 +466,9 @@ def closed_value(d: Diagram, schemes: Dict[str, Tuple[Terms, ...]],
                 "node %s has kind %s, which this evaluation does not take "
                 "(it takes %s)" % (i, kind, ", ".join(CROSSING_KINDS
                                                       + tuple(schemes))))
+    _check_value(d)
     components, writhe = d.components(), d.writhe()
-    _check_size(d, components)
-    total = _state_sum(tables, d.arcs).get(frozenset(), {})
+    total = contract(tables, d.arcs).get(frozenset(), {})
     for _ in range(d.free_loops):
         total = _times(total, _LOOP)
     total = _exact_div(total, _LOOP)

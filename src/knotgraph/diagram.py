@@ -84,10 +84,6 @@ class Diagram:
         """Maps in-port -> arc."""
         return {arc[1]: arc for arc in self.arcs}
 
-    def port_roles(self) -> Tuple[Dict[End, ArcT], Dict[End, ArcT]]:
-        """Maps out-port -> arc and in-port -> arc."""
-        return self.out_ports(), self.in_ports()
-
     # --- validation
 
     def validate(self) -> List[str]:
@@ -208,7 +204,7 @@ class Diagram:
 def _adjacency(d: Diagram) -> Dict[str, List[Tuple[int, str, int, str]]]:
     """For each node, the 4 ports in order with (port, peer, peer-port,
     direction flag)."""
-    outs, ins = d.port_roles()
+    outs, ins = d.out_ports(), d.in_ports()
     adj: Dict[str, List[Tuple[int, str, int, str]]] = {i: [] for i in d.node_ids()}
     for i in d.node_ids():
         for p in range(4):

@@ -20,12 +20,13 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from . import catalog
-from .bracket import closed_value, z_eval
+from .bracket import check_size, closed_value, z_eval
 from .diagram import (Diagram, DiagramError, crossing_kind, path_to_reentry,
                       replace_kind, reverse_and_splice, splice_node,
                       vertex_ports)
-from .ring import (A, A_INV, ONE, LaurentPoly, RationalFunc, RF_ONE, RF_ZERO,
-                   Terms, _terms, poly_exact_div, rf, rf_from_terms)
+from .ring import (A, A_INV, DELTA_POS, ONE, LaurentPoly, RationalFunc,
+                   RF_ONE, RF_ZERO, Terms, _terms, poly_exact_div, rf,
+                   rf_from_terms)
 
 
 @dataclass(frozen=True)
@@ -128,9 +129,13 @@ def vertex_reversed_unfold(g: Diagram, v: str) -> Diagram:
 
 
 def resolve_vertices(g: Diagram, s: ResolutionScheme) -> FormalSum:
+    """The sum of resolved link diagrams, up to 3^v of them for v
+    vertices.  Raises DiagramError for a marked vertex, then above the
+    node cap that every evaluation applies."""
     if any(k == "CVert" for _, k in g.nodes):
         raise DiagramError(
             "marked vertices present; use the marked evaluation instead")
+    check_size(g)
     out = FormalSum()
     _expand(g, RF_ONE, s, out)
     return out
@@ -197,10 +202,9 @@ def check_spinor(g: Diagram, vertex: Optional[str] = None) -> dict:
 
 
 # constants of the vertex decomposition
-_X = LaurentPoly.from_dict({2: Fraction(1), -2: Fraction(1)})     # A^2 + A^-2
 _Y = LaurentPoly.from_dict({2: Fraction(1), -2: Fraction(-1)})    # A^2 - A^-2
-C1 = rf((_Y * (_X + ONE)).scale(Fraction(-1, 2)))
-C2 = rf((_Y * (_X - ONE)).scale(2))
+C1 = rf((_Y * (DELTA_POS + ONE)).scale(Fraction(-1, 2)))
+C2 = rf((_Y * (DELTA_POS - ONE)).scale(2))
 
 
 def casimir_decompose(g: Diagram) -> dict:
@@ -214,7 +218,7 @@ def casimir_decompose(g: Diagram) -> dict:
     lhs = eval_graph(g, VASSILIEV, level="p")
     f_plain = eval_with_casimir_marks(g)
     f_marked = eval_with_casimir_marks(replace_kind(g, v, "CVert"))
-    x = rf(_X)
+    x = rf(DELTA_POS)
     y = rf(_Y)
     alpha_w = rf(LaurentPoly.monomial(-3 * g.writhe()))
     bracket = f_marked.scale(2) - (x + RF_ONE) / (x - RF_ONE) * f_plain.scale(Fraction(1, 2))

@@ -16,7 +16,9 @@ of a vertex and two crossings an R4 site.  Each strand of the site
 passes through two site nodes, and the slide swaps the two passages (the
 outside connections trade places) while node kinds stay fixed.  A site
 counts only if the swap keeps the local state sum of the site, with
-either crossing put in place of its vertex.
+either crossing put in place of its vertex.  That sum comes from the
+contraction engine applied to the site's nodes and arcs alone: each
+port on no site arc is a boundary end, named by its (node, port).
 """
 
 from __future__ import annotations
@@ -92,18 +94,10 @@ def r1_plus(d: Diagram, arc: ArcT, variant: str = "+a") -> Diagram:
 
 
 def find_r1_minus(d: Diagram) -> List[MoveSpec]:
-    sites = []
-    for (a, p), (b, q) in d.arcs:
-        if a == b and (p + q) % 2 == 1 and d.kind_of(a) in ("XPos", "XNeg"):
-            sites.append(MoveSpec("R1-", (a,)))
-    # deduplicate nodes with two self arcs
-    seen = set()
-    out = []
-    for m in sites:
-        if m.site not in seen:
-            seen.add(m.site)
-            out.append(m)
-    return out
+    """One site per crossing that carries a kink loop, in arc order."""
+    kinked = [a for (a, p), (b, q) in d.arcs if a == b and (p + q) % 2 == 1
+              and d.kind_of(a) in ("XPos", "XNeg")]
+    return [MoveSpec("R1-", (a,)) for a in dict.fromkeys(kinked)]
 
 
 def r1_minus(d: Diagram, node: str) -> Diagram:
@@ -191,18 +185,12 @@ def _swapped(arcs, site) -> List[ArcT]:
 
 
 def _tangle_profile(kinds: Dict[str, str], internal: List[ArcT]):
-    """Bracket state sum of a small open tangle: a map from pairings of
-    the boundary ports to weights.  The tangle consists of the given
-    crossings wired by the internal arcs; every port not covered by an
-    internal arc is a boundary port, tied by a stub arc to an end outside
-    the tangle."""
-    used = {pt for arc in internal for pt in arc}
-    stubs = [((n, p), (None, (n, p))) for n in kinds for p in range(4)
-             if (n, p) not in used]
-    tables = {n: CROSSING_TABLES[k] for n, k in kinds.items()}
-    profile = contract(tables, list(internal) + stubs)
-    return {frozenset(frozenset(end[1] for end in pair) for pair in pairing): w
-            for pairing, w in profile.items()}
+    """Bracket state sum of a small open tangle, as kernel terms by the
+    pairing of its boundary ports: the given crossings wired by the
+    internal arcs, where every port on no internal arc is a boundary
+    port."""
+    return contract({n: CROSSING_TABLES[k] for n, k in kinds.items()},
+                    internal)
 
 
 def _swap_is_sound(kinds: Dict[str, str], site: List[ArcT]) -> bool:

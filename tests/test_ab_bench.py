@@ -1,7 +1,12 @@
-"""scripts/ab_bench.py refuses trees whose bytecode caches differ."""
+"""scripts/ab_bench.py refuses trees whose bytecode caches differ, and
+leaves no child or temporary directory behind when it is terminated."""
 
+import json
+import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "ab_bench.py"
@@ -27,3 +32,57 @@ def test_refuses_trees_with_different_bytecode(tmp_path):
         assert done.stdout == ""
         lines = done.stderr.splitlines()
         assert len(lines) == 1 and "ring.pyc" in lines[0], lines
+
+
+# a benchmark runner that records its pid and its --out path, then sleeps
+_SLEEPER = """import os, sys, time
+out = sys.argv[sys.argv.index("--out") + 1]
+with open(os.environ["AB_PIDFILE"] + ".tmp", "w") as f:
+    f.write("%d %s" % (os.getpid(), out))
+os.replace(os.environ["AB_PIDFILE"] + ".tmp", os.environ["AB_PIDFILE"])
+time.sleep(60)
+"""
+
+
+def _alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def test_sigterm_ends_the_child_and_removes_the_temporary_directory(
+        tmp_path):
+    trees = []
+    for name in ("base", "new"):
+        tree = tmp_path / name
+        (tree / "src").mkdir(parents=True)
+        (tree / "perfbench").mkdir()
+        (tree / "perfbench" / "run.py").write_text(_SLEEPER)
+        (tree / "BENCHMARK.json").write_text(json.dumps(
+            {"run_seconds": 1, "end_to_end": []}))
+        trees.append(str(tree))
+    pidfile = tmp_path / "child"
+    bench = subprocess.Popen(
+        [sys.executable, str(SCRIPT), *trees, "--workload", "links",
+         "--seed", "1", "--pairs", "1"],
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        env=dict(os.environ, AB_PIDFILE=str(pidfile)))
+    pid = None
+    try:
+        deadline = time.monotonic() + 30
+        while not pidfile.exists() and time.monotonic() < deadline:
+            time.sleep(0.05)
+        text = pidfile.read_text().split(" ", 1)
+        pid, out = int(text[0]), Path(text[1])
+        assert out.parent.is_dir()
+        bench.send_signal(signal.SIGTERM)
+        assert bench.wait(timeout=30) == 128 + signal.SIGTERM
+        assert not _alive(pid)
+        assert not out.parent.exists()
+    finally:
+        bench.kill()
+        bench.wait()
+        if pid is not None and _alive(pid):
+            os.kill(pid, signal.SIGKILL)

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import grow_with_moves, random_braid_link, random_vertex_graph
+from conftest import (brute_profile, grow_with_moves, random_braid_link,
+                      random_vertex_graph)
 from knotgraph import bracket, catalog, moves
 from knotgraph.bracket import (CROSSING_TABLES, bracket_naive, contract,
                                max_crossings, p_eval, z_eval)
@@ -193,7 +194,7 @@ def _last_reached(at, arcs):
     sorted order reaches, taking each node's neighbours in arc order."""
     nbrs = {n: [] for n in at}
     for (a, _), (b, _) in arcs:
-        if a != b and a in at and b in at:
+        if a != b:
             nbrs[a].append(b)
             nbrs[b].append(a)
     queue = deque(sorted(at)[:1])
@@ -211,16 +212,19 @@ def _last_reached(at, arcs):
 def _greedy_from(at, arcs, start):
     """The greedy order from start (None: the least growth first)
     recomputed from scratch at every step: each waiting node's growth is
-    summed over its arcs again.  Also returns the frontier after each
-    step."""
+    summed over its arcs again, and each of its ports on no arc, a
+    boundary end that stays open, counts +1.  Also returns the frontier
+    after each step."""
     remaining = sorted(at)
     processed = set()
     open_arcs = set()
+    boundary = 0
     order, widths = [], []
 
     def growth(n):
-        return sum(-1 if ai in open_arcs else 1 for ai in set(at[n].values())
-                   if not arcs[ai][0][0] == arcs[ai][1][0] == n)
+        return 4 - len(at[n]) + sum(
+            -1 if ai in open_arcs else 1 for ai in set(at[n].values())
+            if not arcs[ai][0][0] == arcs[ai][1][0] == n)
 
     while remaining:
         if order or start is None:
@@ -230,13 +234,14 @@ def _greedy_from(at, arcs, start):
         order.append(best)
         remaining.remove(best)
         processed.add(best)
+        boundary += 4 - len(at[best])
         for ai in set(at[best].values()):
             (a, _), (b, _) = arcs[ai]
             if a in processed and b in processed:
                 open_arcs.discard(ai)
             else:
                 open_arcs.add(ai)
-        widths.append(len(open_arcs))
+        widths.append(len(open_arcs) + boundary)
     return order, widths
 
 
@@ -254,26 +259,22 @@ def _ports_at(nodes, arcs):
     at = {n: {} for n in nodes}
     for ai, arc in enumerate(arcs):
         for n, p in arc:
-            if n in at:
-                at[n][p] = ai
+            at[n][p] = ai
     return at
 
 
 def _graph_and_tangles(rng):
     """The node sets and arcs of a seeded vertex graph and of two open
-    tangles cut from it."""
+    tangles cut from it, whose ports on no arc are boundary ends."""
     g = random_vertex_graph(rng, rng.randint(0, 3))
     cases = [(g.node_ids(), g.arcs)]
-    # an open tangle: some of the nodes, the other ends are boundary
+    # some of the nodes and the arcs between them: each end of an arc to
+    # another node is a boundary port
     part = [n for n in g.node_ids() if rng.random() < 0.6]
-    cases.append((part, g.arcs))
-    # the stub form of moves._tangle_profile: a free port is tied to an
-    # end outside the tangle
     inner = [a for a in g.arcs if a[0][0] in part and a[1][0] in part]
-    used = {end for a in inner for end in a}
-    stubs = [((n, p), (None, (n, p))) for n in part for p in range(4)
-             if (n, p) not in used]
-    cases.append((part, inner + stubs))
+    cases.append((part, inner))
+    # the same nodes with some inner arcs cut too
+    cases.append((part, [a for a in inner if rng.random() < 0.7]))
     return cases
 
 
@@ -291,14 +292,37 @@ def test_incremental_order_matches_greedy_oracle():
                            random_braid_link(rng, 6, 4))
         cases.append((d.node_ids(), d.arcs))
     # one node: kinks, a vertex with a petal, and a crossing of the Hopf
-    # link whose four arcs lead to the boundary
+    # link cut out with its four ports as boundary ends
     for name in ("kink+", "kink-", "G_a_vertex"):
         d = catalog.named_diagram(name)
         cases.append((d.node_ids(), d.arcs))
-    cases.append((["n0"], catalog.named_diagram("hopf+").arcs))
+    cases.append((["n0"], []))
     for nodes, arcs in cases:
         at = _ports_at(nodes, arcs)
         assert _node_order(at, arcs) == _greedy_order(at, arcs)
+
+
+def test_boundary_ports_may_outnumber_arcs():
+    """A lone crossing is four boundary ports and no arc, and a crossing
+    with a self-loop two ports and one arc, so the frontier holds more
+    ends than the tangle has arcs.  The order and its widest frontier are
+    the oracle's, and the state sum is the brute-force one."""
+    loops = ([], [(("c", 2), ("c", 1))], [(("c", 0), ("c", 3))],
+             [(("c", 0), ("c", 2))])
+    cases = [({"c": kind}, arcs) for kind in CROSSING_TABLES for arcs in loops]
+    # two crossings: apart, or joined by one arc
+    cases += [({"c": "XPos", "d": "XNeg"}, arcs)
+              for arcs in ([], [(("c", 0), ("d", 1))])]
+    for kinds, arcs in cases:
+        at = _ports_at(kinds, arcs)
+        steps = _plan(at, arcs)[0]
+        assert [step[0] for step in steps] == _greedy_order(at, arcs)
+        assert (max(step[6] for step in steps)
+                == max(_greedy_from(at, arcs, None)[1]) > len(arcs))
+        tables = {n: CROSSING_TABLES[k] for n, k in kinds.items()}
+        assert contract(tables, arcs) == {
+            pairing: _terms(w)
+            for pairing, w in brute_profile(kinds, arcs).items()}
 
 
 def test_plan_is_never_wider_than_from_the_least_growth_node():
@@ -380,10 +404,12 @@ def test_random_node_orders_give_the_greedy_values(monkeypatch):
 def test_plan_gives_each_open_arc_its_own_slot():
     """Replaying the plan on links with kinks, vertex graphs and open
     tangles: a closing port frees the slot its arc holds, an opening port
-    takes a slot no open arc holds, the recorded width is the number of
-    open arcs, and there are no more slots than the widest frontier
+    (on an arc, or a boundary end on none) takes a slot no open arc or
+    end holds, the recorded width is the number of open arcs and placed
+    boundary ends, and there are no more slots than the widest frontier
     needs.  A step's getters read what its fixed tuple and port map say,
-    and it clears exactly the freed slots no opening port takes."""
+    and it clears exactly the freed slots no opening port takes.  The
+    slots left open are the boundary ends, each named by its end."""
     rng = random.Random(20)
     cases = []
     for _ in range(20):
@@ -413,16 +439,17 @@ def test_plan_gives_each_open_arc_its_own_slot():
                                     - set(opening.values()))
             for p, s in opening.items():
                 assert 0 <= s < width and s not in held.values()
-                held[at[node][p]] = s
+                held[at[node].get(p, (node, p))] = s
             for p, q in loops:
                 assert at[node][p] == at[node][q] and p != q
-            assert len(closing) + len(opening) + len(loops) == len(at[node])
-            open_arcs = [ai for ai, ((a, _), (b, _)) in enumerate(arcs)
-                         if (a in placed) != (b in placed)]
-            assert sorted(held) == open_arcs and w == len(open_arcs)
+            assert len(closing) + len(opening) + len(loops) == 4
+            open_now = {ai for ai, ((a, _), (b, _)) in enumerate(arcs)
+                        if (a in placed) != (b in placed)}
+            open_now |= {(n, p) for n in placed for p in range(4)
+                         if p not in at[n]}
+            assert set(held) == open_now and w == len(open_now)
             widths.append(w)
-        assert ends == {s: next(end for end in arcs[ai] if end[0] not in at)
-                        for ai, s in held.items()}
+        assert ends == {s: end for end, s in held.items()}
         assert width == max(widths, default=0)
 
 
@@ -523,15 +550,14 @@ def test_a_cancelled_coefficient_leaves_no_zero_entry(monkeypatch):
     """Closing a loop onto a weight of several terms can cancel a
     coefficient where no other state meets it.  Node a weighs A^2 - A^-2
     and node b weighs 1; their shared loop gives (A^2 - A^-2)(-A^2 -
-    A^-2) = A^-4 - A^4 in either order, and kernel terms hold no zero."""
+    A^-2) = A^-4 - A^4 in either order, and kernel terms hold no zero.
+    Ports 2 and 3 of both nodes are boundary ends, which each node joins."""
     tables = {"a": (((0, 1), (2, 3), ((2, 1), (-2, -1))),),
               "b": (((0, 1), (2, 3), ((0, 1),)),)}
-    arcs = [(("a", 0), ("b", 0)), (("b", 1), ("a", 1)),
-            (("a", 2), ("x", 0)), (("x", 1), ("a", 3)),
-            (("b", 2), ("y", 0)), (("y", 1), ("b", 3))]
-    key = frozenset({frozenset({("x", 0), ("x", 1)}),
-                     frozenset({("y", 0), ("y", 1)})})
+    arcs = [(("a", 0), ("b", 0)), (("b", 1), ("a", 1))]
+    key = frozenset({frozenset({("a", 2), ("a", 3)}),
+                     frozenset({("b", 2), ("b", 3)})})
     for order in (["a", "b"], ["b", "a"]):
         monkeypatch.setattr(bracket, "_node_order",
                             lambda nodes, arcs, order=order: order)
-        assert bracket._state_sum(tables, arcs) == {key: {4: -1, -4: 1}}
+        assert contract(tables, arcs) == {key: {4: -1, -4: 1}}

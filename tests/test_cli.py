@@ -62,6 +62,18 @@ def test_resolve_verb(dg, capsys):
     assert "coefficient" in out and "node" in out
 
 
+def test_resolve_refuses_a_graph_above_the_node_cap(tmp_path, capsys):
+    """A chain of 30 petal vertices is above the default cap of 20
+    nodes: resolve refuses it as graph-eval does, with one error line,
+    instead of expanding its 3^30 resolutions."""
+    path = tmp_path / "chain.dg"
+    path.write_text(serialize(catalog._petal_chain(30), "chain"))
+    for verb in ("graph-eval", "resolve"):
+        code, out, err = run(capsys, [verb, str(path)])
+        assert code == 1 and out == ""
+        assert _one_error_line(err) and "MAX_CROSSINGS limit 20" in err
+
+
 def test_vassiliev_verb(dg, capsys):
     code, out, _ = run(capsys, ["vassiliev", dg("gb_2vert"), "--order", "4"])
     assert code == 0

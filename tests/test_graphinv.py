@@ -211,6 +211,20 @@ def test_resolution_order_does_not_matter():
         assert eval_graph(g, scheme) == eval_graph(renamed, scheme)
 
 
+def test_resolution_applies_the_node_cap(monkeypatch):
+    """resolve_vertices refuses a graph above the cap that eval_graph
+    applies, with the same error, and expands one at the cap."""
+    g = catalog.named_diagram("flower3")
+    monkeypatch.setenv("MAX_CROSSINGS", "2")
+    with pytest.raises(DiagramError) as refused:
+        resolve_vertices(g, VASSILIEV)
+    with pytest.raises(DiagramError) as expected:
+        eval_graph(g, VASSILIEV)
+    assert str(refused.value) == str(expected.value)
+    monkeypatch.setenv("MAX_CROSSINGS", "3")
+    assert resolve_vertices(g, VASSILIEV).evaluate(p_eval) == eval_graph(g)
+
+
 def test_marked_vertices_only_in_marked_evaluation():
     g = catalog.named_diagram("G_b_cvert")
     with pytest.raises(DiagramError):
