@@ -6,8 +6,8 @@ weight).  It absorbs the nodes in an order that keeps the open-strand
 frontier small; each closed loop weighs -A^2 - A^-2.  Every arc joins
 two nodes, and a port on no arc is a boundary end of the tangle, named
 by its (node, port): one rule serves closed diagrams, vertex graphs and
-open tangles.  bracket_naive enumerates all 2^n smoothings independently
-and is the oracle.
+open tangles.  Its oracle, naive_profile, takes the same tables and arcs
+and sums every choice of one entry per table; bracket_naive closes it.
 
 A contraction is planned, then run.  The plan fixes the node order
 (greedy, from the narrower of two starts: _node_order) and gives each
@@ -53,30 +53,27 @@ from __future__ import annotations
 import heapq
 import os
 from fractions import Fraction
+from itertools import accumulate, product
 from operator import itemgetter
 from typing import (Dict, Iterable, List, Optional, Sequence, Tuple,
                     Union)
 
 from .diagram import (CROSSING_KINDS, ArcT, Diagram, DiagramError, End,
                       crossing_kind, strand_ports)
-from .ring import LOOP, ZERO, LaurentPoly, Terms, _exact_div, _terms, _times
-
-# smoothing tables: for each crossing kind, the two local port pairings
-# with their weights.  The A-weighted smoothing joins the ports adjacent
-# clockwise from the over strand.
-_SMOOTHINGS = {
-    "XPos": (((0, 3), (1, 2), 1), ((0, 1), (2, 3), -1)),
-    "XNeg": (((0, 1), (2, 3), 1), ((0, 3), (1, 2), -1)),
-}
+from .ring import LOOP, LaurentPoly, Terms, _exact_div, _terms, _times
 
 Pair = Tuple[int, int]
 # a table entry's weight: the (exponent, coefficient) terms of ring's kernel
 Weight = Tuple[Tuple[int, Union[int, Fraction]], ...]
 Table = Sequence[Tuple[Pair, Pair, Weight]]
 
+# the crossing tables: for each crossing kind, its two smoothings, each two
+# port pairings and the weight A or A^-1.  The A-weighted smoothing joins
+# the ports adjacent clockwise from the over strand.
 CROSSING_TABLES: Dict[str, Table] = {
-    kind: tuple((p, q, ((e, 1),)) for p, q, e in entries)
-    for kind, entries in _SMOOTHINGS.items()}
+    "XPos": (((0, 3), (1, 2), ((1, 1),)), ((0, 1), (2, 3), ((-1, 1),))),
+    "XNeg": (((0, 1), (2, 3), ((1, 1),)), ((0, 3), (1, 2), ((-1, 1),))),
+}
 
 _LOOP = _terms(LOOP)
 
@@ -112,17 +109,17 @@ def _sign_correction(d: Diagram) -> int:
     return -1 if (d.components() - 1 + d.writhe()) % 2 else 1
 
 
-def bracket_naive(d: Diagram) -> LaurentPoly:
-    """Z by brute-force enumeration of every smoothing state.  Raises
-    DiagramError for a vertex, then above the node cap or for an empty
-    diagram."""
-    if d.vertices():
-        raise DiagramError("node %s is a vertex; resolve it first (graph "
-                           "evaluation)" % d.vertices()[0])
-    _check_value(d)
-    ids = [i for i, _ in d.nodes]
-    kinds = d.node_map()
-    parent: Dict[Tuple[str, int], Tuple[str, int]] = {}
+def naive_profile(tables: Dict[str, Table], arcs: Sequence[ArcT]
+                  ) -> Dict[frozenset, Terms]:
+    """contract's result by brute force: for every choice of one entry per
+    table, a union-find joins the ports along its pairings and the arcs,
+    and the product of its weights, times LOOP for each loop closed, goes
+    to the pairing of the boundary ends that the open strands make."""
+    nodes = sorted(tables)
+    ports = [(n, p) for n in nodes for p in range(4)]
+    on_arc = {end for arc in arcs for end in arc}
+    boundary = [end for end in ports if end not in on_arc]
+    loop_pow = list(accumulate([_LOOP] * len(ports), _times, initial={0: 1}))
 
     def find(x):
         while parent[x] != x:
@@ -130,31 +127,41 @@ def bracket_naive(d: Diagram) -> LaurentPoly:
             x = parent[x]
         return x
 
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        parent[rx] = ry
+    sums: Dict[frozenset, Terms] = {}
+    for choice in product(*(tables[n] for n in nodes)):
+        parent = {end: end for end in ports}
+        weight: Terms = {0: 1}
+        for n, (pair1, pair2, w) in zip(nodes, choice):
+            for p, q in (pair1, pair2):
+                parent[find((n, p))] = find((n, q))
+            weight = _times(weight, dict(w))
+        for tail, head in arcs:
+            parent[find(tail)] = find(head)
+        groups: Dict[End, List[End]] = {}
+        for end in boundary:
+            groups.setdefault(find(end), []).append(end)
+        loops = len({find(end) for end in ports}) - len(groups)
+        total = sums.setdefault(frozenset(map(frozenset, groups.values())), {})
+        for e, c in _times(weight, loop_pow[loops]).items():
+            total[e] = total.get(e, 0) + c
+    return {pairing: terms for pairing, total in sums.items()
+            if (terms := {e: c for e, c in total.items() if c})}
 
-    total = ZERO
-    n = len(ids)
-    for mask in range(1 << n):
-        for i in ids:
-            for p in range(4):
-                parent[(i, p)] = (i, p)
-        exp = 0
-        for bit, i in enumerate(ids):
-            pair1, pair2, w = _SMOOTHINGS[kinds[i]][(mask >> bit) & 1]
-            exp += w
-            union((i, pair1[0]), (i, pair1[1]))
-            union((i, pair2[0]), (i, pair2[1]))
-        for tail, head in d.arcs:
-            union(tail, head)
-        loops = len({find((i, p)) for i in ids for p in range(4)})
-        loops += d.free_loops
-        total = total + (LaurentPoly.monomial(exp) * LOOP ** (loops - 1))
-    if not ids:
-        total = LOOP ** (d.free_loops - 1)
-    s = _sign_correction(d)
-    return total if s == 1 else -total
+
+def bracket_naive(d: Diagram) -> LaurentPoly:
+    """Z by brute force: naive_profile on the crossing tables, times LOOP
+    for each free loop with one loop divided out, and the sign.  Raises
+    DiagramError for a vertex, then above the node cap or if empty."""
+    if d.vertices():
+        raise DiagramError("node %s is a vertex; resolve it first (graph "
+                           "evaluation)" % d.vertices()[0])
+    _check_value(d)
+    total = naive_profile({i: CROSSING_TABLES[k] for i, k in d.nodes},
+                          d.arcs).get(frozenset(), {})
+    for _ in range(d.free_loops):
+        total = _times(total, _LOOP)
+    value = LaurentPoly.from_dict(_exact_div(total, _LOOP))
+    return value if _sign_correction(d) == 1 else -value
 
 
 # --- frontier contraction ---------------------------------------------------
@@ -433,9 +440,9 @@ def _vertex_table(ports: Dict[str, int], a: Terms, b: Terms, c: Terms,
                            tuple(sorted((ports["in_b"], ports["out_a"]))))))
     weights = {unfold: {e: -k for e, k in c.items()}}
     for sign, num in ((+1, a), (-1, b)):
-        for pair1, pair2, e in _SMOOTHINGS[crossing_kind(ports, sign)]:
+        for pair1, pair2, mono in CROSSING_TABLES[crossing_kind(ports, sign)]:
             w = weights.setdefault((pair1, pair2), {})
-            shift = e + sign * phase
+            shift = mono[0][0] + sign * phase       # mono is A or A^-1
             for e2, k in num.items():
                 w[e2 + shift] = w.get(e2 + shift, 0) - k
     return tuple((p1, p2, terms) for (p1, p2), w in weights.items()

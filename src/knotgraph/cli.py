@@ -75,8 +75,6 @@ def _cmd_resolve(args) -> int:
 
 
 def _cmd_vassiliev(args) -> int:
-    if args.order < 0:
-        raise CliError("order must be 0 or more, not %d" % args.order)
     rep = vassiliev_series(_load(args.file), args.order)
     print(rep.series.render())
     print("vanishing order: %s"

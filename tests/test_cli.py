@@ -74,6 +74,19 @@ def test_resolve_refuses_a_graph_above_the_node_cap(tmp_path, capsys):
         assert _one_error_line(err) and "MAX_CROSSINGS limit 20" in err
 
 
+def test_resolve_refuses_more_resolutions_than_its_limit(tmp_path, capsys):
+    """13 petal vertices are under the node cap but make 2^13 resolved
+    diagrams, above the limit of 4096: resolve refuses them at once with
+    one error line, while graph-eval, one contraction, gives the value."""
+    path = tmp_path / "chain.dg"
+    path.write_text(serialize(catalog._petal_chain(13), "chain"))
+    code, out, err = run(capsys, ["resolve", str(path)])
+    assert code == 1 and out == ""
+    assert _one_error_line(err) and "8192 resolved diagrams" in err
+    code, out, err = run(capsys, ["graph-eval", str(path)])
+    assert code == 0 and out.strip() == "0" and err == ""
+
+
 def test_vassiliev_verb(dg, capsys):
     code, out, _ = run(capsys, ["vassiliev", dg("gb_2vert"), "--order", "4"])
     assert code == 0
@@ -249,6 +262,17 @@ def test_negative_series_order_is_rejected(dg, capsys):
     code, out, _ = run(capsys, ["vassiliev", dg("gb_2vert"), "--order", "0"])
     assert code == 0
     assert out.splitlines()[0] == "0"
+
+
+def test_series_order_above_200_is_rejected(dg, capsys):
+    code, out, err = run(capsys, ["vassiliev", dg("gb_2vert"),
+                                  "--order", "201"])
+    assert code == 1 and out == ""
+    assert _one_error_line(err) and "0..200" in err
+    code, out, _ = run(capsys, ["vassiliev", dg("gb_2vert"),
+                                "--order", "200"])
+    assert code == 0
+    assert out.splitlines()[0].endswith("*h^200")
 
 
 def test_vertex_diagram_rejected_by_eval(dg, capsys):

@@ -102,6 +102,16 @@ def test_malformed_entry_args_are_corpus_errors(tmp_path, capsys, op_args):
     assert len(err.splitlines()) == 1
 
 
+def test_series_order_above_200_is_an_error(tmp_path, capsys):
+    (tmp_path / "manifest.txt").write_text(
+        "e | c.dg | vassiliev_valuation | order=201 | 0 | known | note\n")
+    (tmp_path / "c.dg").write_text("diagram c\nloop 2\n")
+    assert main(["corpus", "--dir", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and "0..200" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_corpus_in_another_directory(tmp_path, capsys):
     (tmp_path / "manifest.txt").write_text(
         "loop | c.dg | z | - | A^2 + A^-2 | trivial | loop value\n")

@@ -225,6 +225,18 @@ def test_resolution_applies_the_node_cap(monkeypatch):
     assert resolve_vertices(g, VASSILIEV).evaluate(p_eval) == eval_graph(g)
 
 
+def test_resolution_applies_its_limit():
+    """Under (A, 2, -3A^-1) no weight vanishes, so 8 vertices make 3^8
+    resolved diagrams, above the limit of 4096; the Vassiliev scheme
+    makes 2^8 and expands them."""
+    g = catalog._petal_chain(8)
+    general = ResolutionScheme(rf(A), rf(LaurentPoly.const(2)),
+                               rf(A_INV.scale(-3)))
+    with pytest.raises(DiagramError, match="6561 resolved diagrams"):
+        resolve_vertices(g, general)
+    assert resolve_vertices(g, VASSILIEV).evaluate(p_eval) == eval_graph(g)
+
+
 def test_marked_vertices_only_in_marked_evaluation():
     g = catalog.named_diagram("G_b_cvert")
     with pytest.raises(DiagramError):

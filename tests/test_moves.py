@@ -6,11 +6,9 @@ import random
 
 import pytest
 
-from conftest import (brute_profile, grow_with_moves, random_braid_link,
-                      random_vertex_graph)
+from conftest import grow_with_moves, random_braid_link, random_vertex_graph
 from knotgraph import catalog, moves
-from knotgraph.ring import _terms
-from knotgraph.bracket import p_eval
+from knotgraph.bracket import naive_profile, p_eval
 from knotgraph.graphinv import CASIMIR_PLAIN, VASSILIEV, eval_graph
 from knotgraph.moves import (KINK_VARIANTS, MoveError, MoveSpec,
                              applicable_moves, apply_move, find_r1_minus,
@@ -191,17 +189,17 @@ def test_slide_rejects_bad_sites():
 
 
 def test_tangle_profiles_match_brute_force(monkeypatch):
-    """Every profile the R3/R4/R5 site search asks for, before and after
-    the swap, equals the brute-force state sum, term by term."""
-    engine = moves._tangle_profile
+    """Every open-tangle state sum the R3/R4/R5 site search asks for,
+    before and after the swap, equals the brute-force one, term by term."""
+    engine = moves.contract
     asked = []
 
-    def checked(kinds, internal):
-        got = engine(kinds, internal)
-        asked.append((dict(kinds), list(internal), got))
+    def checked(tables, arcs):
+        got = engine(tables, arcs)
+        asked.append((dict(tables), list(arcs), got))
         return got
 
-    monkeypatch.setattr(moves, "_tangle_profile", checked)
+    monkeypatch.setattr(moves, "contract", checked)
     rng = random.Random(57)
     found = set()
     for trial in range(30):
@@ -213,6 +211,5 @@ def test_tangle_profiles_match_brute_force(monkeypatch):
                      if m.move in ("R3", "R4", "R5"))
     assert found == {"R3", "R4", "R5"}
     assert len(asked) > 100
-    for kinds, internal, got in asked:
-        assert got == {pairing: _terms(w) for pairing, w
-                       in brute_profile(kinds, internal).items()}
+    for tables, arcs, got in asked:
+        assert got == naive_profile(tables, arcs)
