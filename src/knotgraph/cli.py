@@ -10,7 +10,6 @@ Exit code 0 means every requested computation or check succeeded.
 from __future__ import annotations
 
 import argparse
-import glob
 import os
 import sys
 from typing import List, Optional
@@ -20,10 +19,10 @@ from . import corpus as corpus_mod
 from . import graphinv as gi
 from . import moves as mv
 from . import spinnet as sn
+from . import vassiliev as vs
 from .bracket import p_eval, z_eval
 from .diagram import DiagramError, parse_diagram, read_text, serialize
 from .ring import RingError, parse_poly, rf
-from .vassiliev import vassiliev_series
 
 
 class CliError(ValueError):
@@ -75,7 +74,7 @@ def _cmd_resolve(args) -> int:
 
 
 def _cmd_vassiliev(args) -> int:
-    rep = vassiliev_series(_load(args.file), args.order)
+    rep = vs.vassiliev_series(_load(args.file), args.order)
     print(rep.series.render())
     print("vanishing order: %s"
           % ("none" if rep.vanishing_order is None
@@ -83,8 +82,16 @@ def _cmd_vassiliev(args) -> int:
     return 0
 
 
+def _corpus(fn, *args):
+    """fn(*args) with a bad manifest line or .td file as CliError."""
+    try:
+        return fn(*args)
+    except (corpus_mod.CorpusError, sn.SpinNetError) as exc:
+        raise CliError(str(exc)) from None
+
+
 def _graphs_with_vertices():
-    diagrams = corpus_mod.corpus_diagrams()
+    diagrams = _corpus(corpus_mod.corpus_diagrams)
     return sorted((name, d) for name, d in diagrams.items()
                   if d.vertices())
 
@@ -108,6 +115,7 @@ def _check_spinor(path: Optional[str]) -> int:
 
 
 def _quad_from_dir(path: str) -> dict:
+    import glob
     quad = {}
     for label in ("N", "S", "E", "W"):
         hits = sorted(glob.glob(os.path.join(path, "*%s.dg" % label)))
@@ -161,7 +169,7 @@ def _check_reidemeister(path: Optional[str]) -> int:
     if path:
         targets = [(path, _load(path))]
     else:
-        targets = sorted(corpus_mod.corpus_diagrams().items())
+        targets = sorted(_corpus(corpus_mod.corpus_diagrams).items())
     bad = 0
     for name, d in targets:
         skip = ("more than 6 crossings" if len(d.crossings()) > 6 else
@@ -200,7 +208,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
-    results = corpus_mod.run_corpus(args.dir)
+    results = _corpus(corpus_mod.run_corpus, args.dir)
     for line in corpus_mod.report_lines(results):
         print(line)
     return 0 if all(r.passed for r in results) else 1
@@ -261,8 +269,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (DiagramError, RingError, sn.SpinNetError,
-            corpus_mod.CorpusError, CliError) as exc:
+    except (DiagramError, RingError, CliError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

@@ -139,6 +139,8 @@ _BAD_INPUTS = {       # file name -> bytes, or None for a directory
     "td-missing": {"manifest.txt": _entry("t.td", "tensor")},
     "td-not-utf8": {"manifest.txt": _entry("t.td", "tensor"),
                     "t.td": b"delta i \xff\n"},
+    "td-malformed": {"manifest.txt": _entry("t.td", "tensor"),
+                     "t.td": b"bogus i i\n"},
     "manifest-not-utf8": {"manifest.txt": _entry("c.dg", "z") + b"# \xff\n",
                           "c.dg": b"diagram c\nloop 2\n"},
     "stats-broken": {"manifest.txt": _entry("b.dg", "stats"), "b.dg": _BROKEN},

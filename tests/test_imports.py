@@ -2,7 +2,9 @@
 is package-relative or names a standard-library module."""
 
 import ast
+import os
 import pathlib
+import subprocess
 import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "knotgraph"
@@ -67,3 +69,22 @@ def test_only_the_diagram_module_checks_diagrams():
         if "require_valid(" in text or calls:
             bad.append(m.name)
     assert bad == []
+
+
+def test_the_package_registers_every_module_but_cli():
+    """Importing knotgraph puts each module but cli into sys.modules
+    without running it.  A module left out of the registry would be
+    missing from sys.modules where only knotgraph.cli was imported, and
+    the benchmark's tracer, which finds every traced layer's module
+    there, would fail only in a traced run."""
+    code = ("import sys, types, knotgraph\n"
+            "print(sorted((n, type(m) is types.ModuleType)\n"
+            "             for n, m in sys.modules.items()\n"
+            "             if n.startswith('knotgraph.')))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ,
+                                              PYTHONPATH=str(SRC.parent)))
+    assert done.returncode == 0, done.stderr
+    files = {p.stem for p in SRC.glob("*.py")} - {"__init__", "cli"}
+    assert done.stdout.strip() == str(sorted(("knotgraph." + f, False)
+                                             for f in files))
