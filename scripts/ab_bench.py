@@ -9,9 +9,13 @@ pair to pair, so neither side always runs on a warmer or a cooler
 machine.  For every end-to-end metric that
 BASE/BENCHMARK.json declares, the script prints each side's median and
 quartiles over the pairs, the ratio of the medians (NEW / BASE), how
-many pairs NEW wins (is better in the metric's own direction), and
+many pairs NEW wins (is better in the metric's own direction),
 whether NEW's median beats BASE's by more than BASE's interquartile
-distance.  Both trees are only read; each run's results file goes to a
+distance, and a no-regression verdict against the metric's bound (a
+fraction of BASE's median): WORSE where NEW's median is worse than
+BASE's by more than the bound; unresolved where BASE's interquartile
+distance is wider than the bound, unless every NEW run beats every BASE
+run; ok otherwise.  One summary line counts the verdicts.  Both trees are only read; each run's results file goes to a
 temporary directory.  SIGTERM ends the running child and removes that
 directory before the script exits.  Standard library only.
 
@@ -62,11 +66,25 @@ def quartiles(values: List[float]):
     return q1, med, q3
 
 
+def verdict(base: List[float], new: List[float], bound: float,
+            higher: bool) -> str:
+    """ok, WORSE or unresolved for one metric's runs; bound is a fraction
+    of BASE's median."""
+    (b1, bm, b3), nm = quartiles(base), quartiles(new)[1]
+    if ((bm - nm) if higher else (nm - bm)) > bound * abs(bm):
+        return "WORSE"
+    beats_all = (min(new) > max(base)) if higher else (max(new) < min(base))
+    if b3 - b1 > bound * abs(bm) and not beats_all:
+        return "unresolved"
+    return "ok"
+
+
 def report(metrics: List[dict], runs: Dict[str, List[dict]]) -> None:
-    print("%-12s %-6s %-28s %-28s %6s %5s %s" % (
+    print("%-12s %-6s %-28s %-28s %6s %5s %-14s %s" % (
         "metric", "better", "base median [q1, q3]", "new median [q1, q3]",
-        "ratio", "wins", "beats base IQR"))
+        "ratio", "wins", "beats base IQR", "verdict"))
     pairs = len(runs["base"])
+    verdicts = []
     for m in metrics:
         name, higher = m["name"], m["better"] == "higher"
         base = [r["metrics"][name]["value"] for r in runs["base"]]
@@ -74,15 +92,18 @@ def report(metrics: List[dict], runs: Dict[str, List[dict]]) -> None:
         (b1, bm, b3), (n1, nm, n3) = quartiles(base), quartiles(new)
         wins = sum((n > b) if higher else (n < b) for b, n in zip(base, new))
         gain = (nm - bm) if higher else (bm - nm)
-        print("%-12s %-6s %-28s %-28s %6s %2d/%-2d %s" % (
+        verdicts.append(verdict(base, new, m["bound"], higher))
+        print("%-12s %-6s %-28s %-28s %6s %2d/%-2d %-14s %s" % (
             name, m["better"], "%.4g [%.4g, %.4g]" % (bm, b1, b3),
             "%.4g [%.4g, %.4g]" % (nm, n1, n3),
             "%.3f" % (nm / bm) if bm else "-", wins, pairs,
-            "yes" if gain > b3 - b1 else "no"))
+            "yes" if gain > b3 - b1 else "no", verdicts[-1]))
     for side in ("base", "new"):
         failed = sum(r["failed"] for r in runs[side])
         attempted = sum(r["attempted"] for r in runs[side])
         print("%s: %d of %d items failed" % (side, failed, attempted))
+    print("no-regression verdicts: %d ok, %d WORSE, %d unresolved" % tuple(
+        verdicts.count(v) for v in ("ok", "WORSE", "unresolved")))
 
 
 def _exit_on_signal(signum, frame):

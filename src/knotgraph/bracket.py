@@ -7,7 +7,7 @@ frontier small; each closed loop weighs -A^2 - A^-2.  Every arc joins
 two nodes, and a port on no arc is a boundary end of the tangle, named
 by its (node, port): one rule serves closed diagrams, vertex graphs and
 open tangles.  Its oracle, naive_profile, takes the same tables and arcs
-and sums every choice of one entry per table; bracket_naive closes it.
+and sums every choice of one entry per table.
 
 A contraction is planned, then run.  The plan fixes the node order
 (greedy, from the narrower of two starts: _node_order) and gives each
@@ -34,14 +34,16 @@ contract and closed_value return kernel terms: LaurentPoly is built
 only where z_eval returns a value.
 
 closed_value is the one route from a closed diagram, link or graph, to
-its value.  A crossing's table holds its two smoothings.  A rigid vertex
-stands for a weighted combination of a positive crossing, a negative
-crossing and the oriented smoothing (the unfold), and its table holds
-its two port pairings with the three choices' weights combined.  This
-is exact because sign and framing factor locally: a crossing choice
-moves the writhe by +-1 and an unfold the component count by +-1, so
-every choice weighs -1 (times A^-+3 at level p) and the graph keeps
-(-1)^(c - 1 + w) and A^(-3w), w the writhe of its crossings.
+its value: node_tables, contract, then _close (free loops, sign and
+writhe phase); bracket_naive runs naive_profile in place of contract.
+A crossing's table holds its two smoothings.  A rigid vertex stands for
+a weighted combination of a positive crossing, a negative crossing and
+the oriented smoothing (the unfold), and its table holds its two port
+pairings with the three choices' weights combined.  This is exact
+because sign and framing factor locally: a crossing choice moves the
+writhe by +-1 and an unfold the component count by +-1, so every choice
+weighs -1 (times A^-+3 at level p) and the graph keeps (-1)^(c - 1 + w)
+and A^(-3w), w the writhe of its crossings.
 
 Link values are the oriented normalisation Z with loop value A^2 + A^-2
 and positive kink factor A^3: the raw state sum times the sign
@@ -98,17 +100,6 @@ def check_size(d: Diagram) -> None:
             "limit %d" % (size, max_crossings()))
 
 
-def _check_value(d: Diagram) -> None:
-    """Refuse a diagram above the node cap, or an empty one."""
-    check_size(d)
-    if not d.nodes and not d.free_loops:
-        raise DiagramError("empty diagram has no bracket value")
-
-
-def _sign_correction(d: Diagram) -> int:
-    return -1 if (d.components() - 1 + d.writhe()) % 2 else 1
-
-
 def naive_profile(tables: Dict[str, Table], arcs: Sequence[ArcT]
                   ) -> Dict[frozenset, Terms]:
     """contract's result by brute force: for every choice of one entry per
@@ -146,22 +137,6 @@ def naive_profile(tables: Dict[str, Table], arcs: Sequence[ArcT]
             total[e] = total.get(e, 0) + c
     return {pairing: terms for pairing, total in sums.items()
             if (terms := {e: c for e, c in total.items() if c})}
-
-
-def bracket_naive(d: Diagram) -> LaurentPoly:
-    """Z by brute force: naive_profile on the crossing tables, times LOOP
-    for each free loop with one loop divided out, and the sign.  Raises
-    DiagramError for a vertex, then above the node cap or if empty."""
-    if d.vertices():
-        raise DiagramError("node %s is a vertex; resolve it first (graph "
-                           "evaluation)" % d.vertices()[0])
-    _check_value(d)
-    total = naive_profile({i: CROSSING_TABLES[k] for i, k in d.nodes},
-                          d.arcs).get(frozenset(), {})
-    for _ in range(d.free_loops):
-        total = _times(total, _LOOP)
-    value = LaurentPoly.from_dict(_exact_div(total, _LOOP))
-    return value if _sign_correction(d) == 1 else -value
 
 
 # --- frontier contraction ---------------------------------------------------
@@ -449,19 +424,17 @@ def _vertex_table(ports: Dict[str, int], a: Terms, b: Terms, c: Terms,
                  if (terms := tuple((e, k) for e, k in w.items() if k)))
 
 
-def closed_value(d: Diagram, schemes: Dict[str, Tuple[Terms, ...]],
-                 level: str) -> Tuple[Terms, Terms]:
-    """The value of a closed diagram at level 'z' (Z) or 'p' (A^(-3w) Z,
-    w the writhe of its crossings), as kernel terms (num, den).  schemes
-    maps a vertex kind to its scheme's (den, a, b, c) over_one_den terms;
-    den is the product of the vertices' denominators.  The value is the
-    state sum times LOOP^free_loops with one loop divided out, times
-    (-1)^(components - 1 + w).  Raises DiagramError for a node of any
-    other kind, then above the node cap or for an empty diagram."""
-    ins = d.in_ports() if any(k in schemes for _, k in d.nodes) else None
+def node_tables(nodes: Sequence[Tuple[str, str]],
+                ins: Optional[Dict[End, ArcT]],
+                schemes: Dict[str, Tuple[Terms, ...]], level: str
+                ) -> Tuple[Dict[str, Table], Terms]:
+    """Each (id, kind) node's table at level 'z' or 'p', and the product
+    of the vertices' denominators.  schemes maps a vertex kind to its
+    scheme's (den, a, b, c) over_one_den terms; ins (Diagram.in_ports)
+    orients the vertices.  Raises DiagramError for any other kind."""
     tables: Dict[str, Table] = {}
     den: Terms = {0: 1}
-    for i, kind in d.nodes:
+    for i, kind in nodes:
         if kind in CROSSING_TABLES:
             tables[i] = CROSSING_TABLES[kind]
         elif kind in schemes:
@@ -473,15 +446,45 @@ def closed_value(d: Diagram, schemes: Dict[str, Tuple[Terms, ...]],
                 "node %s has kind %s, which this evaluation does not take "
                 "(it takes %s)" % (i, kind, ", ".join(CROSSING_KINDS
                                                       + tuple(schemes))))
-    _check_value(d)
-    components, writhe = d.components(), d.writhe()
-    total = contract(tables, d.arcs).get(frozenset(), {})
+    return tables, den
+
+
+def _close(d: Diagram, profile: Dict[frozenset, Terms],
+           level: str) -> Terms:
+    """A closed diagram's value from its state sum's profile: times LOOP
+    per free loop with one loop divided out, (-1)^(components - 1 + w)
+    and, at level 'p', A^(-3w), w the writhe of its crossings.  An empty
+    diagram has no loop to divide out: it raises DiagramError."""
+    if not d.nodes and not d.free_loops:
+        raise DiagramError("empty diagram has no bracket value")
+    total = profile.get(frozenset(), {})
     for _ in range(d.free_loops):
         total = _times(total, _LOOP)
     total = _exact_div(total, _LOOP)
-    sign = -1 if (components - 1 + writhe) % 2 else 1
+    writhe = d.writhe()
+    sign = -1 if (d.components() - 1 + writhe) % 2 else 1
     shift = -3 * writhe if level == "p" else 0
-    return {e + shift: sign * k for e, k in total.items()}, den
+    return {e + shift: sign * k for e, k in total.items()}
+
+
+def closed_value(d: Diagram, schemes: Dict[str, Tuple[Terms, ...]],
+                 level: str) -> Tuple[Terms, Terms]:
+    """The value of a closed diagram at level 'z' (Z) or 'p' (A^(-3w) Z,
+    w the writhe of its crossings), as kernel terms (num, den).  Raises
+    DiagramError for a node of any other kind than a crossing or a key
+    of schemes, then above the node cap or for an empty diagram."""
+    ins = d.in_ports() if any(k in schemes for _, k in d.nodes) else None
+    tables, den = node_tables(d.nodes, ins, schemes, level)
+    check_size(d)
+    return _close(d, contract(tables, d.arcs), level), den
+
+
+def bracket_naive(d: Diagram) -> LaurentPoly:
+    """Z by closed_value's route with naive_profile in place of contract;
+    raises as closed_value does."""
+    tables, _ = node_tables(d.nodes, None, {}, "z")
+    check_size(d)
+    return LaurentPoly.from_dict(_close(d, naive_profile(tables, d.arcs), "z"))
 
 
 def z_eval(d: Diagram) -> LaurentPoly:

@@ -21,13 +21,15 @@ from typing import Dict, List, Optional
 from . import graphinv as gi
 from . import moves as mv
 from . import spinnet as sn
+from . import vassiliev
 from .bracket import p_eval, z_eval
 from .diagram import (Diagram, DiagramError, parse_diagram, read_text,
                       replace_kind)
 from .ring import rf
-from .vassiliev import vassiliev_series
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "corpus_data")
+# a graph_moves walk costs about 1 ms per step
+MAX_STEPS = 100
 
 
 class CorpusError(ValueError):
@@ -167,6 +169,9 @@ def _op_resolve_coeffs(g: Diagram) -> str:
 
 def _op_graph_moves(g: Diagram, steps: int) -> str:
     """Deterministic move walk; the invariant must not change."""
+    if steps > MAX_STEPS:
+        raise CorpusError("argument steps=%d is above the limit %d"
+                          % (steps, MAX_STEPS))
     import random
     d = mv.random_walk(g, steps, random.Random(steps * 1000 + len(g.arcs)))
     same = gi.eval_graph(d, gi.VASSILIEV) == gi.eval_graph(g, gi.VASSILIEV)
@@ -205,11 +210,11 @@ def evaluate_entry(entry: CorpusEntry, base: str) -> str:
         if op == "casimir_diff":
             return gi.casimir_decompose(g)["difference"].render()
         if op == "vassiliev_valuation":
-            rep = vassiliev_series(g, _count_arg(args, "order", "4"))
+            rep = vassiliev.vassiliev_series(g, _count_arg(args, "order", "4"))
             return ("none" if rep.vanishing_order is None
                     else str(rep.vanishing_order))
         if op == "vassiliev_h0":
-            rep = vassiliev_series(g, 0)
+            rep = vassiliev.vassiliev_series(g, 0)
             return str(rep.series.coeffs[0])
         if op == "graph_moves":
             return _op_graph_moves(g, _count_arg(args, "steps", "4"))

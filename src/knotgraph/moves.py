@@ -64,6 +64,18 @@ def _is_over(kind: str, port: int) -> bool:
     return port % 2 == (0 if kind == "XPos" else 1)
 
 
+def _straight_through(d: Diagram, m: MoveSpec,
+                      sites: List[MoveSpec]) -> Diagram:
+    """Apply the R1- or R2- move m, whose nodes must be those of one of
+    sites: remove them, joining each strand's in-port to its out-port."""
+    if not any(set(s.site) == set(m.site) for s in sites):
+        raise MoveError("nodes %s form no %s site" % (m.site, m.move))
+    for n in m.site:
+        p = vertex_ports(d, n)
+        d = splice_node(d, n, {p["in_a"]: p["out_a"], p["in_b"]: p["out_b"]})
+    return d
+
+
 # --- R1 ---------------------------------------------------------------------
 
 # kink variants: (node kind, main exit port, loop tail, loop head).  The
@@ -101,11 +113,7 @@ def find_r1_minus(d: Diagram) -> List[MoveSpec]:
 
 
 def r1_minus(d: Diagram, node: str) -> Diagram:
-    if not any(a == b == node and (p + q) % 2 == 1
-               for (a, p), (b, q) in d.arcs):
-        raise MoveError("node %s carries no kink loop" % node)
-    p = vertex_ports(d, node)
-    return splice_node(d, node, {p["in_a"]: p["out_a"], p["in_b"]: p["out_b"]})
+    return _straight_through(d, MoveSpec("R1-", (node,)), find_r1_minus(d))
 
 
 # --- R2 ---------------------------------------------------------------------
@@ -155,16 +163,8 @@ def find_r2_minus(d: Diagram) -> List[MoveSpec]:
 
 
 def r2_minus(d: Diagram, node1: str, node2: str) -> Diagram:
-    sites = {m.site for m in find_r2_minus(d)}
-    if (node1, node2) not in sites and (node2, node1) not in sites:
-        raise MoveError("nodes %s,%s do not form a cancelling pair"
-                        % (node1, node2))
-    out = d
-    for n in (node1, node2):
-        p = vertex_ports(out, n)
-        out = splice_node(out, n, {p["in_a"]: p["out_a"],
-                                   p["in_b"]: p["out_b"]})
-    return out
+    return _straight_through(d, MoveSpec("R2-", (node1, node2)),
+                             find_r2_minus(d))
 
 
 # --- R3, R4, R5: one slide -------------------------------------------------
@@ -306,22 +306,6 @@ def apply_move(d: Diagram, m: MoveSpec) -> Diagram:
     if m.move in ("R3", "R4", "R5"):
         return slide(d, m)
     raise MoveError("unknown move %r" % m.move)
-
-
-def inverse_spec(d_before: Diagram, d_after: Diagram,
-                 m: MoveSpec) -> MoveSpec:
-    """The MoveSpec undoing m, given the diagrams before and after."""
-    if m.move in ("R3", "R4", "R5"):
-        # self-inverse, but the site arcs were rewired by the swap
-        site = [tuple(a) for a in m.site]
-        return MoveSpec(m.move, tuple(_swapped(site, site)))
-    if m.move == "R1+":
-        new = set(d_after.node_ids()) - set(d_before.node_ids())
-        return MoveSpec("R1-", (new.pop(),))
-    if m.move == "R2+":
-        new = sorted(set(d_after.node_ids()) - set(d_before.node_ids()))
-        return MoveSpec("R2-", tuple(new))
-    raise MoveError("no tracked inverse for %r" % m.move)
 
 
 def random_walk(d: Diagram, steps: int, rng) -> Diagram:

@@ -85,6 +85,8 @@ GR_ONE = GaussianRational(Fraction(1))
 GR_I = GaussianRational(Fraction(0), Fraction(1))
 
 DIM = 2
+# eval_tensor_diagram sums DIM ** labels index assignments (4096 at 12)
+MAX_LABELS = 12
 
 
 # --- tensor diagrams ---------------------------------------------------------
@@ -150,9 +152,13 @@ def _factor_entry(sym: str, a: int, b: int) -> GaussianRational:
 
 
 def eval_tensor_diagram(td: TensorDiagram) -> GaussianRational:
-    """Sum over all {0,1} index assignments of the product of entries."""
+    """Sum over all {0,1} index assignments of the product of entries;
+    refuses a diagram of more than MAX_LABELS index labels."""
     td.validate()
     names = sorted({k for _, i, j in td.factors for k in (i, j)})
+    if len(names) > MAX_LABELS:
+        raise SpinNetError("%d index labels, above the limit %d"
+                           % (len(names), MAX_LABELS))
     total = GR_ZERO
     for values in itertools.product(range(DIM), repeat=len(names)):
         env = dict(zip(names, values))

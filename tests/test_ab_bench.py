@@ -1,5 +1,6 @@
-"""scripts/ab_bench.py refuses trees whose bytecode caches differ, and
-leaves no child or temporary directory behind when it is terminated."""
+"""scripts/ab_bench.py refuses trees whose bytecode caches differ,
+leaves no child or temporary directory behind when it is terminated, and
+gives each end-to-end metric a no-regression verdict."""
 
 import json
 import os
@@ -8,6 +9,8 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+
+import pytest
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "ab_bench.py"
 
@@ -86,3 +89,51 @@ def test_sigterm_ends_the_child_and_removes_the_temporary_directory(
         bench.wait()
         if pid is not None and _alive(pid):
             os.kill(pid, signal.SIGKILL)
+
+
+# a benchmark runner that reports the next value of its tree's values.json
+_FAKE = """import json, pathlib
+values = json.loads(pathlib.Path("values.json").read_text())
+count = pathlib.Path("count")
+k = int(count.read_text()) if count.exists() else 0
+count.write_text(str(k + 1))
+print(json.dumps({"metrics": {"items_per_s": {"value": values[k]}},
+                  "failed": 0, "attempted": 1}))
+"""
+
+_STEADY = [100, 101, 99, 100]
+_SPREAD = [70, 100, 130, 100]   # quartiles 77.5 and 122.5: wider than 15%
+
+
+@pytest.mark.parametrize("better, base, new, expect", [
+    ("higher", _STEADY, [98, 100, 99, 101], "ok"),
+    ("higher", _STEADY, [80, 81, 79, 80], "WORSE"),
+    ("lower", _STEADY, [120, 121, 119, 120], "WORSE"),
+    ("higher", _SPREAD, [100, 101, 99, 100], "unresolved"),
+    ("higher", _SPREAD, [140, 150, 145, 141], "ok"),
+    ("lower", _SPREAD, [60, 65, 62, 61], "ok"),
+], ids=["ok", "worse", "worse-lower", "unresolved", "beats-every-run",
+        "beats-every-run-lower"])
+def test_verdict_against_the_bound(tmp_path, better, base, new, expect):
+    trees = []
+    for name, values in (("base", base), ("new", new)):
+        tree = tmp_path / name
+        (tree / "src").mkdir(parents=True)
+        (tree / "perfbench").mkdir()
+        (tree / "perfbench" / "run.py").write_text(_FAKE)
+        (tree / "values.json").write_text(json.dumps(values))
+        (tree / "BENCHMARK.json").write_text(json.dumps(
+            {"run_seconds": 1, "end_to_end": [
+                {"name": "items_per_s", "better": better, "bound": 0.15}]}))
+        trees.append(str(tree))
+    done = subprocess.run(
+        [sys.executable, str(SCRIPT), *trees, "--workload", "links",
+         "--seed", "1", "--pairs", str(len(base))],
+        capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    row = next(line for line in lines if line.startswith("items_per_s "))
+    assert row.split()[-1] == expect
+    counts = {v: int(v == expect) for v in ("ok", "WORSE", "unresolved")}
+    assert lines[-1] == ("no-regression verdicts: %(ok)d ok, %(WORSE)d "
+                         "WORSE, %(unresolved)d unresolved" % counts)

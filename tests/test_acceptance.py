@@ -12,7 +12,7 @@ import sys
 
 from conftest import random_braid_link, random_vertex_graph
 from knotgraph import catalog
-from knotgraph.bracket import _sign_correction, bracket_naive, p_eval, z_eval
+from knotgraph.bracket import bracket_naive, p_eval, z_eval
 from knotgraph.corpus import corpus_diagrams, run_corpus
 from knotgraph.diagram import Diagram, replace_kind
 from knotgraph.graphinv import (CASIMIR_PLAIN, VASSILIEV, ResolutionScheme,
@@ -35,7 +35,8 @@ def _criterion(num, desc, ok):
 
 
 def _raw(d):
-    return z_eval(d).scale(_sign_correction(d))
+    return z_eval(d).scale(-1 if (d.components() - 1 + d.writhe()) % 2
+                           else 1)
 
 
 def test_criterion_01_reference_values():

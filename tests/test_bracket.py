@@ -13,7 +13,7 @@ from conftest import grow_with_moves, random_braid_link, random_vertex_graph
 from knotgraph import bracket, catalog, moves
 from knotgraph.bracket import (CROSSING_TABLES, bracket_naive, contract,
                                max_crossings, naive_profile, p_eval, z_eval)
-from knotgraph.bracket import _node_order, _plan, _sign_correction
+from knotgraph.bracket import _node_order, _plan
 from knotgraph.diagram import (Diagram, DiagramError, disjoint_union,
                                replace_kind, vertex_ports)
 from knotgraph.graphinv import (CASIMIR_MARKED, CASIMIR_PLAIN, VASSILIEV,
@@ -31,8 +31,10 @@ _GENERAL = ResolutionScheme(rf(A), rf(LaurentPoly.const(2)),
 
 
 def _raw(d):
-    """The orientation-free state sum (Z with the sign correction undone)."""
-    return z_eval(d).scale(_sign_correction(d))
+    """The orientation-free state sum: Z with its sign (-1)^(c - 1 + w)
+    undone."""
+    return z_eval(d).scale(-1 if (d.components() - 1 + d.writhe()) % 2
+                           else 1)
 
 
 def test_crossingless_values():
@@ -525,9 +527,7 @@ def test_a_vertex_table_equal_to_a_crossing_table_gives_its_value():
 
 def _graph_tables(g, schemes, level):
     """The tables closed_value builds for the nodes of g."""
-    return {i: CROSSING_TABLES[k] if k in CROSSING_TABLES else
-            bracket._vertex_table(vertex_ports(g, i), *schemes[k][1:], level)
-            for i, k in g.nodes}
+    return bracket.node_tables(g.nodes, g.in_ports(), schemes, level)[0]
 
 
 def test_vertex_tables_match_the_brute_force_state_sum():

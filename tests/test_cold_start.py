@@ -13,6 +13,7 @@ import sys
 import pytest
 
 import knotgraph
+from knotgraph import cli
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -61,9 +62,15 @@ def _run_verb(tmp_path, argv):
      {"graphinv"}),
     (["check", "fierz"], "PASS fierz\nPASS tensor spinor identity\n",
      {"spinnet"}),
-], ids=["eval", "jones", "graph-eval", "check-fierz"])
-def test_each_verb_runs_only_its_modules(tmp_path, argv, out, extra):
+    (["check", "spinor"], None, {"corpus", "graphinv"}),
+    (["check", "reidemeister"], None, {"corpus", "graphinv", "moves"}),
+], ids=["eval", "jones", "graph-eval", "check-fierz", "check-spinor",
+        "check-reidemeister"])
+def test_each_verb_runs_only_its_modules(tmp_path, capsys, argv, out, extra):
     argv = [str(DATA / a) if a.endswith(".dg") else a for a in argv]
+    if out is None:     # a report over the corpus: as run in this process
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
     code, stdout, stderr, ran = _run_verb(tmp_path, argv)
     assert (code, stdout, stderr) == (0, out, "")
     assert ran == BASE | extra

@@ -79,6 +79,7 @@ _BAD_ARGS = {
     "order-negative": "vassiliev_valuation | order=-1",
     "steps-x": "graph_moves | steps=x",
     "steps-too-long": "graph_moves | steps=" + "9" * 5000,
+    "steps-above-limit": "graph_moves | steps=101",
     "perm-no-n": "perm | kind=skew",
     "perm-no-kind": "perm | n=2",
     "perm-bad-kind": "perm | kind=odd,n=2",
@@ -109,6 +110,17 @@ def test_series_order_above_200_is_an_error(tmp_path, capsys):
     assert main(["corpus", "--dir", str(tmp_path)]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error:") and "0..200" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_a_tensor_diagram_above_the_label_limit_is_an_error(tmp_path, capsys):
+    (tmp_path / "manifest.txt").write_text(
+        "e | t.td | tensor | - | 2 | known | note\n")
+    (tmp_path / "t.td").write_text("".join(
+        "delta i%d i%d\n" % (k, (k + 1) % 13) for k in range(13)))
+    assert main(["corpus", "--dir", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and "limit 12" in err
     assert len(err.splitlines()) == 1
 
 

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from knotgraph.spinnet import (DIM, GR_I, GR_ONE, GR_ZERO, GaussianRational,
-                               PermElement, SpinNetError, TensorDiagram,
-                               antisymmetrizer, check_fierz, check_projector,
-                               check_spinor_tensor_identity,
+from knotgraph.spinnet import (DIM, GR_I, GR_ONE, GR_ZERO, MAX_LABELS,
+                               GaussianRational, PermElement, SpinNetError,
+                               TensorDiagram, antisymmetrizer, check_fierz,
+                               check_projector, check_spinor_tensor_identity,
                                eval_tensor_diagram, generators,
                                parse_tensor_diagram, symmetrizer)
 
@@ -37,9 +37,21 @@ def test_gaussian_i_squares_to_minus_one():
     assert GaussianRational(Fraction(1), Fraction(-2)).render() == "1 + -2*i"
 
 
+def _delta_ring(n):
+    return TensorDiagram.make([("delta", "i%d" % k, "i%d" % ((k + 1) % n))
+                               for k in range(n)])
+
+
 def test_closed_delta_loop_gives_the_dimension():
-    td = TensorDiagram.make([("delta", "i", "i")])
-    assert eval_tensor_diagram(td) == GaussianRational(Fraction(DIM))
+    for td in (TensorDiagram.make([("delta", "i", "i")]),
+               _delta_ring(MAX_LABELS)):
+        assert eval_tensor_diagram(td) == GaussianRational(Fraction(DIM))
+
+
+def test_refuses_more_index_labels_than_its_limit():
+    with pytest.raises(SpinNetError,
+                       match="%d index labels" % (MAX_LABELS + 1)):
+        eval_tensor_diagram(_delta_ring(MAX_LABELS + 1))
 
 
 def test_epsilon_pair_gives_minus_dimension():
