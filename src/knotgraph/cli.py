@@ -82,24 +82,15 @@ def _cmd_vassiliev(args) -> int:
     return 0
 
 
-def _corpus(fn, *args):
-    """fn(*args) with a bad manifest line or .td file as CliError."""
-    try:
-        return fn(*args)
-    except (corpus_mod.CorpusError, sn.SpinNetError) as exc:
-        raise CliError(str(exc)) from None
-
-
-def _graphs_with_vertices():
-    diagrams = _corpus(corpus_mod.corpus_diagrams)
-    return sorted((name, d) for name, d in diagrams.items()
-                  if d.vertices())
+def _targets(path: Optional[str]):
+    """(name, diagram) of the FILE given, or of every corpus diagram."""
+    return ([(path, _load(path))] if path
+            else sorted(corpus_mod.corpus_diagrams().items()))
 
 
 def _check_spinor(path: Optional[str]) -> int:
-    targets = ([(path, _load(path))] if path else _graphs_with_vertices())
     bad = 0
-    for name, g in targets:
+    for name, g in _targets(path):
         plain = [v for v, k in g.nodes if k == "Vert"]
         if path and not plain:
             raise CliError("%s has no plain vertex; check spinor checks "
@@ -166,12 +157,8 @@ def _check_projector() -> int:
 
 def _check_reidemeister(path: Optional[str]) -> int:
     import random
-    if path:
-        targets = [(path, _load(path))]
-    else:
-        targets = sorted(_corpus(corpus_mod.corpus_diagrams).items())
     bad = 0
-    for name, d in targets:
+    for name, d in _targets(path):
         skip = ("more than 6 crossings" if len(d.crossings()) > 6 else
                 "a marked vertex" if any(k == "CVert" for _, k in d.nodes)
                 else None)
@@ -189,26 +176,28 @@ def _check_reidemeister(path: Optional[str]) -> int:
     return 1 if bad else 0
 
 
+# check name -> (function, whether it takes a FILE)
+_CHECKS = {
+    "spinor": (_check_spinor, True),
+    "four-term": (_check_four_term, True),
+    "fierz": (_check_fierz, False),
+    "projector": (_check_projector, False),
+    "reidemeister": (_check_reidemeister, True),
+}
+
+
 def _cmd_check(args) -> int:
-    what = args.what
-    if what == "spinor":
-        return _check_spinor(args.file)
-    if what == "four-term":
-        return _check_four_term(args.file)
-    if what == "reidemeister":
-        return _check_reidemeister(args.file)
+    fn, takes_file = _CHECKS[args.what]
+    if takes_file:
+        return fn(args.file)
     if args.file is not None:
         raise CliError("check %s takes no file; it checks fixed identities, "
-                       "not a diagram" % what)
-    if what == "fierz":
-        return _check_fierz()
-    if what == "projector":
-        return _check_projector()
-    raise CliError("unknown check %r" % what)
+                       "not a diagram" % args.what)
+    return fn()
 
 
 def _cmd_corpus(args) -> int:
-    results = _corpus(corpus_mod.run_corpus, args.dir)
+    results = corpus_mod.run_corpus(args.dir)
     for line in corpus_mod.report_lines(results):
         print(line)
     return 0 if all(r.passed for r in results) else 1
@@ -254,8 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_vassiliev)
 
     p = sub.add_parser("check", help="run a named verification")
-    p.add_argument("what", choices=("spinor", "four-term", "fierz",
-                                    "projector", "reidemeister"))
+    p.add_argument("what", choices=_CHECKS)
     p.add_argument("file", nargs="?", default=None)
     p.set_defaults(func=_cmd_check)
 

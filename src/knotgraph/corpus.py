@@ -32,7 +32,7 @@ DATA_DIR = os.path.join(os.path.dirname(__file__), "corpus_data")
 MAX_STEPS = 100
 
 
-class CorpusError(ValueError):
+class CorpusError(DiagramError):
     pass
 
 
@@ -202,7 +202,10 @@ def evaluate_entry(entry: CorpusEntry, base: str) -> str:
         if op == "resolve_coeffs":
             return _op_resolve_coeffs(g)
         if op == "spinor":
-            reports = [gi.check_spinor(g, v) for v in g.vertices()]
+            plain = [v for v, k in g.nodes if k == "Vert"]
+            if not plain:
+                raise CorpusError("spinor wants a plain vertex")
+            reports = [gi.check_spinor(g, v) for v in plain]
             if any(not r["residual"].is_zero() for r in reports):
                 return "nonzero"
             return "case=%s residual=0" % ",".join(
@@ -218,15 +221,9 @@ def evaluate_entry(entry: CorpusEntry, base: str) -> str:
             return str(rep.series.coeffs[0])
         if op == "graph_moves":
             return _op_graph_moves(g, _count_arg(args, "steps", "4"))
-    if op == "four_term":
+    if op in ("four_term", "six_valent"):
         n = load_diagram(base, entry.file)
-        s, e, w = _three_files(args, base)
-        return gi.check_four_term(n, s, e, w, gi.VASSILIEV).render()
-    if op == "six_valent":
-        n = load_diagram(base, entry.file)
-        s, e, w = _three_files(args, base)
-        quad = {"N": n, "S": s, "E": e, "W": w}
-        return gi.six_valent_eval(quad, gi.VASSILIEV)["residual"].render()
+        return gi.check_four_term(n, *_three_files(args, base)).render()
     if op == "casimir_constants":
         return "C1=%s;C2=%s" % (gi.C1.render(), gi.C2.render())
     if op == "prop31":

@@ -61,10 +61,8 @@ class FormalSum:
     """Finite linear combination of diagrams with rational-function
     coefficients; equal diagrams (up to renumbering) are merged."""
 
-    def __init__(self, terms=()):
+    def __init__(self) -> None:
         self._terms: Dict[str, Tuple[RationalFunc, Diagram]] = {}
-        for coeff, d in terms:
-            self.add(coeff, d)
 
     def add(self, coeff: RationalFunc, d: Diagram) -> None:
         key = d.canonical_form()
@@ -183,15 +181,20 @@ def eval_with_casimir_marks(g: Diagram) -> RationalFunc:
 
 
 def check_spinor(g: Diagram, vertex: Optional[str] = None) -> dict:
-    """Trace-identity check at one vertex: the graph value equals the
-    unfold value plus (two loops) or minus (self-intersection) the
-    reversed-unfold value.  All values at bracket (Z) level with any
-    remaining vertices resolved plainly."""
-    vs = [v for v in g.vertices() if g.kind_of(v) == "Vert"]
+    """Trace identity at a plain vertex (the graph's first one if none is
+    named): the graph value equals the unfold value plus (two loops) or
+    minus (self-intersection) the reversed-unfold value, all at bracket
+    (Z) level with any other vertices resolved by the Casimir weights.
+    Raises DiagramError for a vertex that is not plain: a marked vertex
+    obeys casimir_decompose instead."""
+    plain = [v for v, k in g.nodes if k == "Vert"]
     if vertex is None:
-        if not vs:
+        if not plain:
             raise DiagramError("no plain vertex to check")
-        vertex = vs[0]
+        vertex = plain[0]
+    elif vertex not in plain:
+        raise DiagramError("%s is not a plain vertex; the trace identity "
+                           "holds at plain vertices only" % vertex)
     case = vertex_case(g, vertex)
     val_g = eval_with_casimir_marks(g)
     val_u = eval_with_casimir_marks(vertex_unfold(g, vertex))
@@ -252,15 +255,17 @@ def casimir_decompose(g: Diagram) -> dict:
 
 def check_four_term(n: Diagram, s: Diagram, e: Diagram, w: Diagram,
                     scheme: ResolutionScheme = VASSILIEV) -> RationalFunc:
-    """P(N) - P(S) + P(E) - P(W); zero for matched quadruples."""
-    return (eval_graph(n, scheme) - eval_graph(s, scheme)
-            + eval_graph(e, scheme) - eval_graph(w, scheme))
+    """The four-term residual P(N) - P(S) + P(E) - P(W): six_valent_eval's
+    residual of the quadruple, zero for matched quadruples."""
+    return six_valent_eval({"N": n, "S": s, "E": e, "W": w},
+                           scheme)["residual"]
 
 
 def six_valent_eval(quad: Dict[str, Diagram],
                     scheme: ResolutionScheme = VASSILIEV) -> dict:
-    """Invariant of a triple point from its four two-vertex resolutions;
-    the two routes must agree (that equality is the four-term relation)."""
+    """Invariant of a triple point from its four two-vertex resolutions:
+    the routes P(N) - P(S) and P(W) - P(E) past it must agree, and their
+    difference is the four-term residual."""
     for k in ("N", "S", "E", "W"):
         if k not in quad:
             raise DiagramError("quadruple is missing diagram %r" % k)

@@ -140,9 +140,11 @@ def r2_plus(d: Diagram, arc1: ArcT, arc2: ArcT) -> Diagram:
 
 
 def find_r2_minus(d: Diagram) -> List[MoveSpec]:
-    """Pairs of opposite crossings joined by two arcs that sit on
-    cyclically adjacent ports at both ends and on different strands at
-    each node."""
+    """Pairs of opposite crossings joined by two arcs from one to the
+    other and none back.  The two arcs sit on adjacent ports at both
+    ends: they leave by the two out-ports of one crossing and enter by
+    the two in-ports of the other, and each strand (ports 0-2 or 1-3)
+    has one of each."""
     between: Dict[Tuple[str, str], List[ArcT]] = {}
     for arc in d.arcs:
         (a, _), (b, _) = arc
@@ -154,9 +156,6 @@ def find_r2_minus(d: Diagram) -> List[MoveSpec]:
             continue
         ka, kb = d.kind_of(a), d.kind_of(b)
         if {ka, kb} != {"XPos", "XNeg"}:
-            continue
-        (p1, q1), (p2, q2) = ((t[1], h[1]) for t, h in arcs)
-        if (p1 - p2) % 4 not in (1, 3) or (q1 - q2) % 4 not in (1, 3):
             continue
         sites.append(MoveSpec("R2-", (a, b)))
     return sites

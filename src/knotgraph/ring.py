@@ -384,10 +384,6 @@ class Series:
         n = min(self.order, o.order)
         return Series.make(n, [self.coeffs[i] + o.coeffs[i] for i in range(n + 1)])
 
-    def __sub__(self, o: "Series") -> "Series":
-        n = min(self.order, o.order)
-        return Series.make(n, [self.coeffs[i] - o.coeffs[i] for i in range(n + 1)])
-
     def __mul__(self, o: "Series") -> "Series":
         n = min(self.order, o.order)
         cs = [Fraction(0)] * (n + 1)
@@ -397,10 +393,6 @@ class Series:
             for j in range(0, n + 1 - i):
                 cs[i + j] += a * o.coeffs[j]
         return Series.make(n, cs)
-
-    def scale(self, c) -> "Series":
-        c = Fraction(c)
-        return Series.make(self.order, [k * c for k in self.coeffs])
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)

@@ -21,8 +21,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
 
+from .diagram import DiagramError
 
-class SpinNetError(ValueError):
+
+class SpinNetError(DiagramError):
     pass
 
 
@@ -52,9 +54,6 @@ class GaussianRational:
     def __sub__(self, other) -> "GaussianRational":
         return self + (-GaussianRational.of(other))
 
-    def __rsub__(self, other) -> "GaussianRational":
-        return GaussianRational.of(other) + (-self)
-
     def __mul__(self, other) -> "GaussianRational":
         o = GaussianRational.of(other)
         return GaussianRational(self.re * o.re - self.im * o.im,
@@ -65,9 +64,6 @@ class GaussianRational:
     def __eq__(self, other) -> bool:
         o = GaussianRational.of(other)
         return self.re == o.re and self.im == o.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
 
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
@@ -225,14 +221,6 @@ class PermElement:
         for p, c in other.terms:
             out[p] = out.get(p, Fraction(0)) + c
         return PermElement.make(self.n, out)
-
-    def scale(self, c) -> "PermElement":
-        c = Fraction(c)
-        return PermElement.make(self.n,
-                                {p: cc * c for p, cc in self.terms})
-
-    def __sub__(self, other: "PermElement") -> "PermElement":
-        return self + other.scale(-1)
 
     def compose(self, other: "PermElement") -> "PermElement":
         """(self . other): apply other first, then self."""

@@ -1,6 +1,7 @@
 """scripts/ab_bench.py refuses trees whose bytecode caches differ,
-leaves no child or temporary directory behind when it is terminated, and
-gives each end-to-end metric a no-regression verdict."""
+leaves no child or temporary directory behind when it is terminated,
+shows each pair's first declared metric, and gives each end-to-end
+metric a no-regression verdict."""
 
 import json
 import os
@@ -92,12 +93,15 @@ def test_sigterm_ends_the_child_and_removes_the_temporary_directory(
 
 
 # a benchmark runner that reports the next value of its tree's values.json
+# as the one metric its tree's BENCHMARK.json declares
 _FAKE = """import json, pathlib
 values = json.loads(pathlib.Path("values.json").read_text())
+spec = json.loads(pathlib.Path("BENCHMARK.json").read_text())
 count = pathlib.Path("count")
 k = int(count.read_text()) if count.exists() else 0
 count.write_text(str(k + 1))
-print(json.dumps({"metrics": {"items_per_s": {"value": values[k]}},
+print(json.dumps({"metrics": {spec["end_to_end"][0]["name"]:
+                              {"value": values[k]}},
                   "failed": 0, "attempted": 1}))
 """
 
@@ -105,16 +109,18 @@ _STEADY = [100, 101, 99, 100]
 _SPREAD = [70, 100, 130, 100]   # quartiles 77.5 and 122.5: wider than 15%
 
 
-@pytest.mark.parametrize("better, base, new, expect", [
-    ("higher", _STEADY, [98, 100, 99, 101], "ok"),
-    ("higher", _STEADY, [80, 81, 79, 80], "WORSE"),
-    ("lower", _STEADY, [120, 121, 119, 120], "WORSE"),
-    ("higher", _SPREAD, [100, 101, 99, 100], "unresolved"),
-    ("higher", _SPREAD, [140, 150, 145, 141], "ok"),
-    ("lower", _SPREAD, [60, 65, 62, 61], "ok"),
+@pytest.mark.parametrize("metric, better, base, new, expect", [
+    ("items_per_s", "higher", _STEADY, [98, 100, 99, 101], "ok"),
+    ("items_per_s", "higher", _STEADY, [80, 81, 79, 80], "WORSE"),
+    ("items_per_s", "lower", _STEADY, [120, 121, 119, 120], "WORSE"),
+    ("items_per_s", "higher", _SPREAD, [100, 101, 99, 100], "unresolved"),
+    ("items_per_s", "higher", _SPREAD, [140, 150, 145, 141], "ok"),
+    ("items_per_s", "lower", _SPREAD, [60, 65, 62, 61], "ok"),
+    ("m", "lower", _STEADY, [98, 100, 99, 101], "ok"),
 ], ids=["ok", "worse", "worse-lower", "unresolved", "beats-every-run",
-        "beats-every-run-lower"])
-def test_verdict_against_the_bound(tmp_path, better, base, new, expect):
+        "beats-every-run-lower", "metric-m"])
+def test_verdict_against_the_bound(tmp_path, metric, better, base, new,
+                                   expect):
     trees = []
     for name, values in (("base", base), ("new", new)):
         tree = tmp_path / name
@@ -124,7 +130,7 @@ def test_verdict_against_the_bound(tmp_path, better, base, new, expect):
         (tree / "values.json").write_text(json.dumps(values))
         (tree / "BENCHMARK.json").write_text(json.dumps(
             {"run_seconds": 1, "end_to_end": [
-                {"name": "items_per_s", "better": better, "bound": 0.15}]}))
+                {"name": metric, "better": better, "bound": 0.15}]}))
         trees.append(str(tree))
     done = subprocess.run(
         [sys.executable, str(SCRIPT), *trees, "--workload", "links",
@@ -132,7 +138,9 @@ def test_verdict_against_the_bound(tmp_path, better, base, new, expect):
         capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    row = next(line for line in lines if line.startswith("items_per_s "))
+    assert lines[1] == "pair 1 (base first): %s base %.4g, new %.4g" % (
+        metric, base[0], new[0])
+    row = next(line for line in lines if line.startswith(metric + " "))
     assert row.split()[-1] == expect
     counts = {v: int(v == expect) for v in ("ok", "WORSE", "unresolved")}
     assert lines[-1] == ("no-regression verdicts: %(ok)d ok, %(WORSE)d "

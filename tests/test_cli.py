@@ -151,6 +151,19 @@ def test_check_refuses_a_file_it_does_not_check(tmp_path, capsys, what, name,
     assert _one_error_line(err) and why in err
 
 
+def test_check_messages(capsys):
+    code, out, err = run(capsys, ["check", "fierz", "x.dg"])
+    assert code == 1 and out == ""
+    assert err == ("error: check fierz takes no file; it checks fixed "
+                   "identities, not a diagram\n")
+    code, out, err = run(capsys, ["check", "bogus"])
+    assert code == 1 and out == ""
+    assert _one_error_line(err)
+    assert err.startswith("error: argument what: invalid choice: 'bogus'")
+    names = ["spinor", "four-term", "fierz", "projector", "reidemeister"]
+    assert sorted(names, key=err.index) == names
+
+
 @pytest.mark.parametrize("what", ["fierz", "projector"])
 def test_check_refuses_a_file_without_reading_it(tmp_path, capsys, what):
     code, out, err = run(capsys, ["check", what, str(tmp_path / "no.dg")])

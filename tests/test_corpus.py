@@ -6,11 +6,13 @@ from pathlib import Path
 
 import pytest
 
+from knotgraph import catalog
 from knotgraph.bracket import bracket_naive, z_eval
 from knotgraph.cli import main
 from knotgraph.corpus import (DATA_DIR, CorpusError, corpus_diagrams,
                               load_manifest, report_lines, run_corpus)
-from knotgraph.diagram import DiagramError, replace_kind
+from knotgraph.diagram import DiagramError, replace_kind, serialize
+from knotgraph.spinnet import SpinNetError
 
 
 def test_manifest_is_well_formed():
@@ -101,6 +103,31 @@ def test_malformed_entry_args_are_corpus_errors(tmp_path, capsys, op_args):
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error:")
     assert len(err.splitlines()) == 1
+
+
+_ERRORS = {    # id -> (manifest line, error class, message)
+    "manifest-fields": ("e | c.dg | z\n", CorpusError,
+                        "manifest line 1: expected 7 fields"),
+    "strand-bound": ("e | - | perm | n=6,kind=sym | 0 | known | note\n",
+                     SpinNetError, "strand count 6 out of range 1..5"),
+    "spinor-marked-vertex": ("e | c.dg | spinor | - | 0 | known | note\n",
+                             CorpusError, "spinor wants a plain vertex"),
+}
+
+
+@pytest.mark.parametrize("line, cls, message", _ERRORS.values(),
+                         ids=_ERRORS.keys())
+def test_entry_errors_are_diagram_errors_with_their_message(
+        tmp_path, capsys, line, cls, message):
+    (tmp_path / "manifest.txt").write_text(line)
+    (tmp_path / "c.dg").write_text(
+        serialize(catalog.named_diagram("G_b_cvert"), "c"))
+    with pytest.raises(cls) as exc:
+        run_corpus(str(tmp_path))
+    assert isinstance(exc.value, DiagramError) and str(exc.value) == message
+    assert main(["corpus", "--dir", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: %s\n" % message
 
 
 def test_series_order_above_200_is_an_error(tmp_path, capsys):

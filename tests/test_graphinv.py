@@ -261,6 +261,14 @@ def test_trace_identity_on_corpus_graphs():
             assert rep["residual"].is_zero(), (name, v)
 
 
+def test_trace_identity_refuses_a_marked_vertex():
+    g = catalog.named_diagram("G_b_cvert")
+    with pytest.raises(DiagramError, match="n0 is not a plain vertex"):
+        check_spinor(g, "n0")
+    with pytest.raises(DiagramError, match="no plain vertex"):
+        check_spinor(g)
+
+
 def test_trace_identity_covers_both_cases():
     cases = set()
     for name in ("case1_vertex", "case2_vertex"):

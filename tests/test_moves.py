@@ -147,10 +147,21 @@ def test_random_walks_preserve_the_normalised_value():
 
 def test_applicable_moves_all_apply():
     rng = random.Random(28)
-    for _ in range(10):
-        g = random_vertex_graph(rng, steps=1)
+    graphs = [random_vertex_graph(rng, steps=1) for _ in range(10)]
+    graphs += [grow_with_moves(rng, random_braid_link(rng, 6, 4), 2)
+               for _ in range(30)]
+    r2_sites = 0
+    for g in graphs:
         for m in applicable_moves(g):
             assert apply_move(g, m).validate() == []
+            if m.move == "R2-":
+                # find_r2_minus does not test this; its docstring says why
+                a, b = m.site
+                (p1, q1), (p2, q2) = [(t[1], h[1]) for t, h in g.arcs
+                                      if (t[0], h[0]) == (a, b)]
+                assert (p1 - p2) % 4 in (1, 3) and (q1 - q2) % 4 in (1, 3)
+                r2_sites += 1
+    assert r2_sites >= 20
 
 
 def test_find_slides_matches_subset_oracle():

@@ -25,7 +25,7 @@ gaussians = st.builds(
 @given(gaussians, gaussians, gaussians)
 def test_gaussian_rational_field_axioms(x, y, z):
     assert x + y == y + x
-    assert x * y == y * x
+    assert x * y == y * x and hash(x * y) == hash(y * x)
     assert x * (y + z) == x * y + x * z
     assert x - x == GR_ZERO
     assert x * GR_ONE == x
