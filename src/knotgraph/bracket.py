@@ -61,7 +61,7 @@ from typing import (Dict, Iterable, List, Optional, Sequence, Tuple,
                     Union)
 
 from .diagram import (CROSSING_KINDS, ArcT, Diagram, DiagramError, End,
-                      crossing_kind, strand_ports)
+                      crossing_kind, strand_ports, whole_number)
 from .ring import LOOP, LaurentPoly, Terms, _exact_div, _terms, _times
 
 Pair = Tuple[int, int]
@@ -83,8 +83,8 @@ _LOOP = _terms(LOOP)
 def max_crossings() -> int:
     text = os.environ.get("MAX_CROSSINGS", "20")
     try:
-        return int(text)
-    except ValueError:      # not a number, or more digits than int() reads
+        return whole_number(text)
+    except ValueError:
         raise DiagramError("MAX_CROSSINGS=%.40r is not a whole number"
                            % text) from None
 

@@ -15,7 +15,6 @@ with the frozen text bit-exactly.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from . import graphinv as gi
@@ -25,7 +24,7 @@ from . import vassiliev
 from .bracket import p_eval, z_eval
 from .diagram import (Diagram, DiagramError, parse_diagram, read_text,
                       replace_kind)
-from .ring import rf
+from .ring import Value, rf
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "corpus_data")
 # a graph_moves walk costs about 1 ms per step
@@ -36,21 +35,26 @@ class CorpusError(DiagramError):
     pass
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
-    name: str
-    file: str
-    op: str
-    args: str
-    expected: str
-    tag: str
-    anchor: str
+class CorpusEntry(Value):
+    __slots__ = ("name", "file", "op", "args", "expected", "tag", "anchor")
+
+    def __init__(self, name: str, file: str, op: str, args: str,
+                 expected: str, tag: str, anchor: str) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "file", file)
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "args", args)
+        object.__setattr__(self, "expected", expected)
+        object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "anchor", anchor)
 
 
-@dataclass(frozen=True)
-class EntryResult:
-    entry: CorpusEntry
-    actual: str
+class EntryResult(Value):
+    __slots__ = ("entry", "actual")
+
+    def __init__(self, entry: CorpusEntry, actual: str) -> None:
+        object.__setattr__(self, "entry", entry)
+        object.__setattr__(self, "actual", actual)
 
     @property
     def passed(self) -> bool:

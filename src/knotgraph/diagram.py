@@ -10,7 +10,7 @@ vertex, CVert a marked one.
 
 A Diagram is well formed from construction: every node has a known kind,
 every arc joins ports 0-3 of known nodes, no port is used twice, and each
-strand through a node has one in-port and one out-port.  __post_init__
+strand through a node has one in-port and one out-port.  __init__
 checks this (Diagram.validate states the rule) and raises DiagramError,
 so a diagram parsed, built with make, or returned by a move or a surgery
 obeys it, and no consumer checks it again.
@@ -22,8 +22,9 @@ The model is abstract in the Gauss-code sense: planarity of the induced
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
+
+from .ring import Value
 
 KINDS = ("XPos", "XNeg", "Vert", "CVert")
 CROSSING_KINDS = ("XPos", "XNeg")
@@ -37,13 +38,14 @@ class DiagramError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Diagram:
-    nodes: Tuple[Tuple[str, str], ...] = ()   # (id, kind), id-sorted
-    arcs: Tuple[ArcT, ...] = ()               # sorted
-    free_loops: int = 0
+class Diagram(Value):
+    __slots__ = ("nodes", "arcs", "free_loops")
 
-    def __post_init__(self) -> None:
+    def __init__(self, nodes: Tuple[Tuple[str, str], ...] = (),
+                 arcs: Tuple[ArcT, ...] = (), free_loops: int = 0) -> None:
+        object.__setattr__(self, "nodes", nodes)    # (id, kind), id-sorted
+        object.__setattr__(self, "arcs", arcs)      # sorted
+        object.__setattr__(self, "free_loops", free_loops)
         report = self.validate()
         if report:
             raise DiagramError("; ".join(report))
@@ -276,6 +278,19 @@ def serialize(d: Diagram, name: str = "diagram") -> str:
     return "\n".join(lines) + "\n"
 
 
+def whole_number(text: str) -> int:
+    """text read as a whole number: ASCII digits and nothing else.  int()
+    also takes a sign, underscores, surrounding spaces and other scripts'
+    digits, and str.isdigit() digits such as superscript two, which int()
+    refuses; ValueError says which rule text breaks."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError("bad number %.40r" % text)
+    try:
+        return int(text)
+    except ValueError:      # more digits than int() converts
+        raise ValueError("number too long in %.40r" % text) from None
+
+
 def parse(text: str) -> Tuple[str, Diagram]:
     """Read the text codec.  Node ids and kinds are interned, so that every
     arc end shares its node's id string and every node its kind's."""
@@ -285,14 +300,10 @@ def parse(text: str) -> Tuple[str, Diagram]:
     loops = 0
 
     def number(tok: str, lineno: int) -> int:
-        # isdigit() alone also passes digits such as superscript two
-        if not (tok.isascii() and tok.isdigit()):
-            raise DiagramError("line %d: bad number %.40r" % (lineno, tok))
         try:
-            return int(tok)
-        except ValueError:      # more digits than int() converts
-            raise DiagramError("line %d: number too long in %.40r"
-                               % (lineno, tok)) from None
+            return whole_number(tok)
+        except ValueError as exc:
+            raise DiagramError("line %d: %s" % (lineno, exc)) from None
 
     def end(tok: str, lineno: int) -> End:
         if "." not in tok:

@@ -15,7 +15,6 @@ diagrams, for the resolve verb and as the tests' oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -25,25 +24,27 @@ from .diagram import (Diagram, DiagramError, crossing_kind, path_to_reentry,
                       replace_kind, reverse_and_splice, splice_node,
                       vertex_ports)
 from .ring import (A, A_INV, DELTA_POS, ONE, LaurentPoly, RationalFunc,
-                   RF_ONE, RF_ZERO, Terms, _terms, poly_exact_div, rf,
+                   RF_ONE, RF_ZERO, Terms, Value, _terms, poly_exact_div, rf,
                    rf_from_terms)
 
 
-@dataclass(frozen=True)
-class ResolutionScheme:
-    a: RationalFunc   # weight of the positive-crossing replacement
-    b: RationalFunc   # weight of the negative-crossing replacement
-    c: RationalFunc   # weight of the unfold replacement
-    # (den, a, b, c) as kernel terms: the weights are a/den, b/den, c/den
-    over_one_den: Tuple[Terms, ...] = field(init=False, repr=False,
-                                            compare=False)
+class ResolutionScheme(Value):
+    """The weights of the positive-crossing (a), negative-crossing (b) and
+    unfold (c) replacements of a vertex; over_one_den holds (den, a, b, c)
+    as kernel terms, the weights being a/den, b/den, c/den."""
 
-    def __post_init__(self) -> None:
+    _fields = ("a", "b", "c")
+    __slots__ = _fields + ("over_one_den",)
+
+    def __init__(self, a: RationalFunc, b: RationalFunc,
+                 c: RationalFunc) -> None:
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
         den = ONE
-        for d in {self.a.den, self.b.den, self.c.den}:
+        for d in {a.den, b.den, c.den}:
             den = den * d
-        weights = [poly_exact_div(f.num * den, f.den)
-                   for f in (self.a, self.b, self.c)]
+        weights = [poly_exact_div(f.num * den, f.den) for f in (a, b, c)]
         object.__setattr__(self, "over_one_den",
                            tuple(_terms(p) for p in [den] + weights))
 

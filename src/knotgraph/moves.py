@@ -23,21 +23,23 @@ port on no site arc is a boundary end, named by its (node, port).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Dict, List, Optional, Tuple
 
 from .bracket import CROSSING_TABLES, contract
 from .diagram import (VERTEX_KINDS, ArcT, Diagram, DiagramError, End,
                       splice_node, vertex_ports)
+from .ring import Value
 
 Move = str  # "R1+", "R1-", "R2+", "R2-", "R3", "R4", "R5"
 
 
-@dataclass(frozen=True)
-class MoveSpec:
-    move: Move
-    site: tuple
+class MoveSpec(Value):
+    __slots__ = ("move", "site")
+
+    def __init__(self, move: Move, site: tuple) -> None:
+        object.__setattr__(self, "move", move)
+        object.__setattr__(self, "site", site)
 
 
 class MoveError(DiagramError):

@@ -22,14 +22,54 @@ kernel before it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import attrgetter
 from typing import Dict, Iterable, Mapping, Tuple, Union
 
 
 class RingError(ValueError):
     pass
+
+
+class Value:
+    """An immutable value.  A subclass names its fields in __slots__ (or in
+    _fields, where a slot after them holds a value derived from them) and
+    sets each slot in __init__ with object.__setattr__.  Values of one
+    class are equal when their fields are; a value hashes as the tuple of
+    its fields and shows as Name(field=value, ...)."""
+
+    __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        if "_fields" not in vars(cls):
+            cls._fields += vars(cls).get("__slots__", ())
+        get = attrgetter(*cls._fields)
+        cls._astuple = staticmethod(get if len(cls._fields) > 1
+                                    else lambda v: (get(v),))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple(self) == other._astuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple(self))
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (self.__class__.__qualname__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self._fields))
+
+    def __reduce__(self):
+        # copy and pickle rebuild a value from its fields, not by setattr
+        return self.__class__, self._astuple(self)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError("cannot assign to attribute %r" % name)
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("cannot delete attribute %r" % name)
 
 
 def _clean(terms: Mapping[int, Fraction]) -> Tuple[Tuple[int, Fraction], ...]:
@@ -41,11 +81,13 @@ def _clean(terms: Mapping[int, Fraction]) -> Tuple[Tuple[int, Fraction], ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class LaurentPoly:
+class LaurentPoly(Value):
     """A Laurent polynomial in A with exact rational coefficients."""
 
-    terms: Tuple[Tuple[int, Fraction], ...] = ()
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: Tuple[Tuple[int, Fraction], ...] = ()) -> None:
+        object.__setattr__(self, "terms", terms)
 
     @staticmethod
     def from_dict(d: Mapping[int, Fraction]) -> "LaurentPoly":
@@ -269,13 +311,15 @@ def poly_exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     return q
 
 
-@dataclass(frozen=True)
-class RationalFunc:
+class RationalFunc(Value):
     """num/den in canonical form: gcd removed, den with minimal exponent 0
     and leading coefficient 1."""
 
-    num: LaurentPoly
-    den: LaurentPoly
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: LaurentPoly, den: LaurentPoly) -> None:
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     @staticmethod
     def make(num: LaurentPoly, den: LaurentPoly = ONE) -> "RationalFunc":
@@ -361,12 +405,14 @@ def rf(num: LaurentPoly, den: LaurentPoly = ONE) -> RationalFunc:
     return RationalFunc.make(num, den)
 
 
-@dataclass(frozen=True)
-class Series:
+class Series(Value):
     """Power series in h truncated at a fixed order, with A = exp(h)."""
 
-    order: int
-    coeffs: Tuple[Fraction, ...]
+    __slots__ = ("order", "coeffs")
+
+    def __init__(self, order: int, coeffs: Tuple[Fraction, ...]) -> None:
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "coeffs", coeffs)
 
     @staticmethod
     def make(order: int, coeffs: Iterable) -> "Series":

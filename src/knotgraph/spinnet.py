@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .diagram import DiagramError
+from .ring import Value
 
 
 class SpinNetError(DiagramError):
@@ -31,10 +32,13 @@ class SpinNetError(DiagramError):
 # --- exact complex rationals -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GaussianRational:
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+class GaussianRational(Value):
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: Fraction = Fraction(0),
+                 im: Fraction = Fraction(0)) -> None:
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
 
     @staticmethod
     def of(x) -> "GaussianRational":
@@ -61,9 +65,14 @@ class GaussianRational:
 
     __rmul__ = __mul__
 
-    def __eq__(self, other) -> bool:
-        o = GaussianRational.of(other)
-        return self.re == o.re and self.im == o.im
+    def __eq__(self, other):
+        if isinstance(other, Rational):
+            return self.im == 0 and self.re == other
+        return Value.__eq__(self, other)
+
+    def __hash__(self) -> int:
+        # equal to a rational where im == 0, so hashed as that rational is
+        return hash(self.re) if self.im == 0 else hash((self.re, self.im))
 
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
@@ -94,9 +103,11 @@ FactorT = Tuple[str, str, str]
 _SYMBOLS = ("delta", "epsL", "epsU")
 
 
-@dataclass(frozen=True)
-class TensorDiagram:
-    factors: Tuple[FactorT, ...]
+class TensorDiagram(Value):
+    __slots__ = ("factors",)
+
+    def __init__(self, factors: Tuple[FactorT, ...]) -> None:
+        object.__setattr__(self, "factors", factors)
 
     @staticmethod
     def make(factors: Iterable[Sequence[str]]) -> "TensorDiagram":
@@ -188,11 +199,15 @@ def parse_tensor_diagram(text: str) -> TensorDiagram:
 PermT = Tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class PermElement:
+class PermElement(Value):
     """Rational linear combination of permutations of n strands."""
-    n: int
-    terms: Tuple[Tuple[PermT, Fraction], ...]
+
+    __slots__ = ("n", "terms")
+
+    def __init__(self, n: int,
+                 terms: Tuple[Tuple[PermT, Fraction], ...]) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "terms", terms)
 
     @staticmethod
     def make(n: int, terms: Dict[PermT, Fraction]) -> "PermElement":

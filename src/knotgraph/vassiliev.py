@@ -11,21 +11,25 @@ rational functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional
 
 from . import catalog
 from .diagram import Diagram
 from .graphinv import VASSILIEV, eval_graph
-from .ring import DELTA_POS, RingError, Series, poly_divmod, poly_series
+from .ring import (DELTA_POS, RingError, Series, Value, poly_divmod,
+                   poly_series)
 
 MAX_ORDER = 200     # order 200 takes at most 0.2 s on a graph of 18 nodes
 
 
-@dataclass(frozen=True)
-class VassilievReport:
-    series: Series
-    vanishing_order: Optional[int]   # None = zero to the whole truncation
+class VassilievReport(Value):
+    __slots__ = ("series", "vanishing_order")
+
+    def __init__(self, series: Series,
+                 vanishing_order: Optional[int]) -> None:
+        object.__setattr__(self, "series", series)
+        # None = zero to the whole truncation
+        object.__setattr__(self, "vanishing_order", vanishing_order)
 
     def vanishes_below(self, j: int) -> bool:
         return self.vanishing_order is None or self.vanishing_order >= j

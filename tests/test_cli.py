@@ -243,8 +243,11 @@ def test_bad_input_is_one_error_line(dg, tmp_path, capsys, argv):
     assert _one_error_line(err)
 
 
-@pytest.mark.parametrize("cap", ["abc", "2.5", "9" * 5000],
-                         ids=["letters", "fraction", "too-many-digits"])
+@pytest.mark.parametrize("cap", ["abc", "2.5", "9" * 5000, "-3", "+5",
+                                 "1_000", "\uff12\uff10", " 20 "],
+                         ids=["letters", "fraction", "too-many-digits",
+                              "negative", "plus-sign", "underscore",
+                              "fullwidth-digits", "spaces"])
 def test_malformed_crossing_cap_is_one_error_line(dg, capsys, monkeypatch,
                                                   cap):
     monkeypatch.setenv("MAX_CROSSINGS", cap)

@@ -1,5 +1,6 @@
 """Cold start: a fresh ``python -m knotgraph.cli`` process runs only the
-modules its verb uses.  The package registers its modules lazily, so a
+modules its verb uses, and imports neither ``dataclasses`` nor the
+``inspect`` module it loads.  The package registers its modules lazily, so a
 registered module sits in sys.modules before it runs; a module has run
 once its type is the plain module type again."""
 
@@ -21,7 +22,8 @@ DATA = SRC / "knotgraph" / "corpus_data"
 
 # Written as sitecustomize.py into a directory put first on PYTHONPATH:
 # at exit it records which knotgraph modules ran, the verb's own
-# __main__ (knotgraph.cli under -m) included.
+# __main__ (knotgraph.cli under -m) included, and which of dataclasses
+# and inspect were imported.
 _HOOK = '''
 import atexit, json, os, sys, types
 
@@ -31,9 +33,10 @@ def _record():
     spec = getattr(sys.modules["__main__"], "__spec__", None)
     if spec is not None:
         ran.append(spec.name)
+    slow = [n for n in ("dataclasses", "inspect") if n in sys.modules]
     path = os.path.join(os.path.dirname(__file__), "ran.json")
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(sorted(ran), fh)
+        json.dump({"ran": sorted(ran), "slow": slow}, fh)
 
 atexit.register(_record)
 '''
@@ -42,17 +45,18 @@ BASE = {"cli", "diagram", "ring", "bracket"}
 
 
 def _run_verb(tmp_path, argv):
-    """(exit code, stdout, stderr, the knotgraph modules that ran)."""
+    """(exit code, stdout, stderr, the knotgraph modules that ran, which
+    of dataclasses and inspect were imported)."""
     (tmp_path / "sitecustomize.py").write_text(_HOOK, encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path),
                                                        str(SRC)]))
     done = subprocess.run([sys.executable, "-W", "error", "-m",
                            "knotgraph.cli"] + argv, env=env, cwd=tmp_path,
                           capture_output=True, text=True)
-    ran = json.loads((tmp_path / "ran.json").read_text(encoding="utf-8"))
-    assert "knotgraph" in ran
-    modules = {n.split(".", 1)[1] for n in ran if n != "knotgraph"}
-    return done.returncode, done.stdout, done.stderr, modules
+    record = json.loads((tmp_path / "ran.json").read_text(encoding="utf-8"))
+    assert "knotgraph" in record["ran"]
+    modules = {n.split(".", 1)[1] for n in record["ran"] if n != "knotgraph"}
+    return done.returncode, done.stdout, done.stderr, modules, record["slow"]
 
 
 @pytest.mark.parametrize("argv, out, extra", [
@@ -71,13 +75,15 @@ def test_each_verb_runs_only_its_modules(tmp_path, capsys, argv, out, extra):
     if out is None:     # a report over the corpus: as run in this process
         assert cli.main(argv) == 0
         out = capsys.readouterr().out
-    code, stdout, stderr, ran = _run_verb(tmp_path, argv)
+    code, stdout, stderr, ran, slow = _run_verb(tmp_path, argv)
     assert (code, stdout, stderr) == (0, out, "")
     assert ran == BASE | extra
+    assert slow == []
 
 
 def test_an_unreadable_file_runs_no_extra_module(tmp_path):
-    code, stdout, stderr, ran = _run_verb(tmp_path, ["eval", "missing.dg"])
+    code, stdout, stderr, ran, _ = _run_verb(tmp_path,
+                                             ["eval", "missing.dg"])
     assert code == 1 and stdout == ""
     assert stderr == ("error: cannot read missing.dg: No such file or "
                       "directory\n")

@@ -10,7 +10,8 @@ import sys
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "knotgraph"
 
 
-def _outside_imports(path):
+def _imports(path):
+    """(line, module name) of each absolute import in path."""
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
@@ -19,15 +20,25 @@ def _outside_imports(path):
         else:
             continue
         for name in names:
-            if name.split(".")[0] not in sys.stdlib_module_names:
-                yield node.lineno, name
+            yield node.lineno, name
 
 
 def test_every_import_is_relative_or_stdlib():
     modules = sorted(SRC.glob("*.py"))
     assert len(modules) >= 10
     bad = [(m.name, line, name) for m in modules
-           for line, name in _outside_imports(m)]
+           for line, name in _imports(m)
+           if name.split(".")[0] not in sys.stdlib_module_names]
+    assert bad == []
+
+
+def test_no_module_imports_dataclasses_or_inspect():
+    """dataclasses imports inspect, which costs every command several
+    milliseconds of its start; the value classes are plain __slots__
+    classes on ring.Value instead."""
+    bad = [(m.name, line, name) for m in sorted(SRC.glob("*.py"))
+           for line, name in _imports(m)
+           if name.split(".")[0] in ("dataclasses", "inspect")]
     assert bad == []
 
 
@@ -54,8 +65,8 @@ OWN_VALIDATE = {"spinnet.py": "td.validate()"}
 
 
 def test_only_the_diagram_module_checks_diagrams():
-    """A Diagram checks itself when it is built (Diagram.__post_init__
-    runs validate), so every Diagram a module is handed is well formed.
+    """A Diagram checks itself when it is built (Diagram.__init__ runs
+    validate), so every Diagram a module is handed is well formed.
     A second check elsewhere would only repeat the first, and a consumer
     that relied on its own check could forget it, so no other module
     calls require_valid or validate."""

@@ -31,6 +31,17 @@ def test_gaussian_rational_field_axioms(x, y, z):
     assert x * GR_ONE == x
 
 
+def test_gaussian_rational_equals_and_hashes_as_a_rational_where_real():
+    half = GaussianRational(Fraction(1, 2))
+    assert GR_ONE == 1 and 1 == GR_ONE and half == Fraction(1, 2)
+    assert hash(GR_ONE) == hash(1) and hash(half) == hash(Fraction(1, 2))
+    assert len({GR_ONE, 1}) == 1 and len({GR_ZERO, 0, Fraction(0)}) == 1
+    assert GR_I != 1 and GR_I != 0 and hash(GR_I) == hash((0, 1))
+    for other in ("x", None, 1.0, (1, 0)):
+        assert GR_ONE.__eq__(other) is NotImplemented
+        assert GR_ONE != other and not GR_ONE == other
+
+
 def test_gaussian_i_squares_to_minus_one():
     assert GR_I * GR_I == GaussianRational(Fraction(-1))
     assert GR_I.render() == "1*i"
