@@ -21,16 +21,12 @@ from . import moves as mv
 from . import spinnet as sn
 from . import vassiliev as vs
 from .bracket import p_eval, z_eval
-from .diagram import DiagramError, parse_diagram, read_text, serialize
+from .diagram import DiagramError, read_diagram, serialize, whole_number
 from .ring import RingError, parse_poly, rf
 
 
 class CliError(ValueError):
     pass
-
-
-def _load(path: str):
-    return parse_diagram(read_text(path))
 
 
 def _scheme(text: str) -> gi.ResolutionScheme:
@@ -47,24 +43,24 @@ def _scheme(text: str) -> gi.ResolutionScheme:
 
 
 def _cmd_eval(args) -> int:
-    print(z_eval(_load(args.file)).render())
+    print(z_eval(read_diagram(args.file)).render())
     return 0
 
 
 def _cmd_jones(args) -> int:
-    print(p_eval(_load(args.file)).render())
+    print(p_eval(read_diagram(args.file)).render())
     return 0
 
 
 def _cmd_graph_eval(args) -> int:
-    value = gi.eval_graph(_load(args.file), _scheme(args.scheme),
+    value = gi.eval_graph(read_diagram(args.file), _scheme(args.scheme),
                           level=args.level)
     print(value.render())
     return 0
 
 
 def _cmd_resolve(args) -> int:
-    fs = gi.resolve_vertices(_load(args.file), _scheme(args.scheme))
+    fs = gi.resolve_vertices(read_diagram(args.file), _scheme(args.scheme))
     terms = fs.terms()
     print("terms: %d" % len(terms))
     for idx, (coeff, diag) in enumerate(terms):
@@ -74,7 +70,7 @@ def _cmd_resolve(args) -> int:
 
 
 def _cmd_vassiliev(args) -> int:
-    rep = vs.vassiliev_series(_load(args.file), args.order)
+    rep = vs.vassiliev_series(read_diagram(args.file), args.order)
     print(rep.series.render())
     print("vanishing order: %s"
           % ("none" if rep.vanishing_order is None
@@ -84,7 +80,7 @@ def _cmd_vassiliev(args) -> int:
 
 def _targets(path: Optional[str]):
     """(name, diagram) of the FILE given, or of every corpus diagram."""
-    return ([(path, _load(path))] if path
+    return ([(path, read_diagram(path))] if path
             else sorted(corpus_mod.corpus_diagrams().items()))
 
 
@@ -113,7 +109,7 @@ def _quad_from_dir(path: str) -> dict:
         if len(hits) != 1:
             raise CliError("directory %s needs exactly one *%s.dg file"
                            % (path, label))
-        quad[label] = _load(hits[0])
+        quad[label] = read_diagram(hits[0])
     return quad
 
 
@@ -239,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("vassiliev", help="series expansion of the value")
     p.add_argument("file")
-    p.add_argument("--order", type=int, default=4)
+    p.add_argument("--order", type=whole_number, default=4)
     p.set_defaults(func=_cmd_vassiliev)
 
     p = sub.add_parser("check", help="run a named verification")

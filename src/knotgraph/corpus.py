@@ -22,8 +22,8 @@ from . import moves as mv
 from . import spinnet as sn
 from . import vassiliev
 from .bracket import p_eval, z_eval
-from .diagram import (Diagram, DiagramError, parse_diagram, read_text,
-                      replace_kind)
+from .diagram import (Diagram, DiagramError, read_diagram, read_text,
+                      replace_kind, whole_number)
 from .ring import Value, rf
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "corpus_data")
@@ -38,23 +38,9 @@ class CorpusError(DiagramError):
 class CorpusEntry(Value):
     __slots__ = ("name", "file", "op", "args", "expected", "tag", "anchor")
 
-    def __init__(self, name: str, file: str, op: str, args: str,
-                 expected: str, tag: str, anchor: str) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "file", file)
-        object.__setattr__(self, "op", op)
-        object.__setattr__(self, "args", args)
-        object.__setattr__(self, "expected", expected)
-        object.__setattr__(self, "tag", tag)
-        object.__setattr__(self, "anchor", anchor)
-
 
 class EntryResult(Value):
     __slots__ = ("entry", "actual")
-
-    def __init__(self, entry: CorpusEntry, actual: str) -> None:
-        object.__setattr__(self, "entry", entry)
-        object.__setattr__(self, "actual", actual)
 
     @property
     def passed(self) -> bool:
@@ -85,18 +71,13 @@ def load_manifest(path: Optional[str] = None) -> List[CorpusEntry]:
     return entries
 
 
-def load_diagram(base: str, fname: str) -> Diagram:
-    """A corpus diagram file, parsed; parsing checks it well formed."""
-    return parse_diagram(read_text(os.path.join(base, fname)))
-
-
 def corpus_diagrams(path: Optional[str] = None) -> Dict[str, Diagram]:
     """Every distinct diagram file of the corpus, parsed."""
     base = path or DATA_DIR
     out: Dict[str, Diagram] = {}
     for entry in load_manifest(base):
         if entry.file.endswith(".dg") and entry.file not in out:
-            out[entry.file] = load_diagram(base, entry.file)
+            out[entry.file] = read_diagram(os.path.join(base, entry.file))
     return out
 
 
@@ -123,37 +104,26 @@ def _count_arg(args: Dict[str, str], key: str,
                default: Optional[str] = None) -> int:
     text = _arg(args, key, default)
     try:
-        value = int(text)
-    except ValueError:      # not a number, or more digits than int() reads
+        return whole_number(text)
+    except ValueError:
         raise CorpusError("argument %s=%.40r is not a count"
                           % (key, text)) from None
-    if value < 0:
-        raise CorpusError("argument %s=%d is negative" % (key, value))
-    return value
 
 
-def _three_files(args: Dict[str, str], base: str) -> List[Diagram]:
+def _op_four_term(n: Diagram, args: Dict[str, str], base: str) -> str:
     files = _arg(args, "files", "").split()
     if len(files) != 3:
         raise CorpusError("expected three further diagram files")
-    return [load_diagram(base, f) for f in files]
+    others = [read_diagram(os.path.join(base, f)) for f in files]
+    return gi.check_four_term(n, *others).render()
 
 
-def _single_vertex(g: Diagram) -> str:
+def _op_fierz_form(g: Diagram, args: Dict[str, str], base: str) -> str:
+    """Marked-vertex value minus (1/2 unfolded - 1/4 plain)."""
     vs = g.vertices()
     if len(vs) != 1:
         raise CorpusError("expected exactly one vertex")
-    return vs[0]
-
-
-def _op_stats(g: Diagram) -> str:
-    return "components=%d vertices=%d writhe=%d" % (
-        g.components(), len(g.vertices()), g.writhe())
-
-
-def _op_fierz_form(g: Diagram) -> str:
-    """Marked-vertex value minus (1/2 unfolded - 1/4 plain)."""
-    v = _single_vertex(g)
+    v = vs[0]
     if g.kind_of(v) != "CVert":
         raise CorpusError("fierz_form wants a marked vertex")
     marked = gi.eval_with_casimir_marks(g)
@@ -166,13 +136,24 @@ def _op_fierz_form(g: Diagram) -> str:
     return residual.render()
 
 
-def _op_resolve_coeffs(g: Diagram) -> str:
-    fs = gi.resolve_vertices(g, gi.VASSILIEV)
-    return ";".join(sorted(c.render() for c, _ in fs.terms()))
+def _op_spinor(g: Diagram, args: Dict[str, str], base: str) -> str:
+    plain = [v for v, k in g.nodes if k == "Vert"]
+    if not plain:
+        raise CorpusError("spinor wants a plain vertex")
+    reports = [gi.check_spinor(g, v) for v in plain]
+    if any(not r["residual"].is_zero() for r in reports):
+        return "nonzero"
+    return "case=%s residual=0" % ",".join(str(r["case"]) for r in reports)
 
 
-def _op_graph_moves(g: Diagram, steps: int) -> str:
+def _op_valuation(g: Diagram, args: Dict[str, str], base: str) -> str:
+    rep = vassiliev.vassiliev_series(g, _count_arg(args, "order", "4"))
+    return "none" if rep.vanishing_order is None else str(rep.vanishing_order)
+
+
+def _op_graph_moves(g: Diagram, args: Dict[str, str], base: str) -> str:
     """Deterministic move walk; the invariant must not change."""
+    steps = _count_arg(args, "steps", "4")
     if steps > MAX_STEPS:
         raise CorpusError("argument steps=%d is above the limit %d"
                           % (steps, MAX_STEPS))
@@ -182,82 +163,74 @@ def _op_graph_moves(g: Diagram, steps: int) -> str:
     return "ok" if same else "changed"
 
 
+def _op_projector(path: str, args: Dict[str, str], base: str) -> str:
+    rep = sn.check_projector(_count_arg(args, "n"))
+    return "ok" if rep["ok"] else ";".join(rep["failures"])
+
+
+def _op_perm(path: str, args: Dict[str, str], base: str) -> str:
+    n, kind = _count_arg(args, "n"), _arg(args, "kind")
+    if kind not in ("skew", "sym"):
+        raise CorpusError("argument kind=%.40r is not skew or sym" % kind)
+    elem = sn.antisymmetrizer(n) if kind == "skew" else sn.symmetrizer(n)
+    return elem.render()
+
+
+# op -> (whether the entry's file is a diagram, the op's evaluation).  An
+# evaluation takes the parsed diagram (else the file's path), the entry's
+# arguments and the corpus directory, and returns the value as text.  It
+# reaches vassiliev, moves and spinnet through their module objects, so
+# that a command runs those modules only when it evaluates such an op.
+_OPS = {
+    "z": (True, lambda g, args, base: z_eval(g).render()),
+    "p": (True, lambda g, args, base: p_eval(g).render()),
+    "writhe": (True, lambda g, args, base: str(g.writhe())),
+    "stats": (True, lambda g, args, base: "components=%d vertices=%d writhe=%d"
+              % (g.components(), len(g.vertices()), g.writhe())),
+    "z_casimir": (True, lambda g, args, base: gi.eval_graph(
+        g, gi.CASIMIR_PLAIN, level="z").render()),
+    "z_marked": (True, lambda g, args, base:
+                 gi.eval_with_casimir_marks(g).render()),
+    "fierz_form": (True, _op_fierz_form),
+    "resolve_coeffs": (True, lambda g, args, base: ";".join(sorted(
+        c.render() for c, _ in gi.resolve_vertices(g, gi.VASSILIEV).terms()))),
+    "spinor": (True, _op_spinor),
+    "casimir_diff": (True, lambda g, args, base:
+                     gi.casimir_decompose(g)["difference"].render()),
+    "vassiliev_valuation": (True, _op_valuation),
+    "vassiliev_h0": (True, lambda g, args, base: str(
+        vassiliev.vassiliev_series(g, 0).series.coeffs[0])),
+    "graph_moves": (True, _op_graph_moves),
+    "four_term": (True, _op_four_term),
+    "six_valent": (True, _op_four_term),
+    "casimir_constants": (False, lambda path, args, base: "C1=%s;C2=%s"
+                          % (gi.C1.render(), gi.C2.render())),
+    "prop31": (False, lambda path, args, base: "a1=%s;a2=%s"
+               % tuple(a.render() for a in gi.derive_prop31())),
+    "tensor": (False, lambda path, args, base: sn.eval_tensor_diagram(
+        sn.parse_tensor_diagram(read_text(path))).render()),
+    "spinor_tensor": (False, lambda path, args, base: "ok"
+                      if sn.check_spinor_tensor_identity()["ok"] else "fail"),
+    "fierz": (False, lambda path, args, base:
+              "ok" if sn.check_fierz()["ok"] else "fail"),
+    "projector": (False, _op_projector),
+    "perm": (False, _op_perm),
+}
+
+
 def evaluate_entry(entry: CorpusEntry, base: str) -> str:
-    op = entry.op
-    args = _parse_args(entry.args)
-    if op in ("z", "p", "writhe", "stats", "z_casimir", "z_marked",
-              "fierz_form", "resolve_coeffs", "spinor", "casimir_diff",
-              "vassiliev_valuation", "vassiliev_h0", "graph_moves"):
-        g = load_diagram(base, entry.file)
-        if op == "z":
-            return z_eval(g).render()
-        if op == "p":
-            return p_eval(g).render()
-        if op == "writhe":
-            return str(g.writhe())
-        if op == "stats":
-            return _op_stats(g)
-        if op == "z_casimir":
-            return gi.eval_graph(g, gi.CASIMIR_PLAIN, level="z").render()
-        if op == "z_marked":
-            return gi.eval_with_casimir_marks(g).render()
-        if op == "fierz_form":
-            return _op_fierz_form(g)
-        if op == "resolve_coeffs":
-            return _op_resolve_coeffs(g)
-        if op == "spinor":
-            plain = [v for v, k in g.nodes if k == "Vert"]
-            if not plain:
-                raise CorpusError("spinor wants a plain vertex")
-            reports = [gi.check_spinor(g, v) for v in plain]
-            if any(not r["residual"].is_zero() for r in reports):
-                return "nonzero"
-            return "case=%s residual=0" % ",".join(
-                str(r["case"]) for r in reports)
-        if op == "casimir_diff":
-            return gi.casimir_decompose(g)["difference"].render()
-        if op == "vassiliev_valuation":
-            rep = vassiliev.vassiliev_series(g, _count_arg(args, "order", "4"))
-            return ("none" if rep.vanishing_order is None
-                    else str(rep.vanishing_order))
-        if op == "vassiliev_h0":
-            rep = vassiliev.vassiliev_series(g, 0)
-            return str(rep.series.coeffs[0])
-        if op == "graph_moves":
-            return _op_graph_moves(g, _count_arg(args, "steps", "4"))
-    if op in ("four_term", "six_valent"):
-        n = load_diagram(base, entry.file)
-        return gi.check_four_term(n, *_three_files(args, base)).render()
-    if op == "casimir_constants":
-        return "C1=%s;C2=%s" % (gi.C1.render(), gi.C2.render())
-    if op == "prop31":
-        a1, a2 = gi.derive_prop31()
-        return "a1=%s;a2=%s" % (a1.render(), a2.render())
-    if op == "tensor":
-        td = sn.parse_tensor_diagram(read_text(os.path.join(base, entry.file)))
-        return sn.eval_tensor_diagram(td).render()
-    if op == "spinor_tensor":
-        return "ok" if sn.check_spinor_tensor_identity()["ok"] else "fail"
-    if op == "fierz":
-        return "ok" if sn.check_fierz()["ok"] else "fail"
-    if op == "projector":
-        rep = sn.check_projector(_count_arg(args, "n"))
-        return "ok" if rep["ok"] else ";".join(rep["failures"])
-    if op == "perm":
-        n, kind = _count_arg(args, "n"), _arg(args, "kind")
-        if kind not in ("skew", "sym"):
-            raise CorpusError("argument kind=%.40r is not skew or sym" % kind)
-        elem = sn.antisymmetrizer(n) if kind == "skew" else sn.symmetrizer(n)
-        return elem.render()
-    raise CorpusError("unknown corpus op %r" % op)
+    if entry.op not in _OPS:
+        raise CorpusError("unknown corpus op %r" % entry.op)
+    reads_diagram, evaluate = _OPS[entry.op]
+    path = os.path.join(base, entry.file)
+    subject = read_diagram(path) if reads_diagram else path
+    return evaluate(subject, _parse_args(entry.args), base)
 
 
 def run_corpus(path: Optional[str] = None) -> List[EntryResult]:
     base = path or DATA_DIR
-    results = []
-    for entry in load_manifest(base):
-        results.append(EntryResult(entry, evaluate_entry(entry, base)))
-    return results
+    return [EntryResult(entry, evaluate_entry(entry, base))
+            for entry in load_manifest(base)]
 
 
 def report_lines(results: List[EntryResult]) -> List[str]:

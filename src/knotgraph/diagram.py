@@ -354,6 +354,11 @@ def read_text(path: str) -> str:
     raise DiagramError("cannot read %s: %s" % (path, reason))
 
 
+def read_diagram(path: str) -> Diagram:
+    """The diagram in a file; parsing checks it well formed."""
+    return parse_diagram(read_text(path))
+
+
 # --- local surgery ----------------------------------------------------------
 
 

@@ -38,9 +38,7 @@ class ResolutionScheme(Value):
 
     def __init__(self, a: RationalFunc, b: RationalFunc,
                  c: RationalFunc) -> None:
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
+        Value.__init__(self, a, b, c)
         den = ONE
         for d in {a.den, b.den, c.den}:
             den = den * d
@@ -49,7 +47,7 @@ class ResolutionScheme(Value):
                            tuple(_terms(p) for p in [den] + weights))
 
 
-VASSILIEV = ResolutionScheme(RF_ONE, RationalFunc.const(-1), RF_ZERO)
+VASSILIEV = ResolutionScheme(RF_ONE, rf(-ONE), RF_ZERO)
 
 _APA = A + A_INV          # A + A^-1
 _AMA = A - A_INV          # A - A^-1
@@ -84,7 +82,7 @@ class FormalSum:
     def evaluate(self, value_fn) -> RationalFunc:
         total = RF_ZERO
         for coeff, d in self.terms():
-            total = total + coeff * RationalFunc.from_poly(value_fn(d))
+            total = total + coeff * rf(value_fn(d))
         return total
 
 
@@ -249,8 +247,8 @@ def casimir_decompose(g: Diagram) -> dict:
         "C2": C2,
         "plain": f_plain,
         "marked": f_marked,
-        "pos_residual": rec_pos - RationalFunc.from_poly(z_pos),
-        "neg_residual": rec_neg - RationalFunc.from_poly(z_neg),
+        "pos_residual": rec_pos - rf(z_pos),
+        "neg_residual": rec_neg - rf(z_neg),
     }
 
 
@@ -288,10 +286,10 @@ def derive_prop31() -> Tuple[RationalFunc, RationalFunc]:
     for name in ("G_a_vertex", "G_b_vertex"):
         g = catalog.named_diagram(name)
         v = g.vertices()[0]
-        zp = RationalFunc.from_poly(z_eval(vertex_to_crossing(g, v, +1)))
-        zn = RationalFunc.from_poly(z_eval(vertex_to_crossing(g, v, -1)))
+        zp = rf(z_eval(vertex_to_crossing(g, v, +1)))
+        zn = rf(z_eval(vertex_to_crossing(g, v, -1)))
         zv = eval_with_casimir_marks(g)
-        zu = RationalFunc.from_poly(z_eval(vertex_unfold(g, v)))
+        zu = rf(z_eval(vertex_unfold(g, v)))
         lhs = rf(A) * zp + rf(A_INV) * zn
         rows.append((zv, zu, lhs))
     (m11, m12, r1), (m21, m22, r2) = rows

@@ -35,6 +35,8 @@ Move = str  # "R1+", "R1-", "R2+", "R2-", "R3", "R4", "R5"
 
 
 class MoveSpec(Value):
+    # its own constructor, faster than the shared one: applicable_moves
+    # builds thousands of these on one walk
     __slots__ = ("move", "site")
 
     def __init__(self, move: Move, site: tuple) -> None:

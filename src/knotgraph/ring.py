@@ -34,8 +34,10 @@ class RingError(ValueError):
 
 class Value:
     """An immutable value.  A subclass names its fields in __slots__ (or in
-    _fields, where a slot after them holds a value derived from them) and
-    sets each slot in __init__ with object.__setattr__.  Values of one
+    _fields, where a slot after them holds a value derived from them).
+    The constructor here stores the fields, given in order or by name; a
+    subclass that defaults, checks or derives a field writes its own
+    __init__, which sets a slot with object.__setattr__.  Values of one
     class are equal when their fields are; a value hashes as the tuple of
     its fields and shows as Name(field=value, ...)."""
 
@@ -48,6 +50,17 @@ class Value:
         get = attrgetter(*cls._fields)
         cls._astuple = staticmethod(get if len(cls._fields) > 1
                                     else lambda v: (get(v),))
+
+    def __init__(self, *values, **named) -> None:
+        fields = self._fields
+        if named:       # the fields after those given in order, by name
+            values += tuple(named.pop(name) for name in fields[len(values):]
+                            if name in named)
+        if named or len(values) != len(fields):
+            raise TypeError("%s() takes the fields %s, each once" % (
+                self.__class__.__qualname__, ", ".join(fields)))
+        for name, value in zip(fields, values):
+            object.__setattr__(self, name, value)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -317,21 +330,9 @@ class RationalFunc(Value):
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: LaurentPoly, den: LaurentPoly) -> None:
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
     @staticmethod
     def make(num: LaurentPoly, den: LaurentPoly = ONE) -> "RationalFunc":
         return rf_from_terms(_terms(num), _terms(den))
-
-    @staticmethod
-    def from_poly(p: LaurentPoly) -> "RationalFunc":
-        return RationalFunc.make(p, ONE)
-
-    @staticmethod
-    def const(c) -> "RationalFunc":
-        return RationalFunc.make(LaurentPoly.const(c))
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -397,22 +398,18 @@ def rf_from_terms(num: Terms, den: Terms) -> RationalFunc:
     return RationalFunc(LaurentPoly(_clean(num)), LaurentPoly(_clean(den)))
 
 
-RF_ZERO = RationalFunc.from_poly(ZERO)
-RF_ONE = RationalFunc.from_poly(ONE)
-
-
 def rf(num: LaurentPoly, den: LaurentPoly = ONE) -> RationalFunc:
     return RationalFunc.make(num, den)
+
+
+RF_ZERO = rf(ZERO)
+RF_ONE = rf(ONE)
 
 
 class Series(Value):
     """Power series in h truncated at a fixed order, with A = exp(h)."""
 
     __slots__ = ("order", "coeffs")
-
-    def __init__(self, order: int, coeffs: Tuple[Fraction, ...]) -> None:
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", coeffs)
 
     @staticmethod
     def make(order: int, coeffs: Iterable) -> "Series":

@@ -96,18 +96,15 @@ MAX_LABELS = 12
 
 # --- tensor diagrams ---------------------------------------------------------
 
-# factor: (symbol, index1, index2); for "delta" index1 is upper and
-# index2 lower, "epsL" has two lower indices, "epsU" two upper.
-FactorT = Tuple[str, str, str]
-
 _SYMBOLS = ("delta", "epsL", "epsU")
 
 
 class TensorDiagram(Value):
-    __slots__ = ("factors",)
+    """A product of factors (symbol, index1, index2): for "delta" index1
+    is upper and index2 lower, "epsL" has two lower indices, "epsU" two
+    upper."""
 
-    def __init__(self, factors: Tuple[FactorT, ...]) -> None:
-        object.__setattr__(self, "factors", factors)
+    __slots__ = ("factors",)
 
     @staticmethod
     def make(factors: Iterable[Sequence[str]]) -> "TensorDiagram":
@@ -203,11 +200,6 @@ class PermElement(Value):
     """Rational linear combination of permutations of n strands."""
 
     __slots__ = ("n", "terms")
-
-    def __init__(self, n: int,
-                 terms: Tuple[Tuple[PermT, Fraction], ...]) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", terms)
 
     @staticmethod
     def make(n: int, terms: Dict[PermT, Fraction]) -> "PermElement":

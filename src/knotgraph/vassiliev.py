@@ -11,25 +11,21 @@ rational functions.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from . import catalog
 from .diagram import Diagram
 from .graphinv import VASSILIEV, eval_graph
-from .ring import (DELTA_POS, RingError, Series, Value, poly_divmod,
-                   poly_series)
+from .ring import DELTA_POS, RingError, Value, poly_divmod, poly_series
 
 MAX_ORDER = 200     # order 200 takes at most 0.2 s on a graph of 18 nodes
 
 
 class VassilievReport(Value):
-    __slots__ = ("series", "vanishing_order")
+    """A truncated series and its vanishing order: the index of its first
+    nonzero coefficient, None if it is zero to the whole truncation."""
 
-    def __init__(self, series: Series,
-                 vanishing_order: Optional[int]) -> None:
-        object.__setattr__(self, "series", series)
-        # None = zero to the whole truncation
-        object.__setattr__(self, "vanishing_order", vanishing_order)
+    __slots__ = ("series", "vanishing_order")
 
     def vanishes_below(self, j: int) -> bool:
         return self.vanishing_order is None or self.vanishing_order >= j

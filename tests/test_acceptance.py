@@ -21,7 +21,7 @@ from knotgraph.graphinv import (CASIMIR_PLAIN, VASSILIEV, ResolutionScheme,
                                 six_valent_eval, vertex_to_crossing,
                                 vertex_unfold)
 from knotgraph.moves import KINK_VARIANTS, applicable_moves, apply_move, r1_plus
-from knotgraph.ring import (A, A_INV, DELTA_POS, RationalFunc, parse_poly, rf)
+from knotgraph.ring import A, A_INV, DELTA_POS, ONE, parse_poly, rf
 from knotgraph.spinnet import (antisymmetrizer, check_fierz, check_projector,
                                check_spinor_tensor_identity, symmetrizer)
 from knotgraph.vassiliev import vanishing_order_check, vassiliev_series
@@ -144,7 +144,7 @@ def test_criterion_05_resolution_coefficients():
     ok = a1 == rf(parse_poly("2*A^2 + -4 + 2*A^-2"))
     ok = ok and a2 == rf(parse_poly("1/2*A^2 + 1 + 1/2*A^-2"))
     # the defining linear relation between the two coefficients
-    ok = ok and a2 - a1.scale(Fraction(1, 4)) == RationalFunc.const(2)
+    ok = ok and a2 - a1.scale(Fraction(1, 4)) == rf(ONE.scale(2))
     _criterion(5, "solved resolution coefficients match the closed forms",
                ok)
 

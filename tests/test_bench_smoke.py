@@ -42,13 +42,18 @@ def test_graph_items_pass_their_checks_and_the_oracle():
     _run_and_check(workloads.Graphs(items), picked)
 
 
-def test_one_cli_item_per_verb_passes_in_process(tmp_path):
+def test_one_cli_item_per_argv_passes_in_process(tmp_path):
+    """The first item of each distinct argv, so that every check name
+    and the corpus run too."""
     items = gen.items_for("cli", SEED)
     first = {}
     for it in items:
-        first.setdefault(it.argv[0], it)
-    assert set(first) == {"eval", "jones", "graph-eval", "resolve",
-                          "vassiliev", "check", "corpus"}
+        first.setdefault(tuple(it.argv), it)
+    assert {argv[0] for argv in first} == {
+        "eval", "jones", "graph-eval", "resolve", "vassiliev", "check",
+        "corpus"}
+    assert {argv[1] for argv in first if argv[0] == "check"} == {
+        "spinor", "four-term", "fierz", "projector", "reidemeister"}
     workdir = tmp_path / "cli"
     workdir.mkdir()
     cli = workloads.Cli(list(first.values()), str(workdir), str(ROOT / "src"),

@@ -280,6 +280,21 @@ def test_negative_series_order_is_rejected(dg, capsys):
     assert out.splitlines()[0] == "0"
 
 
+_BAD_ORDERS = {"plus": "+4", "underscore": "1_0", "arabic-indic": "\u0664",
+               "space": " 4", "decimal": "4.0", "empty": "",
+               "too-long": "9" * 5000}
+
+
+@pytest.mark.parametrize("order", _BAD_ORDERS.values(), ids=_BAD_ORDERS.keys())
+def test_series_order_is_ascii_digits_only(dg, capsys, order):
+    """int() reads the first four as 4, 10, 4 and 4; whole_number, as the
+    diagram parser does, refuses every one of these."""
+    code, out, err = run(capsys, ["vassiliev", dg("gb_2vert"), "--order",
+                                  order])
+    assert code == 1 and out == ""
+    assert _one_error_line(err) and "--order" in err
+
+
 def test_series_order_above_200_is_rejected(dg, capsys):
     code, out, err = run(capsys, ["vassiliev", dg("gb_2vert"),
                                   "--order", "201"])

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from knotgraph import catalog
+from knotgraph import catalog, corpus
 from knotgraph.bracket import bracket_naive, z_eval
 from knotgraph.cli import main
 from knotgraph.corpus import (DATA_DIR, CorpusError, corpus_diagrams,
@@ -79,6 +79,11 @@ def test_broken_manifest_lines_are_reported(tmp_path):
 _BAD_ARGS = {
     "order-abc": "vassiliev_valuation | order=abc",
     "order-negative": "vassiliev_valuation | order=-1",
+    "order-plus": "vassiliev_valuation | order=+4",
+    "order-underscore": "vassiliev_valuation | order=1_0",
+    "order-arabic-indic": "vassiliev_valuation | order=\u0664",
+    "n-plus": "projector | n=+2",
+    "steps-underscore": "graph_moves | steps=1_0",
     "steps-x": "graph_moves | steps=x",
     "steps-too-long": "graph_moves | steps=" + "9" * 5000,
     "steps-above-limit": "graph_moves | steps=101",
@@ -112,6 +117,8 @@ _ERRORS = {    # id -> (manifest line, error class, message)
                      SpinNetError, "strand count 6 out of range 1..5"),
     "spinor-marked-vertex": ("e | c.dg | spinor | - | 0 | known | note\n",
                              CorpusError, "spinor wants a plain vertex"),
+    "unknown-op": ("e | c.dg | no_such_op | - | 0 | known | note\n",
+                   CorpusError, "unknown corpus op 'no_such_op'"),
 }
 
 
@@ -128,6 +135,12 @@ def test_entry_errors_are_diagram_errors_with_their_message(
     assert main(["corpus", "--dir", str(tmp_path)]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err == "error: %s\n" % message
+
+
+def test_every_op_has_a_shipped_entry():
+    """The op table has no dead op; an op not in it is the error
+    unknown-op above."""
+    assert {e.op for e in load_manifest()} == set(corpus._OPS)
 
 
 def test_series_order_above_200_is_an_error(tmp_path, capsys):

@@ -18,8 +18,8 @@ from knotgraph.graphinv import (CASIMIR_MARKED, CASIMIR_PLAIN, VASSILIEV,
                                 six_valent_eval, vertex_case,
                                 vertex_reversed_unfold, vertex_to_crossing,
                                 vertex_unfold)
-from knotgraph.ring import (A, A_INV, ONE, RF_ZERO, LaurentPoly, RationalFunc,
-                           parse_poly, rf)
+from knotgraph.ring import (A, A_INV, ONE, RF_ZERO, LaurentPoly, parse_poly,
+                           rf)
 
 ONE_VERTEX = ("G_a_vertex", "G_a_composite", "G_b_vertex")
 
@@ -109,9 +109,9 @@ def test_eval_is_linear_in_the_scheme():
         combo = eval_graph(g, ResolutionScheme(a, b, c))
         # compare against the by-hand weighted sum of normalised values
         from knotgraph.bracket import p_eval
-        byhand = (a * RationalFunc.from_poly(p_eval(vertex_to_crossing(g, v, +1)))
-                  + b * RationalFunc.from_poly(p_eval(vertex_to_crossing(g, v, -1)))
-                  + c * RationalFunc.from_poly(p_eval(vertex_unfold(g, v))))
+        byhand = (a * rf(p_eval(vertex_to_crossing(g, v, +1)))
+                  + b * rf(p_eval(vertex_to_crossing(g, v, -1)))
+                  + c * rf(p_eval(vertex_unfold(g, v))))
         assert combo == byhand
 
 
@@ -311,7 +311,7 @@ def test_coefficient_solve():
     assert a1 == rf(parse_poly("2*A^2 + -4 + 2*A^-2"))
     assert a2 == rf(parse_poly("1/2*A^2 + 1 + 1/2*A^-2"))
     # the two coefficients satisfy the defining linear relation
-    assert a2 - a1.scale(Fraction(1, 4)) == RationalFunc.const(2)
+    assert a2 - a1.scale(Fraction(1, 4)) == rf(ONE.scale(2))
 
 
 def test_four_term_relation():
@@ -326,7 +326,7 @@ def test_four_term_relation_on_seeded_closures():
     by 0-6 random clasps over ordered pairs of the strands a, b and c.
     Negative control: the (A, 2, -3A^-1) scheme is no Vassiliev scheme,
     and a quarter or more of its residuals are nonzero."""
-    general = ResolutionScheme(rf(A), RationalFunc.const(2),
+    general = ResolutionScheme(rf(A), rf(ONE.scale(2)),
                                rf(A_INV.scale(-3)))
     rng = random.Random(29)
     nonzero = 0

@@ -1,8 +1,8 @@
 """The value contract of the package's immutable classes: built from the
-same positional or keyword arguments, equal to a value of their own class
-with equal fields and to nothing else, hashed as the tuple of their
-fields, unchangeable after construction, and shown as Name(field=value,
-...).  The reprs are frozen literals."""
+same positional or keyword arguments and from no others, equal to a
+value of their own class with equal fields and to nothing else, hashed
+as the tuple of their fields, unchangeable after construction, and shown
+as Name(field=value, ...).  The reprs are frozen literals."""
 
 import copy
 import pickle
@@ -16,7 +16,7 @@ from knotgraph.diagram import Diagram, DiagramError
 from knotgraph.graphinv import ResolutionScheme
 from knotgraph.moves import MoveSpec
 from knotgraph.ring import (DELTA_POS, ONE, RF_ONE, RF_ZERO, LaurentPoly,
-                            RationalFunc, Series)
+                            RationalFunc, Series, Value)
 from knotgraph.spinnet import GaussianRational, PermElement, TensorDiagram
 from knotgraph.vassiliev import VassilievReport
 
@@ -134,6 +134,26 @@ def test_copies_and_pickles_are_equal_values(cls):
 def test_repr_is_name_and_fields(cls):
     _, values, _, text = CASES[cls]
     assert repr(cls(*values)) == text
+
+
+# the classes that store their fields through Value's own constructor
+SHARED = (RationalFunc, Series, CorpusEntry, EntryResult, TensorDiagram,
+          PermElement, VassilievReport)
+
+
+@pytest.mark.parametrize("cls", SHARED, ids=lambda c: c.__name__)
+def test_the_shared_constructor_refuses_a_wrong_set_of_fields(cls):
+    names, values, _, _ = CASES[cls]
+    assert cls.__init__ is Value.__init__
+    for args, kwargs in [
+            (values[:-1], {}),                          # a missing field
+            ((), dict(zip(names[1:], values[1:]))),     # missing, by name
+            (values + (0,), {}),                        # an extra positional
+            (values, {"extra": 0}),                     # an unknown keyword
+            (values, {names[0]: values[0]})]:           # by position and name
+        with pytest.raises(TypeError, match=r"^%s\(\) takes the fields %s,"
+                           % (cls.__name__, ", ".join(names))):
+            cls(*args, **kwargs)
 
 
 def test_defaults():
