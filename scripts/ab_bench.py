@@ -19,7 +19,8 @@ distance is wider than the bound, unless every NEW run beats every BASE
 run; ok otherwise.  One summary line counts the verdicts.  Both trees
 are only read; each run's results file goes to a temporary directory.
 SIGTERM ends the running child and removes that directory before the
-script exits.  Standard library only.
+script exits.  A --pairs below 1 is a usage error.  Standard library
+only.
 
 The script refuses two trees whose sets of *.pyc files under src/
 differ: where PYTHONDONTWRITEBYTECODE=1 is set, a bytecode cache on one
@@ -123,6 +124,8 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--pairs", type=int, required=True)
     args = p.parse_args(argv)
+    if args.pairs < 1:
+        p.error("--pairs must be at least 1")
     trees = {"base": args.base.resolve(), "new": args.new.resolve()}
     only = sorted(bytecode(trees["base"]) ^ bytecode(trees["new"]))
     if only:

@@ -42,6 +42,14 @@ def _scheme(text: str) -> gi.ResolutionScheme:
     return gi.ResolutionScheme(a, b, c)
 
 
+def _order(text: str) -> int:
+    """--order read by whole_number; argparse prints its message."""
+    try:
+        return whole_number(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(exc) from None
+
+
 def _cmd_eval(args) -> int:
     print(z_eval(read_diagram(args.file)).render())
     return 0
@@ -78,27 +86,28 @@ def _cmd_vassiliev(args) -> int:
     return 0
 
 
-def _targets(path: Optional[str]):
-    """(name, diagram) of the FILE given, or of every corpus diagram."""
-    return ([(path, read_diagram(path))] if path
-            else sorted(corpus_mod.corpus_diagrams().items()))
+def _targets(path: Optional[str], refusal, scope: str):
+    """(name, diagram) of the FILE given, or of every corpus diagram.
+    refusal(diagram) names what the check does not take, or is empty: a
+    FILE with such a reason is an error, a corpus diagram is skipped."""
+    for name, d in ([(path, read_diagram(path))] if path
+                    else sorted(corpus_mod.corpus_diagrams().items())):
+        reason = refusal(d)
+        if reason and path:
+            raise CliError("%s has %s; %s" % (path, reason, scope))
+        if not reason:
+            yield name, d
 
 
-def _check_spinor(path: Optional[str]) -> int:
-    bad = 0
-    for name, g in _targets(path):
-        plain = [v for v, k in g.nodes if k == "Vert"]
-        if path and not plain:
-            raise CliError("%s has no plain vertex; check spinor checks "
-                           "plain vertices only" % path)
-        for v in plain:
+def _check_spinor(path: Optional[str]):
+    for name, g in _targets(
+            path, lambda g: "" if g.plain_vertices() else "no plain vertex",
+            "check spinor checks plain vertices only"):
+        for v in g.plain_vertices():
             rep = gi.check_spinor(g, v)
-            ok = rep["residual"].is_zero()
-            bad += not ok
-            print("%s %s vertex %s case %d residual: %s"
-                  % ("PASS" if ok else "FAIL", name, v, rep["case"],
-                     rep["residual"].render()))
-    return 1 if bad else 0
+            yield rep["residual"].is_zero(), (
+                "%s vertex %s case %d residual: %s"
+                % (name, v, rep["case"], rep["residual"].render()))
 
 
 def _quad_from_dir(path: str) -> dict:
@@ -113,66 +122,41 @@ def _quad_from_dir(path: str) -> dict:
     return quad
 
 
-def _check_four_term(path: Optional[str]) -> int:
-    if path:
-        quads = [(path, _quad_from_dir(path))]
-    else:
-        quads = [(closure, catalog.four_term_quadruple(closure))
-                 for closure in catalog.CLOSURES]
-    bad = 0
+def _check_four_term(path: Optional[str]):
+    quads = ([(path, _quad_from_dir(path))] if path else
+             [(c, catalog.four_term_quadruple(c)) for c in catalog.CLOSURES])
     for name, quad in quads:
-        res = gi.check_four_term(quad["N"], quad["S"], quad["E"],
-                                 quad["W"], gi.VASSILIEV)
-        ok = res.is_zero()
-        bad += not ok
-        print("%s %s residual: %s" % ("PASS" if ok else "FAIL", name,
-                                      res.render()))
-    return 1 if bad else 0
+        res = gi.six_valent_eval(quad)["residual"]
+        yield res.is_zero(), "%s residual: %s" % (name, res.render())
 
 
-def _check_fierz() -> int:
+def _check_fierz():
     rep = sn.check_fierz()
-    print("PASS fierz" if rep["ok"] else
-          "FAIL fierz: " + "; ".join(rep["failures"][:5]))
-    rep2 = sn.check_spinor_tensor_identity()
-    print("PASS tensor spinor identity" if rep2["ok"] else
-          "FAIL tensor spinor identity")
-    return 0 if rep["ok"] and rep2["ok"] else 1
+    yield rep["ok"], "fierz" + (
+        "" if rep["ok"] else ": " + "; ".join(rep["failures"][:5]))
+    yield sn.check_spinor_tensor_identity()["ok"], "tensor spinor identity"
 
 
-def _check_projector() -> int:
-    bad = 0
+def _check_projector():
     for n in range(1, 5):
         rep = sn.check_projector(n)
-        bad += not rep["ok"]
-        print("%s projector n=%d skew_vanishes=%s"
-              % ("PASS" if rep["ok"] else "FAIL", n,
-                 rep["skew_vanishes"]))
-    return 1 if bad else 0
+        yield rep["ok"], ("projector n=%d skew_vanishes=%s"
+                          % (n, rep["skew_vanishes"]))
 
 
-def _check_reidemeister(path: Optional[str]) -> int:
+def _check_reidemeister(path: Optional[str]):
     import random
-    bad = 0
-    for name, d in _targets(path):
-        skip = ("more than 6 crossings" if len(d.crossings()) > 6 else
-                "a marked vertex" if any(k == "CVert" for _, k in d.nodes)
-                else None)
-        if skip and path:
-            raise CliError("%s has %s; check reidemeister walks diagrams of "
-                           "at most 6 crossings and no marked vertex"
-                           % (path, skip))
-        if skip:
-            continue
+    for name, d in _targets(path, lambda d: (
+            "more than 6 crossings" if len(d.crossings()) > 6 else
+            "a marked vertex" if any(k == "CVert" for _, k in d.nodes)
+            else ""), "check reidemeister walks diagrams of at most 6 "
+            "crossings and no marked vertex"):
         cur = mv.random_walk(d, 4, random.Random(sum(name.encode())))
         ok = gi.eval_graph(cur, gi.VASSILIEV) == gi.eval_graph(d, gi.VASSILIEV)
-        bad += not ok
-        print("%s %s move walk value unchanged" % ("PASS" if ok else "FAIL",
-                                                   name))
-    return 1 if bad else 0
+        yield ok, "%s move walk value unchanged" % name
 
 
-# check name -> (function, whether it takes a FILE)
+# check name -> (generator of its (ok, text) rows, whether it takes a FILE)
 _CHECKS = {
     "spinor": (_check_spinor, True),
     "four-term": (_check_four_term, True),
@@ -183,13 +167,16 @@ _CHECKS = {
 
 
 def _cmd_check(args) -> int:
+    """Prints each row of the check as it comes; 1 if any row failed."""
     fn, takes_file = _CHECKS[args.what]
-    if takes_file:
-        return fn(args.file)
-    if args.file is not None:
+    if args.file is not None and not takes_file:
         raise CliError("check %s takes no file; it checks fixed identities, "
                        "not a diagram" % args.what)
-    return fn()
+    bad = 0
+    for ok, text in fn(args.file) if takes_file else fn():
+        bad += not ok
+        print("%s %s" % ("PASS" if ok else "FAIL", text))
+    return 1 if bad else 0
 
 
 def _cmd_corpus(args) -> int:
@@ -235,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("vassiliev", help="series expansion of the value")
     p.add_argument("file")
-    p.add_argument("--order", type=whole_number, default=4)
+    p.add_argument("--order", type=_order, default=4)
     p.set_defaults(func=_cmd_vassiliev)
 
     p = sub.add_parser("check", help="run a named verification")

@@ -137,7 +137,7 @@ def _op_fierz_form(g: Diagram, args: Dict[str, str], base: str) -> str:
 
 
 def _op_spinor(g: Diagram, args: Dict[str, str], base: str) -> str:
-    plain = [v for v, k in g.nodes if k == "Vert"]
+    plain = g.plain_vertices()
     if not plain:
         raise CorpusError("spinor wants a plain vertex")
     reports = [gi.check_spinor(g, v) for v in plain]

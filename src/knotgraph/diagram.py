@@ -76,6 +76,9 @@ class Diagram(Value):
     def vertices(self) -> List[str]:
         return [i for i, k in self.nodes if k in VERTEX_KINDS]
 
+    def plain_vertices(self) -> List[str]:
+        return [i for i, k in self.nodes if k == "Vert"]
+
     # --- port bookkeeping
 
     def out_ports(self) -> Dict[End, ArcT]:

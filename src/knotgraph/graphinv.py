@@ -186,7 +186,7 @@ def check_spinor(g: Diagram, vertex: Optional[str] = None) -> dict:
     (Z) level with any other vertices resolved by the Casimir weights.
     Raises DiagramError for a vertex that is not plain: a marked vertex
     obeys casimir_decompose instead."""
-    plain = [v for v, k in g.nodes if k == "Vert"]
+    plain = g.plain_vertices()
     if vertex is None:
         if not plain:
             raise DiagramError("no plain vertex to check")

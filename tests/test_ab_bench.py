@@ -1,7 +1,7 @@
-"""scripts/ab_bench.py refuses trees whose bytecode caches differ,
-leaves no child or temporary directory behind when it is terminated,
-shows each pair's first declared metric, and gives each end-to-end
-metric a no-regression verdict."""
+"""scripts/ab_bench.py refuses trees whose bytecode caches differ and
+fewer than one pair, leaves no child or temporary directory behind when
+it is terminated, shows each pair's first declared metric, and gives
+each end-to-end metric a no-regression verdict."""
 
 import json
 import os
@@ -36,6 +36,29 @@ def test_refuses_trees_with_different_bytecode(tmp_path):
         assert done.stdout == ""
         lines = done.stderr.splitlines()
         assert len(lines) == 1 and "ring.pyc" in lines[0], lines
+
+
+@pytest.mark.parametrize("pairs", ["0", "-1"])
+def test_refuses_fewer_than_one_pair_before_any_run(tmp_path, pairs):
+    trees = []
+    for name in ("base", "new"):
+        tree = tmp_path / name
+        (tree / "src").mkdir(parents=True)
+        (tree / "perfbench").mkdir()
+        (tree / "perfbench" / "run.py").write_text(
+            "import pathlib; pathlib.Path('ran').write_text('')")
+        (tree / "BENCHMARK.json").write_text(json.dumps(
+            {"run_seconds": 1, "end_to_end": []}))
+        trees.append(tree)
+    done = subprocess.run(
+        [sys.executable, str(SCRIPT), *map(str, trees), "--workload",
+         "links", "--seed", "1", "--pairs", pairs],
+        capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("usage: ")
+    assert done.stderr.endswith("error: --pairs must be at least 1\n")
+    assert "Traceback" not in done.stderr
+    assert not any((tree / "ran").exists() for tree in trees)
 
 
 # a benchmark runner that records its pid and its --out path, then sleeps

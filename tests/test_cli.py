@@ -1,15 +1,21 @@
 """Tests for the command front end."""
 
+import itertools
 import os
+import shutil
 import subprocess
 import sys
 
 import pytest
 
 from knotgraph import catalog
+from knotgraph import graphinv as gi
+from knotgraph import spinnet as sn
 from knotgraph.bracket import max_crossings
 from knotgraph.cli import main
+from knotgraph.corpus import DATA_DIR
 from knotgraph.diagram import DiagramError, serialize
+from knotgraph.ring import RF_ONE
 
 
 @pytest.fixture
@@ -133,6 +139,11 @@ def test_check_reidemeister_on_file(dg, capsys):
     assert code == 0 and "PASS" in out
 
 
+_SCOPES = {"reidemeister": "check reidemeister walks diagrams of at most 6 "
+                           "crossings and no marked vertex",
+           "spinor": "check spinor checks plain vertices only"}
+
+
 @pytest.mark.parametrize("what,name,why", [
     ("reidemeister", "braid8", "more than 6 crossings"),
     ("reidemeister", "G_b_cvert", "a marked vertex"),
@@ -148,7 +159,83 @@ def test_check_refuses_a_file_it_does_not_check(tmp_path, capsys, what, name,
     path.write_text(serialize(d, "d"))
     code, out, err = run(capsys, ["check", what, str(path)])
     assert code == 1 and out == ""
-    assert _one_error_line(err) and why in err
+    assert err == "error: %s\n" % (
+        "%s has %s; %s" % (path, why, _SCOPES[what]) if what in _SCOPES else
+        "check %s takes no file; it checks fixed identities, not a diagram"
+        % what)
+
+
+def test_check_four_term_fails_on_a_swapped_quadruple(tmp_path, capsys):
+    """N and S of the corpus quadruple swapped: the residual is nonzero, so
+    the one row is a FAIL and the check exits 1."""
+    for label, source in zip("NSEW", "SNEW"):
+        shutil.copy(os.path.join(DATA_DIR, "ft_%s.dg" % source),
+                    tmp_path / ("ft_%s.dg" % label))
+    code, out, err = run(capsys, ["check", "four-term", str(tmp_path)])
+    assert (code, err) == (1, "")
+    assert out == ("FAIL %s residual: 2*A^-2 + 2*A^-4 + -6*A^-6 + -8*A^-8 + "
+                   "4*A^-10 + 12*A^-12 + 4*A^-14 + -8*A^-16 + -6*A^-18 + "
+                   "2*A^-20 + 2*A^-22\n" % tmp_path)
+
+
+def _fierz_fails():
+    return {"ok": False, "failures": ["f%d" % k for k in range(1, 8)]}
+
+
+def _projector_fails_at_3(n, real=sn.check_projector):
+    return dict(real(n), ok=n != 3)
+
+
+def _spinor_off_by_one(g, v, real=gi.check_spinor):
+    rep = real(g, v)
+    return dict(rep, residual=rep["residual"] + RF_ONE)
+
+
+@pytest.mark.parametrize("module,name,fake,argv,rows", [
+    (sn, "check_fierz", _fierz_fails, ["fierz"],
+     ["FAIL fierz: f1; f2; f3; f4; f5", "PASS tensor spinor identity"]),
+    (sn, "check_spinor_tensor_identity", lambda: {"ok": False}, ["fierz"],
+     ["PASS fierz", "FAIL tensor spinor identity"]),
+    (sn, "check_projector", _projector_fails_at_3, ["projector"],
+     ["PASS projector n=1 skew_vanishes=False",
+      "PASS projector n=2 skew_vanishes=False",
+      "FAIL projector n=3 skew_vanishes=True",
+      "PASS projector n=4 skew_vanishes=True"]),
+    (gi, "check_spinor", _spinor_off_by_one, ["spinor", "gb_2vert"],
+     ["FAIL {path} vertex n0 case 2 residual: 1",
+      "FAIL {path} vertex n1 case 2 residual: 1"]),
+    (gi, "eval_graph", lambda *a, _n=itertools.count(): next(_n),
+     ["reidemeister", "trefoil+"],
+     ["FAIL {path} move walk value unchanged"])],
+    ids=["fierz", "tensor-identity", "projector", "spinor", "reidemeister"])
+def test_check_prints_fail_rows_and_exits_1(dg, capsys, monkeypatch, module,
+                                            name, fake, argv, rows):
+    """With the identity behind a check made to fail, the check prints a
+    FAIL row for it, keeps the other rows, and exits 1."""
+    files = [dg(diagram) for diagram in argv[1:]]
+    monkeypatch.setattr(module, name, fake)
+    code, out, err = run(capsys, ["check", argv[0]] + files)
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [row.format(path=files and files[0])
+                                for row in rows]
+
+
+def test_check_prints_its_rows_before_a_later_error(capsys, monkeypatch):
+    """A check prints each row as it is computed: under a cap of 3 nodes,
+    check spinor prints the rows of the corpus graphs under the cap
+    before the first graph above it stops it."""
+    monkeypatch.setenv("MAX_CROSSINGS", "3")
+    code, out, err = run(capsys, ["check", "spinor"])
+    assert code == 1
+    assert out.splitlines() == [
+        "PASS G_a_composite.dg vertex v0 case 1 residual: 0",
+        "PASS G_a_vertex.dg vertex v0 case 1 residual: 0",
+        "PASS G_b_vertex.dg vertex n0 case 2 residual: 0",
+        "PASS flower3.dg vertex v0 case 1 residual: 0",
+        "PASS flower3.dg vertex v1 case 1 residual: 0",
+        "PASS flower3.dg vertex v2 case 1 residual: 0"]
+    assert err == ("error: diagram has 7 nodes and free loops, above the "
+                   "MAX_CROSSINGS limit 3\n")
 
 
 def test_check_messages(capsys):
@@ -280,19 +367,26 @@ def test_negative_series_order_is_rejected(dg, capsys):
     assert out.splitlines()[0] == "0"
 
 
-_BAD_ORDERS = {"plus": "+4", "underscore": "1_0", "arabic-indic": "\u0664",
-               "space": " 4", "decimal": "4.0", "empty": "",
-               "too-long": "9" * 5000}
+_BAD_ORDERS = {"plus": ("+4", "bad number '+4'"),
+               "underscore": ("1_0", "bad number '1_0'"),
+               "arabic-indic": ("\u0664", "bad number '\u0664'"),
+               "space": (" 4", "bad number ' 4'"),
+               "decimal": ("4.0", "bad number '4.0'"),
+               "empty": ("", "bad number ''"),
+               "too-long": ("9" * 5000, "number too long in '" + "9" * 39)}
 
 
-@pytest.mark.parametrize("order", _BAD_ORDERS.values(), ids=_BAD_ORDERS.keys())
-def test_series_order_is_ascii_digits_only(dg, capsys, order):
+@pytest.mark.parametrize("order,message", _BAD_ORDERS.values(),
+                         ids=_BAD_ORDERS.keys())
+def test_series_order_is_ascii_digits_only(dg, capsys, order, message):
     """int() reads the first four as 4, 10, 4 and 4; whole_number, as the
-    diagram parser does, refuses every one of these."""
+    diagram parser does, refuses every one of these, and the error line
+    gives its rule, not the name of a Python function."""
     code, out, err = run(capsys, ["vassiliev", dg("gb_2vert"), "--order",
                                   order])
     assert code == 1 and out == ""
-    assert _one_error_line(err) and "--order" in err
+    assert err == "error: argument --order: %s\n" % message
+    assert "whole_number" not in err
 
 
 def test_series_order_above_200_is_rejected(dg, capsys):

@@ -183,6 +183,14 @@ def test_replace_kind():
         replace_kind(d, "zz", "Vert")
 
 
+def test_plain_vertices_leave_out_crossings_and_marked_vertices():
+    d = replace_kind(catalog.named_diagram("hopf+"), "n0", "Vert")
+    assert d.plain_vertices() == ["n0"]
+    assert replace_kind(d, "n0", "CVert").plain_vertices() == []
+    g = replace_kind(catalog.named_diagram("gb_2vert"), "n0", "CVert")
+    assert (g.plain_vertices(), g.vertices()) == (["n1"], ["n0", "n1"])
+
+
 def test_splice_node_oriented_smoothing():
     # unfolding one crossing of the positive Hopf link merges the circles
     d = catalog.named_diagram("hopf+")
