@@ -6,21 +6,20 @@ Each pair runs BASE/perfbench/run.py and NEW/perfbench/run.py once, each
 for BASE/BENCHMARK.json's run_seconds, in a fresh process with its own
 tree as the working directory.  The tree that goes first alternates from
 pair to pair, so neither side always runs on a warmer or a cooler
-machine.  After each pair the script prints both runs' value of the
-first end-to-end metric that BASE/BENCHMARK.json declares.  For every
-declared end-to-end metric it then prints each side's median and
-quartiles over the pairs, the ratio of the medians (NEW / BASE), how
-many pairs NEW wins (is better in the metric's own direction),
-whether NEW's median beats BASE's by more than BASE's interquartile
-distance, and a no-regression verdict against the metric's bound (a
-fraction of BASE's median): WORSE where NEW's median is worse than
-BASE's by more than the bound; unresolved where BASE's interquartile
-distance is wider than the bound, unless every NEW run beats every BASE
-run; ok otherwise.  One summary line counts the verdicts.  Both trees
-are only read; each run's results file goes to a temporary directory.
-SIGTERM ends the running child and removes that directory before the
-script exits.  A --pairs below 1 is a usage error.  Standard library
-only.
+machine.  After each pair the script prints both runs' value of every
+end-to-end metric that BASE/BENCHMARK.json declares.  For each of them it
+then prints each side's median and quartiles over the pairs, the ratio
+of the medians (NEW / BASE), how many pairs NEW wins (is better in the
+metric's own direction), whether NEW's median beats BASE's by more than
+BASE's interquartile distance, and a no-regression verdict against the
+metric's bound (a fraction of BASE's median): WORSE where NEW's median
+is worse than BASE's by more than the bound; unresolved where BASE's
+interquartile distance is wider than the bound, unless every NEW run
+beats every BASE run; ok otherwise.  One summary line counts the
+verdicts.  Both trees are only read; each run's results file goes to a
+temporary directory.  SIGTERM ends the running child and removes that
+directory before the script exits.  A --pairs below 1 is a usage
+error.  Standard library only.
 
 The script refuses two trees whose sets of *.pyc files under src/
 differ: where PYTHONDONTWRITEBYTECODE=1 is set, a bytecode cache on one
@@ -145,11 +144,11 @@ def main(argv=None) -> int:
                 runs[side].append(run_once(
                     trees[side], args.workload, args.seed, seconds,
                     Path(tmp) / (side + ".jsonl")))
-            first = spec["end_to_end"][0]["name"]
-            print("pair %d (%s first): %s base %.4g, new %.4g" % (
-                k + 1, sides[0], first,
-                runs["base"][-1]["metrics"][first]["value"],
-                runs["new"][-1]["metrics"][first]["value"]), flush=True)
+            print("pair %d (%s first): %s" % (k + 1, sides[0], "; ".join(
+                "%s base %.4g, new %.4g" % (
+                    m["name"], runs["base"][-1]["metrics"][m["name"]]["value"],
+                    runs["new"][-1]["metrics"][m["name"]]["value"])
+                for m in spec["end_to_end"])), flush=True)
     report(spec["end_to_end"], runs)
     return 0
 

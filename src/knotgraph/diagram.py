@@ -92,50 +92,47 @@ class Diagram(Value):
     # --- validation
 
     def validate(self) -> List[str]:
-        """Empty list iff the diagram is well formed."""
-        report: List[str] = []
-        ids = self.node_ids()
-        if len(set(ids)) != len(ids):
-            report.append("duplicate node id")
-            return report
-        known = set(ids)
-        for i, k in self.nodes:
-            if k not in KINDS:
-                report.append("node %s: unknown kind %s" % (i, k))
-        for (a, p), (b, q) in self.arcs:
-            for n, port in ((a, p), (b, q)):
-                if n not in known:
-                    report.append("arc endpoint at unknown node %s" % n)
-                if not 0 <= port <= 3:
-                    report.append("node %s: port %d out of range" % (n, port))
+        """Empty list iff the diagram is well formed.  One set pass over the
+        arc ends decides; only a diagram that fails builds the report."""
+        nodes, arcs, n = self.nodes, self.arcs, len(self.nodes)
+        ids = {i for i, _ in nodes}
+        ends = [end for arc in arcs for end in arc]
+        used = set(ends)
+        # each of the 4n ports at one end, and the 2n heads on 2n strands
+        if (len(ids) == n and len(used) == len(ends) == 4 * n
+                and {k for _, k in nodes}.issubset(KINDS)
+                and {i for i, _ in used} <= ids
+                and {p for _, p in used} <= {0, 1, 2, 3}
+                and len({(i, p % 2) for _, (i, p) in arcs}) == 2 * n
+                and self.free_loops >= 0):
+            return []
+        if len(ids) != n:
+            return ["duplicate node id"]
+        report = ["node %s: unknown kind %s" % (i, k)
+                  for i, k in nodes if k not in KINDS]
+        for i, port in ends:
+            if i not in ids:
+                report.append("arc endpoint at unknown node %s" % i)
+            if not 0 <= port <= 3:
+                report.append("node %s: port %d out of range" % (i, port))
         if report:
             return report
-        outs: Dict[End, str] = {}
-        ins: Dict[End, str] = {}
-        for arc in self.arcs:
-            tail, head = arc
-            if tail in outs or tail in ins:
-                report.append("node %s port %d: duplicate port use" % tail)
-            outs[tail] = "o"
-            if head in ins or head in outs:
-                report.append("node %s port %d: duplicate port use" % head)
-            ins[head] = "i"
+        seen = set()
+        for end in ends:
+            if end in seen:
+                report.append("node %s port %d: duplicate port use" % end)
+            seen.add(end)
         if report:
             return report
-        for i, _ in self.nodes:
+        roles = dict.fromkeys([tail for tail, _ in arcs], "out")
+        roles.update(dict.fromkeys([head for _, head in arcs], "in"))
+        for i, _ in nodes:
             for strand in ((0, 2), (1, 3)):
-                roles = []
-                for p in strand:
-                    if (i, p) in outs:
-                        roles.append("out")
-                    elif (i, p) in ins:
-                        roles.append("in")
-                    else:
-                        roles.append("free")
-                if sorted(roles) != ["in", "out"]:
+                found = [roles.get((i, p), "free") for p in strand]
+                if sorted(found) != ["in", "out"]:
                     report.append(
                         "node %s strand %s: orientation through node broken "
-                        "(%s)" % (i, strand, ",".join(roles)))
+                        "(%s)" % (i, strand, ",".join(found)))
         if self.free_loops < 0:
             report.append("negative free loop count")
         return report
@@ -295,47 +292,44 @@ def whole_number(text: str) -> int:
 
 
 def parse(text: str) -> Tuple[str, Diagram]:
-    """Read the text codec.  Node ids and kinds are interned, so that every
-    arc end shares its node's id string and every node its kind's."""
+    """Read the text codec.  Lines end at \\n, \\r\\n or \\r only, as in an
+    editor.  Node ids and kinds are interned, so that every arc end shares
+    its node's id string and every node its kind's."""
     name = "diagram"
     nodes: Dict[str, str] = {}
     arcs: List[ArcT] = []
     loops = 0
-
-    def number(tok: str, lineno: int) -> int:
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, 1):
+        toks = raw.split("#", 1)[0].split()
+        if not toks:
+            continue
         try:
-            return whole_number(tok)
+            if toks[0] == "arc" and len(toks) == 4 and toks[2] == "->":
+                arc = []
+                for tok in (toks[1], toks[3]):
+                    n, dot, p = tok.rpartition(".")
+                    if not dot:
+                        raise ValueError("bad endpoint %r" % tok)
+                    arc.append((sys.intern(n), whole_number(p)))
+                arcs.append(tuple(arc))
+            elif toks[0] == "node" and len(toks) == 3:
+                if toks[2] not in KINDS:
+                    raise ValueError("unknown node kind %r" % toks[2])
+                if toks[1] in nodes:
+                    raise ValueError("node %r defined twice" % toks[1])
+                nodes[sys.intern(toks[1])] = sys.intern(toks[2])
+            elif toks[0] == "diagram" and len(toks) == 2:
+                name = toks[1]
+            elif toks[0] == "loop" and len(toks) == 2:
+                loops += whole_number(toks[1])
+            else:
+                raise ValueError("cannot parse %r"
+                                 % raw.split("#", 1)[0].strip())
         except ValueError as exc:
             raise DiagramError("line %d: %s" % (lineno, exc)) from None
-
-    def end(tok: str, lineno: int) -> End:
-        if "." not in tok:
-            raise DiagramError("line %d: bad endpoint %r" % (lineno, tok))
-        n, _, p = tok.rpartition(".")
-        return (sys.intern(n), number(p, lineno))
-
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        toks = line.split()
-        if toks[0] == "diagram" and len(toks) == 2:
-            name = toks[1]
-        elif toks[0] == "node" and len(toks) == 3:
-            if toks[2] not in KINDS:
-                raise DiagramError("line %d: unknown node kind %r"
-                                   % (lineno, toks[2]))
-            if toks[1] in nodes:
-                raise DiagramError("line %d: node %r defined twice"
-                                   % (lineno, toks[1]))
-            nodes[sys.intern(toks[1])] = sys.intern(toks[2])
-        elif toks[0] == "arc" and len(toks) == 4 and toks[2] == "->":
-            arcs.append((end(toks[1], lineno), end(toks[3], lineno)))
-        elif toks[0] == "loop" and len(toks) == 2:
-            loops += number(toks[1], lineno)
-        else:
-            raise DiagramError("line %d: cannot parse %r" % (lineno, line))
-    return name, Diagram.make(nodes, arcs, loops)
+    return name, Diagram(tuple(sorted(nodes.items())), tuple(sorted(arcs)),
+                         loops)
 
 
 def parse_diagram(text: str) -> Diagram:

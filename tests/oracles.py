@@ -16,6 +16,9 @@ contraction engine, so it checks the engine at any size:
   a knot by the Polyak-Viro Gauss-diagram formula (Polyak and Viro,
   IMRN 1994 no. 11), read off gauss_code.  With A = exp(h), the h^2
   coefficient of the knot's P is -48 c2.
+- well_formed: whether nodes, arcs and a free loop count make a well
+  formed diagram, by counting each port's uses and in/out roles.  It
+  uses nothing of knotgraph.diagram, so it checks Diagram.validate.
 """
 
 from typing import Dict, List, Tuple
@@ -136,3 +139,29 @@ def polyak_viro_c2(code: List[Tuple[str, bool]], sign: Dict[str, int]) -> int:
     over = {x: i for i, (x, over) in enumerate(code) if over}
     return sum(sign[a] * sign[b] for a in under for b in under
                if under[a] < over[b] < over[a] < under[b])
+
+
+def well_formed(nodes: List[Tuple[str, str]],
+                arcs: List[Tuple[Tuple[str, int], Tuple[str, int]]],
+                loops: int) -> bool:
+    """Whether (id, kind) nodes, (tail, head) arcs of (id, port) ends and a
+    free loop count make a diagram: each id once with one of the four
+    kinds, each of its ports 0-3 at exactly one arc end, no other end, on
+    each strand (ports 0 and 2, ports 1 and 3) one tail and one head, and
+    no negative loop count."""
+    ids = [i for i, _ in nodes]
+    if any(ids.count(i) > 1 for i in ids) or any(
+            k not in ("XPos", "XNeg", "Vert", "CVert") for _, k in nodes):
+        return False
+    roles: Dict[Tuple[str, int], List[str]] = {
+        (i, p): [] for i in ids for p in range(4)}
+    for tail, head in arcs:
+        for end, role in ((tail, "out"), (head, "in")):
+            if end not in roles:
+                return False
+            roles[end].append(role)
+    if any(len(r) != 1 for r in roles.values()):
+        return False
+    return loops >= 0 and all(
+        sorted(roles[(i, a)] + roles[(i, a + 2)]) == ["in", "out"]
+        for i in ids for a in (0, 1))

@@ -1,7 +1,7 @@
 """scripts/ab_bench.py refuses trees whose bytecode caches differ and
 fewer than one pair, leaves no child or temporary directory behind when
-it is terminated, shows each pair's first declared metric, and gives
-each end-to-end metric a no-regression verdict."""
+it is terminated, shows every declared metric in each pair's line, and
+gives each end-to-end metric a no-regression verdict."""
 
 import json
 import os
@@ -115,18 +115,44 @@ def test_sigterm_ends_the_child_and_removes_the_temporary_directory(
             os.kill(pid, signal.SIGKILL)
 
 
-# a benchmark runner that reports the next value of its tree's values.json
-# as the one metric its tree's BENCHMARK.json declares
+# a benchmark runner that reports, for each metric its tree's
+# BENCHMARK.json declares, the next value of that metric in values.json
 _FAKE = """import json, pathlib
 values = json.loads(pathlib.Path("values.json").read_text())
 spec = json.loads(pathlib.Path("BENCHMARK.json").read_text())
 count = pathlib.Path("count")
 k = int(count.read_text()) if count.exists() else 0
 count.write_text(str(k + 1))
-print(json.dumps({"metrics": {spec["end_to_end"][0]["name"]:
-                              {"value": values[k]}},
+print(json.dumps({"metrics": {m["name"]: {"value": values[m["name"]][k]}
+                              for m in spec["end_to_end"]},
                   "failed": 0, "attempted": 1}))
 """
+
+
+def _fake_trees(tmp_path, metrics, values):
+    """base and new trees whose runners report values[side][metric]."""
+    trees = []
+    for name in ("base", "new"):
+        tree = tmp_path / name
+        (tree / "src").mkdir(parents=True)
+        (tree / "perfbench").mkdir()
+        (tree / "perfbench" / "run.py").write_text(_FAKE)
+        (tree / "values.json").write_text(json.dumps(values[name]))
+        (tree / "BENCHMARK.json").write_text(json.dumps(
+            {"run_seconds": 1, "end_to_end": [
+                {"name": metric, "better": better, "bound": 0.15}
+                for metric, better in metrics]}))
+        trees.append(str(tree))
+    return trees
+
+
+def _ab_bench(trees, pairs):
+    done = subprocess.run(
+        [sys.executable, str(SCRIPT), *trees, "--workload", "links",
+         "--seed", "1", "--pairs", str(pairs)],
+        capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
 
 _STEADY = [100, 101, 99, 100]
 _SPREAD = [70, 100, 130, 100]   # quartiles 77.5 and 122.5: wider than 15%
@@ -144,23 +170,9 @@ _SPREAD = [70, 100, 130, 100]   # quartiles 77.5 and 122.5: wider than 15%
         "beats-every-run-lower", "metric-m"])
 def test_verdict_against_the_bound(tmp_path, metric, better, base, new,
                                    expect):
-    trees = []
-    for name, values in (("base", base), ("new", new)):
-        tree = tmp_path / name
-        (tree / "src").mkdir(parents=True)
-        (tree / "perfbench").mkdir()
-        (tree / "perfbench" / "run.py").write_text(_FAKE)
-        (tree / "values.json").write_text(json.dumps(values))
-        (tree / "BENCHMARK.json").write_text(json.dumps(
-            {"run_seconds": 1, "end_to_end": [
-                {"name": metric, "better": better, "bound": 0.15}]}))
-        trees.append(str(tree))
-    done = subprocess.run(
-        [sys.executable, str(SCRIPT), *trees, "--workload", "links",
-         "--seed", "1", "--pairs", str(len(base))],
-        capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
-    lines = done.stdout.splitlines()
+    trees = _fake_trees(tmp_path, [(metric, better)],
+                        {"base": {metric: base}, "new": {metric: new}})
+    lines = _ab_bench(trees, len(base))
     assert lines[1] == "pair 1 (base first): %s base %.4g, new %.4g" % (
         metric, base[0], new[0])
     row = next(line for line in lines if line.startswith(metric + " "))
@@ -168,3 +180,15 @@ def test_verdict_against_the_bound(tmp_path, metric, better, base, new,
     counts = {v: int(v == expect) for v in ("ok", "WORSE", "unresolved")}
     assert lines[-1] == ("no-regression verdicts: %(ok)d ok, %(WORSE)d "
                          "WORSE, %(unresolved)d unresolved" % counts)
+
+
+def test_each_pair_line_shows_every_declared_metric(tmp_path):
+    trees = _fake_trees(
+        tmp_path, [("items_per_s", "higher"), ("setup_s", "lower")],
+        {"base": {"items_per_s": [1432, 1416], "setup_s": [0.1314, 0.125]},
+         "new": {"items_per_s": [1421, 1402], "setup_s": [0.0943, 0.097]}})
+    assert _ab_bench(trees, 2)[1:3] == [
+        "pair 1 (base first): items_per_s base 1432, new 1421; "
+        "setup_s base 0.1314, new 0.0943",
+        "pair 2 (new first): items_per_s base 1416, new 1402; "
+        "setup_s base 0.125, new 0.097"]

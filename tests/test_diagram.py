@@ -1,10 +1,13 @@
 """Tests for the diagram model, codec and local surgery."""
 
+import glob
+import os
 import random
 
 import pytest
 
 from conftest import random_braid_link, random_vertex_graph
+from oracles import well_formed
 from knotgraph import catalog, diagram
 from knotgraph.diagram import (Diagram, DiagramError, disjoint_union, parse,
                                parse_diagram, replace_kind, serialize,
@@ -234,3 +237,166 @@ def test_vertex_ports_roles():
     p = vertex_ports(g, "n0")
     assert sorted((p["in_a"], p["out_a"])) in ([0, 2],)
     assert sorted((p["in_b"], p["out_b"])) in ([1, 3],)
+
+
+# every message of the text codec, pinned whole
+_PARSE_ERRORS = {
+    "endpoint": ("node a XPos\narc a0 -> a.1\n", "line 2: bad endpoint 'a0'"),
+    "tail-first": ("node a XPos\narc a.x -> a1\n", "line 2: bad number 'x'"),
+    "sign": ("node a XPos\narc a.+1 -> a.0\n", "line 2: bad number '+1'"),
+    "underscore": ("node a XPos\narc a.2 -> a.1_0\n",
+                   "line 2: bad number '1_0'"),
+    "superscript": ("node a XPos\narc a.² -> a.0\n",
+                    "line 2: bad number '²'"),
+    "too-long": ("node a XPos\narc a.2 -> a.%s\n" % ("9" * 5000),
+                 "line 2: number too long in '%s" % ("9" * 39)),
+    "kind": ("node a Quux\n", "line 1: unknown node kind 'Quux'"),
+    "twice": ("node a XPos\nnode a Vert\n", "line 2: node 'a' defined twice"),
+    "cannot-parse": ("node a XPos\nwhat is this\n",
+                     "line 2: cannot parse 'what is this'"),
+    "loop": ("loop -1\n", "line 1: bad number '-1'"),
+    "comment": ("# head\nnode a XPos # a crossing\nbogus # tail\n",
+                "line 3: cannot parse 'bogus'"),
+    "ill-formed": (_BROKEN_TEXT,
+                   "node a strand (0, 2): orientation through node broken "
+                   "(free,out); node a strand (1, 3): orientation through "
+                   "node broken (in,free)"),
+}
+
+
+@pytest.mark.parametrize("text, message", _PARSE_ERRORS.values(),
+                         ids=_PARSE_ERRORS.keys())
+def test_parse_error_messages(text, message):
+    with pytest.raises(DiagramError) as exc:
+        parse_diagram(text)
+    assert str(exc.value) == message
+
+
+# (nodes, arcs, free loops, message) of ill-formed diagrams; node ids go
+# through str() for the raw constructor, so ids 1 and "1" clash in both
+_INVALID = {
+    "duplicate-id": ([(1, "XPos"), ("1", "Vert")], [], 0,
+                     "duplicate node id"),
+    "kind": ([("n", "Weird")], [], 0, "node n: unknown kind Weird"),
+    "unknown-node": ([], [(("b", 0), ("b", 2))], 0,
+                     "arc endpoint at unknown node b; "
+                     "arc endpoint at unknown node b"),
+    "port-range": ([("n", "XPos")], [(("n", 5), ("n", 0)),
+                                     (("n", 2), ("n", 1)),
+                                     (("n", 3), ("n", 4))], 0,
+                   "node n: port 4 out of range; node n: port 5 out of range"),
+    "duplicate-port": ([("n", "XPos")], [(("n", 2), ("n", 1)),
+                                         (("n", 2), ("n", 0))], 0,
+                       "node n port 2: duplicate port use"),
+    "orientation": ([("m", "XPos"), ("n", "XPos")],
+                    [(("m", 2), ("n", 0)), (("m", 3), ("n", 2)),
+                     (("n", 1), ("m", 0)), (("n", 3), ("m", 1))], 0,
+                    "node n strand (0, 2): orientation through node broken "
+                    "(in,in); node n strand (1, 3): orientation through node "
+                    "broken (out,out)"),
+    "negative-loops": ([], [], -1, "negative free loop count"),
+    "multi-fault": ([("a", "Weird"), ("c", "Vert")],
+                    [(("a", 0), ("b", 7)), (("c", -1), ("a", 2))], -3,
+                    "node a: unknown kind Weird; arc endpoint at unknown "
+                    "node b; node b: port 7 out of range; node c: port -1 "
+                    "out of range"),
+}
+
+_BUILDERS = {
+    "raw": lambda nodes, arcs, loops: Diagram(
+        tuple((str(i), k) for i, k in nodes), tuple(sorted(arcs)), loops),
+    "make": lambda nodes, arcs, loops: Diagram.make(dict(nodes), arcs, loops),
+}
+
+
+@pytest.mark.parametrize("build", _BUILDERS.values(), ids=_BUILDERS.keys())
+@pytest.mark.parametrize("nodes, arcs, loops, message", _INVALID.values(),
+                         ids=_INVALID.keys())
+def test_validate_error_messages(build, nodes, arcs, loops, message):
+    with pytest.raises(DiagramError) as exc:
+        build(nodes, arcs, loops)
+    assert str(exc.value) == message
+
+
+def test_lines_end_only_at_line_feeds_and_carriage_returns():
+    """The other characters str.splitlines breaks at are whitespace inside
+    a line, as in an editor, so an error names the line it is on."""
+    for text, message in (
+            ("node a XPos\x0cnode a XNeg\n",
+             "line 1: cannot parse 'node a XPos\\x0cnode a XNeg'"),
+            ("node a XPos\nnode b XPos\x85arc a.9 -> b.0\nbogus\n",
+             "line 2: cannot parse 'node b XPos\\x85arc a.9 -> b.0'"),
+            ("node a XPos\n# a\u2028b\x1ec\x0bd\nbogus\n",
+             "line 3: cannot parse 'bogus'"),
+            ("node a XPos\rbogus\r", "line 2: cannot parse 'bogus'"),
+            ("node a XPos\r\n\r\nbogus\r\n", "line 3: cannot parse 'bogus'")):
+        with pytest.raises(DiagramError) as exc:
+            parse_diagram(text)
+        assert str(exc.value) == message
+
+
+def test_carriage_return_text_parses():
+    for name in ("trefoil+", "G_b_vertex", "two-circles"):
+        d = catalog.named_diagram(name)
+        text = serialize(d, name)
+        for newline in ("\r", "\r\n"):
+            assert parse(text.replace("\n", newline)) == (name, d)
+
+
+def _corrupted(rng: random.Random, d: Diagram):
+    """d's nodes, arcs and loop count with one fault of the kinds below
+    put in, which may leave the diagram well formed."""
+    nodes, arcs, loops = list(d.nodes), list(d.arcs), d.free_loops
+    k = rng.randrange(len(arcs))
+    (a, p), (b, q) = arcs[k]
+    fault = rng.choice(("drop", "duplicate", "reverse", "port 4",
+                        "unknown node", "kind", "negate"))
+    if fault == "drop":
+        del arcs[k]
+    elif fault == "duplicate":
+        arcs.append(arcs[k])
+    elif fault == "reverse":
+        arcs[k] = ((b, q), (a, p))
+    elif fault == "port 4":
+        arcs[k] = rng.choice((((a, 4), (b, q)), ((a, p), (b, 4))))
+    elif fault == "unknown node":
+        arcs[k] = rng.choice(((("?", p), (b, q)), ((a, p), ("?", q))))
+    elif fault == "kind":
+        j = rng.randrange(len(nodes))
+        nodes[j] = (nodes[j][0], rng.choice(diagram.KINDS + ("Weird",)))
+    else:
+        loops = -loops
+    return fault, nodes, arcs, loops
+
+
+def _raises(build, *args) -> bool:
+    try:
+        build(*args)
+    except DiagramError:
+        return True
+    return False
+
+
+def test_construction_agrees_with_the_well_formed_oracle():
+    rng = random.Random(37)
+    faults, valid = set(), []
+    for trial in range(400):
+        d = (random_braid_link(rng, 8, 4) if trial % 2
+             else random_vertex_graph(rng, rng.randint(0, 2)))
+        fault, nodes, arcs, loops = _corrupted(rng, d)
+        good = well_formed(nodes, arcs, loops)
+        faults.add((fault, good))
+        assert _raises(Diagram, tuple(nodes), tuple(arcs), loops) != good
+        assert _raises(Diagram.make, dict(nodes), arcs, loops) != good
+        if good:
+            valid.append(Diagram.make(dict(nodes), arcs, loops))
+    assert {f for f, good in faults if not good} == {
+        "drop", "duplicate", "reverse", "port 4", "unknown node", "kind",
+        "negate"}
+    assert {f for f, good in faults if good} >= {"kind", "negate"}
+    shipped = glob.glob(os.path.join(os.path.dirname(diagram.__file__),
+                                     "corpus_data", "*.dg"))
+    assert shipped
+    for d in valid + [diagram.read_diagram(path) for path in shipped]:
+        assert parse_diagram(serialize(d)) == d == Diagram.make(
+            d.node_map(), d.arcs, d.free_loops)
