@@ -23,7 +23,7 @@ from . import spinnet as sn
 from . import vassiliev
 from .bracket import p_eval, z_eval
 from .diagram import (Diagram, DiagramError, read_diagram, read_text,
-                      replace_kind, whole_number)
+                      replace_kind, text_lines, whole_number)
 from .ring import Value, rf
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "corpus_data")
@@ -56,7 +56,7 @@ def load_manifest(path: Optional[str] = None) -> List[CorpusEntry]:
     except DiagramError as exc:
         raise CorpusError(str(exc)) from None
     entries = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(text_lines(text), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -115,7 +115,8 @@ def _op_four_term(n: Diagram, args: Dict[str, str], base: str) -> str:
     if len(files) != 3:
         raise CorpusError("expected three further diagram files")
     others = [read_diagram(os.path.join(base, f)) for f in files]
-    return gi.check_four_term(n, *others).render()
+    quad = dict(zip("NSEW", [n] + others))
+    return gi.six_valent_eval(quad)["residual"].render()
 
 
 def _op_fierz_form(g: Diagram, args: Dict[str, str], base: str) -> str:

@@ -291,16 +291,21 @@ def whole_number(text: str) -> int:
         raise ValueError("number too long in %.40r" % text) from None
 
 
+def text_lines(text: str) -> List[str]:
+    """The lines of an input file as an editor shows them: lines end at
+    \\n, \\r\\n or \\r only, not at every break str.splitlines knows."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def parse(text: str) -> Tuple[str, Diagram]:
-    """Read the text codec.  Lines end at \\n, \\r\\n or \\r only, as in an
-    editor.  Node ids and kinds are interned, so that every arc end shares
-    its node's id string and every node its kind's."""
+    """Read the text codec, line by line as text_lines splits it.  Node
+    ids and kinds are interned, so that every arc end shares its node's id
+    string and every node its kind's."""
     name = "diagram"
     nodes: Dict[str, str] = {}
     arcs: List[ArcT] = []
     loops = 0
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    for lineno, raw in enumerate(lines, 1):
+    for lineno, raw in enumerate(text_lines(text), 1):
         toks = raw.split("#", 1)[0].split()
         if not toks:
             continue

@@ -4,7 +4,8 @@ Diagrams are products of three tensor symbols: the identity delta (one
 upper, one lower index), the lower epsilon and the upper epsilon, with
 ``eps[01] = -eps[10] = 1`` and every epsilon carrying a factor sqrt(-1).
 Every index label must occur exactly twice, once upper and once lower,
-and evaluation sums the product of entries over all {0,1} assignments.
+so the factors form closed chains of 2x2 matrices, and a diagram's value
+is the product of its chains' traces (Penrose 1971).
 
 The module also provides formal sums of permutations (used to build
 symmetrizers and skew-symmetrizers) and entrywise checks of the matrix
@@ -21,7 +22,7 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .diagram import DiagramError
+from .diagram import DiagramError, text_lines
 from .ring import Value
 
 
@@ -90,13 +91,30 @@ GR_ONE = GaussianRational(Fraction(1))
 GR_I = GaussianRational(Fraction(0), Fraction(1))
 
 DIM = 2
-# eval_tensor_diagram sums DIM ** labels index assignments (4096 at 12)
-MAX_LABELS = 12
+
+Matrix = Tuple[Tuple[GaussianRational, ...], ...]
+
+
+def _times(x: Matrix, y: Matrix) -> Matrix:
+    """The matrix product x y."""
+    return tuple(tuple(sum((x[i][k] * y[k][j] for k in range(DIM)), GR_ZERO)
+                       for j in range(DIM)) for i in range(DIM))
+
+
+def _trace(x: Matrix) -> GaussianRational:
+    return x[0][0] + x[1][1]
 
 
 # --- tensor diagrams ---------------------------------------------------------
 
-_SYMBOLS = ("delta", "epsL", "epsU")
+# sqrt(-1) * eps with eps[01] = -eps[10] = 1
+_EPS = ((GR_ZERO, GR_I), (-GR_I, GR_ZERO))
+# symbol -> its matrix where a chain enters it at its first slot, and
+# where it enters at its second: the transpose
+_CHAIN = {sym: (m, tuple(zip(*m))) for sym, m in (
+    ("delta", ((GR_ONE, GR_ZERO), (GR_ZERO, GR_ONE))),
+    ("epsL", _EPS), ("epsU", _EPS))}
+_SYMBOLS = tuple(_CHAIN)
 
 
 class TensorDiagram(Value):
@@ -115,24 +133,14 @@ class TensorDiagram(Value):
             out.append((f[0], str(f[1]), str(f[2])))
         return TensorDiagram(tuple(out))
 
-    def index_positions(self) -> Tuple[Dict[str, int], Dict[str, int]]:
-        """Occurrence counts of each label in upper and lower position."""
+    def validate(self) -> None:
+        """Each label in one upper and one lower slot."""
         upper: Dict[str, int] = {}
         lower: Dict[str, int] = {}
         for sym, i, j in self.factors:
-            if sym == "delta":
-                upper[i] = upper.get(i, 0) + 1
-                lower[j] = lower.get(j, 0) + 1
-            elif sym == "epsL":
-                for k in (i, j):
-                    lower[k] = lower.get(k, 0) + 1
-            else:
-                for k in (i, j):
-                    upper[k] = upper.get(k, 0) + 1
-        return upper, lower
-
-    def validate(self) -> None:
-        upper, lower = self.index_positions()
+            for k, up in ((i, sym != "epsL"), (j, sym == "epsU")):
+                side = upper if up else lower
+                side[k] = side.get(k, 0) + 1
         for name in set(upper) | set(lower):
             if upper.get(name, 0) != 1 or lower.get(name, 0) != 1:
                 raise SpinNetError(
@@ -140,38 +148,29 @@ class TensorDiagram(Value):
                     "lower" % name)
 
 
-def _eps_entry(a: int, b: int) -> GaussianRational:
-    """sqrt(-1) * eps with eps[01] = -eps[10] = 1."""
-    if (a, b) == (0, 1):
-        return GR_I
-    if (a, b) == (1, 0):
-        return -GR_I
-    return GR_ZERO
-
-
-def _factor_entry(sym: str, a: int, b: int) -> GaussianRational:
-    if sym == "delta":
-        return GR_ONE if a == b else GR_ZERO
-    return _eps_entry(a, b)
-
-
 def eval_tensor_diagram(td: TensorDiagram) -> GaussianRational:
-    """Sum over all {0,1} index assignments of the product of entries;
-    refuses a diagram of more than MAX_LABELS index labels."""
+    """The product of one trace per closed chain of factors.  A chain
+    leaves a factor at the slot it did not enter by, and that slot's label
+    leads into the next factor, which is taken transposed where the chain
+    enters it at its second slot."""
     td.validate()
-    names = sorted({k for _, i, j in td.factors for k in (i, j)})
-    if len(names) > MAX_LABELS:
-        raise SpinNetError("%d index labels, above the limit %d"
-                           % (len(names), MAX_LABELS))
-    total = GR_ZERO
-    for values in itertools.product(range(DIM), repeat=len(names)):
-        env = dict(zip(names, values))
-        prod = GR_ONE
-        for sym, i, j in td.factors:
-            prod = prod * _factor_entry(sym, env[i], env[j])
-            if prod.is_zero():
+    slots: Dict[str, List[Tuple[int, int]]] = {}
+    for f, (_, i, j) in enumerate(td.factors):
+        slots.setdefault(i, []).append((f, 0))
+        slots.setdefault(j, []).append((f, 1))
+    total, done = GR_ONE, set()
+    for start, (sym, _, _) in enumerate(td.factors):
+        if start in done:
+            continue
+        chain, f, into = _CHAIN[sym][0], start, 0
+        while True:
+            end, other = slots[td.factors[f][2 - into]]
+            f, into = other if end == (f, 1 - into) else end
+            if f == start:
                 break
-        total = total + prod
+            done.add(f)
+            chain = _times(chain, _CHAIN[td.factors[f][0]][into])
+        total = total * _trace(chain)
     return total
 
 
@@ -179,7 +178,7 @@ def parse_tensor_diagram(text: str) -> TensorDiagram:
     """One factor per line: ``delta i j`` / ``epsL a b`` / ``epsU a b``;
     blank lines and ``#`` comments are skipped."""
     factors = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(text_lines(text), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -326,7 +325,7 @@ _PAULI = (
 )
 
 
-def generators() -> Tuple[Tuple[Tuple[GaussianRational, ...], ...], ...]:
+def generators() -> Tuple[Matrix, ...]:
     """T_a = sigma_a / 2 for a = 1, 2, 3."""
     half = GaussianRational(_HALF)
     return tuple(tuple(tuple(half * x for x in row) for row in s)
@@ -361,22 +360,15 @@ def check_fierz() -> dict:
             failures.append("fierz entry (%d,%d,%d,%d)" % (i, j, k, l))
     for a in range(3):
         for b in range(3):
+            ab, ba = _times(ts[a], ts[b]), _times(ts[b], ts[a])
             for i, j in itertools.product(range(DIM), repeat=2):
-                comm = GR_ZERO
-                for k in range(DIM):
-                    comm = comm + ts[a][i][k] * ts[b][k][j] \
-                        - ts[b][i][k] * ts[a][k][j]
                 rhs = GR_ZERO
                 for c in range(3):
                     rhs = rhs + GR_I * _eps3(a, b, c) * ts[c][i][j]
-                if comm != rhs:
+                if ab[i][j] - ba[i][j] != rhs:
                     failures.append("commutator (%d,%d) entry (%d,%d)"
                                     % (a + 1, b + 1, i, j))
-            tr = GR_ZERO
-            for i in range(DIM):
-                for k in range(DIM):
-                    tr = tr + ts[a][i][k] * ts[b][k][i]
-            if tr != GaussianRational(_HALF * (a == b)):
+            if _trace(ab) != GaussianRational(_HALF * (a == b)):
                 failures.append("trace (%d,%d)" % (a + 1, b + 1))
     sym2 = symmetrizer(2)
     for i, j, k, l in itertools.product(range(DIM), repeat=4):
@@ -393,7 +385,7 @@ def check_spinor_tensor_identity() -> dict:
     identity."""
     failures: List[str] = []
     for a, b, c, d in itertools.product(range(DIM), repeat=4):
-        val = (_eps_entry(a, b) * _eps_entry(c, d)
+        val = (_EPS[a][b] * _EPS[c][d]
                - GaussianRational(Fraction((a == d) * (b == c)))
                + GaussianRational(Fraction((a == c) * (b == d))))
         if not val.is_zero():

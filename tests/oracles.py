@@ -19,9 +19,14 @@ contraction engine, so it checks the engine at any size:
 - well_formed: whether nodes, arcs and a free loop count make a well
   formed diagram, by counting each port's uses and in/out roles.  It
   uses nothing of knotgraph.diagram, so it checks Diagram.validate.
+- tensor_value: the value of a closed spinor tensor diagram, summed over
+  every {0,1} assignment of its index labels.  It reads plain
+  (symbol, i, j) tuples and uses nothing of knotgraph.spinnet, so it
+  checks the chain walk of eval_tensor_diagram up to about 12 labels.
 """
 
-from typing import Dict, List, Tuple
+import itertools
+from typing import Dict, List, Sequence, Tuple
 
 from knotgraph.diagram import Diagram
 from knotgraph.ring import LaurentPoly
@@ -165,3 +170,23 @@ def well_formed(nodes: List[Tuple[str, str]],
     return loops >= 0 and all(
         sorted(roles[(i, a)] + roles[(i, a + 2)]) == ["in", "out"]
         for i in ids for a in (0, 1))
+
+
+def tensor_value(factors: Sequence[Tuple[str, str, str]]) -> complex:
+    """Sum over every {0,1} assignment of the labels of the product of
+    the factors' entries: delta is the identity, and epsL and epsU are
+    sqrt(-1) times eps, eps[01] = -eps[10] = 1.  Every entry is 0, 1 or
+    +-sqrt(-1), so the complex arithmetic is exact."""
+    eps = ((0, 1j), (-1j, 0))
+    entry = {"delta": ((1, 0), (0, 1)), "epsL": eps, "epsU": eps}
+    names = sorted({k for _, i, j in factors for k in (i, j)})
+    total = 0
+    for values in itertools.product((0, 1), repeat=len(names)):
+        at = dict(zip(names, values))
+        prod = 1
+        for sym, i, j in factors:
+            prod *= entry[sym][at[i]][at[j]]
+            if not prod:
+                break
+        total += prod
+    return complex(total)

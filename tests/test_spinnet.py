@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from knotgraph.spinnet import (DIM, GR_I, GR_ONE, GR_ZERO, MAX_LABELS,
-                               GaussianRational, PermElement, SpinNetError,
-                               TensorDiagram, antisymmetrizer, check_fierz,
+from oracles import tensor_value
+from knotgraph import spinnet
+from knotgraph.spinnet import (DIM, GR_I, GR_ONE, GR_ZERO, GaussianRational,
+                               PermElement, SpinNetError, TensorDiagram,
+                               antisymmetrizer, check_fierz,
                                check_projector, check_spinor_tensor_identity,
                                eval_tensor_diagram, generators,
                                parse_tensor_diagram, symmetrizer)
@@ -54,15 +56,67 @@ def _delta_ring(n):
 
 
 def test_closed_delta_loop_gives_the_dimension():
-    for td in (TensorDiagram.make([("delta", "i", "i")]),
-               _delta_ring(MAX_LABELS)):
+    for td in (TensorDiagram.make([("delta", "i", "i")]), _delta_ring(12)):
         assert eval_tensor_diagram(td) == GaussianRational(Fraction(DIM))
 
 
 def test_refuses_more_index_labels_than_its_limit():
-    with pytest.raises(SpinNetError,
-                       match="%d index labels" % (MAX_LABELS + 1)):
-        eval_tensor_diagram(_delta_ring(MAX_LABELS + 1))
+    """The evaluator has no label limit: a ring of 13 or of 200 deltas is
+    one chain, of trace 2."""
+    for n in (13, 200):
+        assert eval_tensor_diagram(_delta_ring(n)) == DIM
+
+
+def _epsilon_pairs(k, transposed):
+    """k disjoint pairs epsU^{ab} epsL_{ab}, or epsL_{ba} if transposed."""
+    return TensorDiagram.make(
+        f for m in range(k) for f in (
+            ("epsU", "a%d" % m, "b%d" % m),
+            ("epsL", "b%d" % m, "a%d" % m) if transposed
+            else ("epsL", "a%d" % m, "b%d" % m)))
+
+
+def test_disjoint_epsilon_pairs_multiply():
+    for k in range(1, 51):
+        assert eval_tensor_diagram(_epsilon_pairs(k, False)) == (-2) ** k
+        assert eval_tensor_diagram(_epsilon_pairs(k, True)) == 2 ** k
+
+
+def _random_factors(rng, n):
+    """n labels in k epsU, k epsL and n - 2k delta factors, the upper and
+    the lower slots each given the labels in a random order."""
+    k = rng.randint(0, n // 2)
+    upper = ["i%d" % m for m in range(n)]
+    lower = list(upper)
+    rng.shuffle(upper)
+    rng.shuffle(lower)
+    factors = ([("epsU", upper.pop(), upper.pop()) for _ in range(k)]
+               + [("epsL", lower.pop(), lower.pop()) for _ in range(k)]
+               + [("delta", upper.pop(), lower.pop())
+                  for _ in range(n - 2 * k)])
+    rng.shuffle(factors)
+    return factors
+
+
+_RNG = random.Random(3)
+_SEEDED = [_random_factors(_RNG, n)
+           for n in itertools.islice(itertools.cycle(range(1, 13)), 300)]
+
+
+def _value(factors):
+    v = eval_tensor_diagram(TensorDiagram.make(factors))
+    return complex(v.re, v.im)
+
+
+def test_chain_traces_equal_the_enumeration():
+    for factors in _SEEDED:
+        assert _value(factors) == tensor_value(factors), factors
+
+
+def test_a_walk_without_the_transpose_disagrees(monkeypatch):
+    monkeypatch.setattr(spinnet, "_CHAIN", {
+        sym: (m, m) for sym, (m, _) in spinnet._CHAIN.items()})
+    assert any(_value(f) != tensor_value(f) for f in _SEEDED)
 
 
 def test_epsilon_pair_gives_minus_dimension():
@@ -92,6 +146,23 @@ def test_parse_tensor_diagram():
     assert td.factors == (("delta", "i", "i"),)
     with pytest.raises(SpinNetError):
         parse_tensor_diagram("delta i\n")
+
+
+def test_tensor_lines_end_only_at_line_feeds_and_carriage_returns():
+    for text, line in (
+            ("delta a b\x0cbogus\nfoo\n", "line 1: expected 'delta|epsL|"
+             "epsU i j', got 'delta a b\\x0cbogus'"),
+            ("delta i i\rfoo\r", "line 2: expected 'delta|epsL|epsU i j', "
+             "got 'foo'")):
+        with pytest.raises(SpinNetError) as exc:
+            parse_tensor_diagram(text)
+        assert str(exc.value) == line
+    for newline in ("\r", "\r\n"):
+        td = parse_tensor_diagram(
+            "# ring\ndelta i j\n\nepsU j k\nepsL k i\n".replace(
+                "\n", newline))
+        assert td.factors == (("delta", "i", "j"), ("epsU", "j", "k"),
+                              ("epsL", "k", "i"))
 
 
 def test_perm_element_group_algebra():
@@ -157,6 +228,29 @@ def test_fierz_report():
     rep = check_fierz()
     assert rep["ok"], rep["failures"][:5]
     assert rep["fierz_coefficients"] == (Fraction(1, 2), -Fraction(1, 4))
+
+
+def test_fierz_report_names_each_failing_entry_in_order(monkeypatch):
+    # a corrupted T_2 breaks rows of all three generator checks; the rows
+    # keep their text and their order: per (a, b), commutator then trace
+    good = generators()
+
+    def corrupted():
+        t1, t2, t3 = good
+        return t1, ((GaussianRational(Fraction(1, 2)), t2[0][1]), t2[1]), t3
+
+    monkeypatch.setattr(spinnet, "generators", corrupted)
+    rep = check_fierz()
+    assert not rep["ok"]
+    assert rep["failures"] == [
+        "fierz entry (0,0,0,0)", "fierz entry (0,0,0,1)",
+        "fierz entry (0,0,1,0)", "fierz entry (0,1,0,0)",
+        "fierz entry (1,0,0,0)",
+        "commutator (1,2) entry (0,1)", "commutator (1,2) entry (1,0)",
+        "commutator (1,3) entry (0,0)",
+        "commutator (2,1) entry (0,1)", "commutator (2,1) entry (1,0)",
+        "trace (2,2)", "trace (2,3)",
+        "commutator (3,1) entry (0,0)", "trace (3,2)"]
 
 
 def test_spinor_tensor_identity_report():
