@@ -77,6 +77,9 @@ CROSSING_TABLES: Dict[str, Table] = {
     "XNeg": (((0, 1), (2, 3), ((1, 1),)), ((0, 3), (1, 2), ((-1, 1),))),
 }
 
+# each level's power of A per unit of writhe: framed Z, and P = A^(-3w) Z
+LEVELS: Dict[str, int] = {"z": 0, "p": -3}
+
 _LOOP = _terms(LOOP)
 
 
@@ -410,7 +413,7 @@ def _vertex_table(ports: Dict[str, int], a: Terms, b: Terms, c: Terms,
     """State table of a vertex whose scheme weights are a, b and c over a
     common denominator: each crossing choice contributes its two
     smoothings and the unfold its oriented pairing, all times -1."""
-    phase = -3 if level == "p" else 0
+    phase = LEVELS[level]
     unfold = tuple(sorted((tuple(sorted((ports["in_a"], ports["out_b"]))),
                            tuple(sorted((ports["in_b"], ports["out_a"]))))))
     weights = {unfold: {e: -k for e, k in c.items()}}
@@ -463,7 +466,7 @@ def _close(d: Diagram, profile: Dict[frozenset, Terms],
     total = _exact_div(total, _LOOP)
     writhe = d.writhe()
     sign = -1 if (d.components() - 1 + writhe) % 2 else 1
-    shift = -3 * writhe if level == "p" else 0
+    shift = LEVELS[level] * writhe
     return {e + shift: sign * k for e, k in total.items()}
 
 
@@ -471,8 +474,11 @@ def closed_value(d: Diagram, schemes: Dict[str, Tuple[Terms, ...]],
                  level: str) -> Tuple[Terms, Terms]:
     """The value of a closed diagram at level 'z' (Z) or 'p' (A^(-3w) Z,
     w the writhe of its crossings), as kernel terms (num, den).  Raises
-    DiagramError for a node of any other kind than a crossing or a key
-    of schemes, then above the node cap or for an empty diagram."""
+    DiagramError for a level not in LEVELS, then for a node of any other
+    kind than a crossing or a key of schemes, then above the node cap or
+    for an empty diagram."""
+    if level not in LEVELS:
+        raise DiagramError("level %r is not in %r" % (level, tuple(LEVELS)))
     ins = d.in_ports() if any(k in schemes for _, k in d.nodes) else None
     tables, den = node_tables(d.nodes, ins, schemes, level)
     check_size(d)
@@ -495,4 +501,4 @@ def z_eval(d: Diagram) -> LaurentPoly:
 def p_eval(d: Diagram) -> LaurentPoly:
     """The writhe-normalised invariant A^(-3w) * Z; unchanged under the
     first three Reidemeister moves."""
-    return z_eval(d).shift(-3 * d.writhe())
+    return z_eval(d).shift(LEVELS["p"] * d.writhe())

@@ -114,7 +114,8 @@ def _quad_from_dir(path: str) -> dict:
     import glob
     quad = {}
     for label in ("N", "S", "E", "W"):
-        hits = sorted(glob.glob(os.path.join(path, "*%s.dg" % label)))
+        hits = sorted(glob.glob(os.path.join(glob.escape(path),
+                                                "*%s.dg" % label)))
         if len(hits) != 1:
             raise CliError("directory %s needs exactly one *%s.dg file"
                            % (path, label))

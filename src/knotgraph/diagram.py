@@ -143,7 +143,11 @@ class Diagram(Value):
     # --- signs, writhe, components
 
     def crossing_sign(self, node: str) -> int:
-        return _sign(self.kind_of(node), vertex_ports(self, node))
+        """+1 or -1 for a crossing, 0 for a vertex."""
+        kind = self.kind_of(node)
+        if kind not in CROSSING_KINDS:
+            return 0
+        return 1 if kind == crossing_kind(vertex_ports(self, node), 1) else -1
 
     def writhe(self) -> int:
         """The sum of the crossing signs: an XPos crossing is positive where
@@ -444,14 +448,6 @@ def crossing_kind(ports: Dict[str, int], sign: int) -> str:
     the ports that vertex_ports returns."""
     base = 1 if (ports["in_a"], ports["in_b"]) in ((0, 1), (2, 3)) else -1
     return "XPos" if sign == base else "XNeg"
-
-
-def _sign(kind: str, ports: Dict[str, int]) -> int:
-    """+1 or -1 for a crossing of the given kind on these strands, 0 for
-    a vertex."""
-    if kind not in CROSSING_KINDS:
-        return 0
-    return 1 if kind == crossing_kind(ports, 1) else -1
 
 
 def path_to_reentry(d: Diagram, node: str, out_port: int):

@@ -161,9 +161,9 @@ def _expand(g: Diagram, coeff: RationalFunc, s: ResolutionScheme,
 
 def eval_graph(g: Diagram, s: ResolutionScheme = VASSILIEV,
                level: str = "p") -> RationalFunc:
-    """Sum of coeff * bracket over the full resolution.  Level 'p' uses
-    the writhe-normalised bracket of each resolved diagram (the move
-    invariant); level 'z' uses the raw bracket."""
+    """The graph's value in one contraction, each vertex a node with s's
+    table: level 'p' is writhe-normalised (the move invariant), 'z' the
+    framed bracket; any other level raises DiagramError."""
     return rf_from_terms(*closed_value(g, {"Vert": s.over_one_den}, level))
 
 

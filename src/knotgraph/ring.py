@@ -137,10 +137,7 @@ class LaurentPoly(Value):
         return LaurentPoly(_clean(d))
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        d = self.as_dict()
-        for e, c in other.terms:
-            d[e] = d.get(e, Fraction(0)) - c
-        return LaurentPoly(_clean(d))
+        return self + -other
 
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly(tuple((e, -c) for e, c in self.terms))

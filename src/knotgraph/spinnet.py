@@ -141,7 +141,7 @@ class TensorDiagram(Value):
             for k, up in ((i, sym != "epsL"), (j, sym == "epsU")):
                 side = upper if up else lower
                 side[k] = side.get(k, 0) + 1
-        for name in set(upper) | set(lower):
+        for name in dict.fromkeys(k for f in self.factors for k in f[1:]):
             if upper.get(name, 0) != 1 or lower.get(name, 0) != 1:
                 raise SpinNetError(
                     "index %r must appear exactly once upper and once "

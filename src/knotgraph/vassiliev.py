@@ -4,9 +4,8 @@ Substituting A = exp(h) into the writhe-normalised graph invariant with
 the (1, -1, 0) vertex weights turns it into a power series in h; the
 coefficient of h^i is an order-i invariant, and a graph with j vertices
 kills every coefficient below order j.  The normalisation by the
-component count divides the polynomial value exactly where it can and
-its series by a unit series where it cannot, never through a gcd of
-rational functions.
+component count divides the polynomial value's series by a unit series,
+never through a gcd of rational functions.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from typing import List
 from . import catalog
 from .diagram import Diagram
 from .graphinv import VASSILIEV, eval_graph
-from .ring import DELTA_POS, RingError, Value, poly_divmod, poly_series
+from .ring import DELTA_POS, RingError, Value, poly_series
 
 MAX_ORDER = 200     # order 200 takes at most 0.2 s on a graph of 18 nodes
 
@@ -37,20 +36,15 @@ def vassiliev_series(g: Diagram, order: int) -> VassilievReport:
     component count is shared by all resolutions of a graph, so the
     normalisation rescales the whole alternating sum by one unit series
     and leaves vanishing orders untouched.  The Vassiliev weights are
-    polynomials, so the value is one too; when the power of A^2 + A^-2
-    divides it exactly, the quotient is expanded.  Otherwise the value's
-    series is divided by the power's, a unit series starting at
-    2^(components - 1), with no gcd of polynomials.  Raises RingError
-    for an order outside 0..MAX_ORDER."""
+    polynomials, so the value is one too, and its series is divided by
+    the power's, a unit series starting at 2^(components - 1), with no
+    gcd of polynomials.  Raises RingError for an order outside
+    0..MAX_ORDER."""
     if not 0 <= order <= MAX_ORDER:
         raise RingError("order %d is outside 0..%d" % (order, MAX_ORDER))
     value = eval_graph(g, VASSILIEV, level="p").as_poly()
     unit = DELTA_POS ** (g.components() - 1)
-    quot, rest = poly_divmod(value, unit)
-    if rest.is_zero():
-        s = poly_series(quot, order)
-    else:
-        s = poly_series(value, order).divide(poly_series(unit, order))
+    s = poly_series(value, order).divide(poly_series(unit, order))
     return VassilievReport(series=s, vanishing_order=s.valuation())
 
 

@@ -127,6 +127,37 @@ def test_check_four_term_from_dir(tmp_path, capsys):
     assert code == 0 and "PASS" in out
 
 
+def _write_quad(path, sources="NSEW"):
+    """The corpus four-term quadruple in path, its N, S, E and W files
+    copied from the given labels."""
+    path.mkdir()
+    for label, source in zip("NSEW", sources):
+        shutil.copy(os.path.join(DATA_DIR, "ft_%s.dg" % source),
+                    path / ("ft_%s.dg" % label))
+
+
+@pytest.mark.parametrize("decoy", [False, True], ids=["alone", "decoy"])
+def test_check_four_term_reads_the_directory_name_literally(tmp_path, capsys,
+                                                           decoy):
+    """A directory named q[1] is read as itself, not as the pattern q[1]
+    that matches q1; a decoy q1 holds a failing quadruple."""
+    _write_quad(tmp_path / "q[1]")
+    if decoy:
+        _write_quad(tmp_path / "q1", "SNEW")
+    path = str(tmp_path / "q[1]")
+    assert run(capsys, ["check", "four-term", path]) == (
+        0, "PASS %s residual: 0\n" % path, "")
+
+
+def test_check_four_term_refuses_a_directory_without_a_label(tmp_path,
+                                                            capsys):
+    _write_quad(tmp_path / "q")
+    os.remove(tmp_path / "q" / "ft_E.dg")
+    path = str(tmp_path / "q")
+    assert run(capsys, ["check", "four-term", path]) == (
+        1, "", "error: directory %s needs exactly one *E.dg file\n" % path)
+
+
 def test_check_fierz_and_projector(capsys):
     assert run(capsys, ["check", "fierz"])[0] == 0
     code, out, _ = run(capsys, ["check", "projector"])

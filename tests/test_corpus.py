@@ -6,12 +6,13 @@ from pathlib import Path
 
 import pytest
 
-from knotgraph import catalog, corpus
+from knotgraph import catalog, corpus, graphinv
 from knotgraph.bracket import bracket_naive, z_eval
 from knotgraph.cli import main
 from knotgraph.corpus import (DATA_DIR, CorpusError, corpus_diagrams,
                               load_manifest, report_lines, run_corpus)
 from knotgraph.diagram import DiagramError, replace_kind, serialize
+from knotgraph.ring import RF_ONE
 from knotgraph.spinnet import SpinNetError
 
 
@@ -160,6 +161,29 @@ def test_entry_errors_are_diagram_errors_with_their_message(
     assert main(["corpus", "--dir", str(tmp_path)]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err == "error: %s\n" % message
+
+
+def test_a_nonzero_spinor_residual_fails_its_entry(monkeypatch):
+    """Negative control: a nonzero residual at a graph's last plain vertex
+    makes its spinor entry read nonzero and fail."""
+    real = graphinv.check_spinor
+
+    def stand_in(g, vertex):
+        rep = real(g, vertex)
+        if vertex == g.plain_vertices()[-1]:
+            rep["residual"] = RF_ONE
+        return rep
+
+    monkeypatch.setattr(graphinv, "check_spinor", stand_in)
+    results = [r for r in run_corpus() if r.entry.op == "spinor"]
+    assert report_lines(results) == [
+        "FAIL %s/spinor -> nonzero  (expected %s)" % pair for pair in (
+            ("spinor-case1", "case=1 residual=0"),
+            ("spinor-case2", "case=2 residual=0"),
+            ("spinor-2vert-petal", "case=1,1 residual=0"),
+            ("spinor-2vert-loops", "case=2,2 residual=0"),
+            ("spinor-flower", "case=1,1,1 residual=0"))] + [
+        "0/5 corpus entries passed"]
 
 
 def test_every_op_has_a_shipped_entry():

@@ -1,6 +1,7 @@
 """Tests for vertex resolution, the trace-identity and decomposition
 checks, and the four-term relation."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import pytest
 
 from conftest import random_vertex_graph
 from knotgraph import catalog
-from knotgraph.bracket import p_eval, z_eval
+from knotgraph.bracket import closed_value, p_eval, z_eval
 from knotgraph.diagram import Diagram, DiagramError, replace_kind, serialize
 from knotgraph.graphinv import (CASIMIR_MARKED, CASIMIR_PLAIN, VASSILIEV,
                                 C1, C2, FormalSum, ResolutionScheme,
@@ -130,16 +131,54 @@ SCHEMES = (
 
 
 def test_local_tables_match_the_resolution_sum():
-    rng = random.Random(41)
-    graphs = [catalog.named_diagram(n) for n in
-              ("G_a_vertex", "G_b_vertex", "ga_2vert", "gb_2vert", "flower3")]
-    graphs += [random_vertex_graph(rng, steps=rng.randint(0, 3))
-               for _ in range(12)]
-    for g in graphs:
+    for g in _local_table_graphs():
         for scheme in SCHEMES:
             fs = resolve_vertices(g, scheme)
             assert eval_graph(g, scheme, level="p") == fs.evaluate(p_eval)
             assert eval_graph(g, scheme, level="z") == fs.evaluate(z_eval)
+
+
+def _local_table_graphs():
+    """The graphs of test_local_tables_match_the_resolution_sum."""
+    rng = random.Random(41)
+    graphs = [catalog.named_diagram(n) for n in
+              ("G_a_vertex", "G_b_vertex", "ga_2vert", "gb_2vert", "flower3")]
+    return graphs + [random_vertex_graph(rng, steps=rng.randint(0, 3))
+                     for _ in range(12)]
+
+
+def test_levels_p_and_z_keep_their_values():
+    """Every value at levels p and z on those graphs under SCHEMES, its
+    render lines frozen as one sha256 digest, and gb_2vert's written out."""
+    digest = hashlib.sha256()
+    for g in _local_table_graphs():
+        for scheme in SCHEMES:
+            for level in ("p", "z"):
+                digest.update((eval_graph(g, scheme, level=level).render()
+                               + "\n").encode())
+    assert digest.hexdigest() == ("e4995e1c6c95798e34e10d4628fe8e0f"
+                                  "360b7bb8bb048f2a74d6e8b121376290")
+    g = catalog.named_diagram("gb_2vert")
+    assert eval_graph(g, VASSILIEV, level="p").render() == (
+        "A^10 + -1*A^2 + -1*A^-2 + A^-10")
+    assert eval_graph(g, VASSILIEV, level="z").render() == (
+        "2*A^4 + -2*A^2 + -2*A^-2 + 2*A^-4")
+
+
+@pytest.mark.parametrize("level", ["P", "", "q"])
+def test_an_unknown_level_is_refused(level):
+    """A level other than 'p' or 'z' is one DiagramError that names it,
+    never the value of another level."""
+    message = "level %r is not in ('z', 'p')" % level
+    g = catalog.named_diagram("gb_2vert")
+    with pytest.raises(DiagramError) as exc:
+        eval_graph(g, VASSILIEV, level=level)
+    assert str(exc.value) == message
+    for d, schemes in ((g, {"Vert": VASSILIEV.over_one_den}),
+                       (catalog.named_diagram("trefoil+"), {})):
+        with pytest.raises(DiagramError) as exc:
+            closed_value(d, schemes, level)
+        assert str(exc.value) == message
 
 
 def test_evaluation_does_not_validate_again(monkeypatch):

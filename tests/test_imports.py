@@ -4,10 +4,12 @@ is package-relative or names a standard-library module."""
 import ast
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "knotgraph"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "knotgraph"
 
 
 def _imports(path):
@@ -99,3 +101,26 @@ def test_the_package_registers_every_module_but_cli():
     files = {p.stem for p in SRC.glob("*.py")} - {"__init__", "cli"}
     assert done.stdout.strip() == str(sorted(("knotgraph." + f, False)
                                              for f in files))
+
+
+def test_every_top_level_def_and_class_is_named_elsewhere():
+    """Each top-level def and class of the package is named, as a whole
+    word, somewhere in src/, tests/, perfbench/, demos/ or scripts/ other
+    than its own def line.  A helper that nothing names is dead code.
+    Dunder hooks (a module's __dir__) are named by the interpreter."""
+    texts = {p: p.read_text(encoding="utf-8")
+             for d in ("src", "tests", "perfbench", "demos", "scripts")
+             for p in sorted((ROOT / d).rglob("*.py"))}
+    unnamed = []
+    for m in sorted(SRC.glob("*.py")):
+        for node in ast.parse(texts[m]).body:
+            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    or re.fullmatch(r"__\w+__", node.name)):
+                continue
+            lines = texts[m].splitlines()
+            del lines[node.lineno - 1]
+            word = re.compile(r"\b%s\b" % re.escape(node.name))
+            if not any(word.search("\n".join(lines) if p == m else text)
+                       for p, text in texts.items()):
+                unnamed.append("%s:%d %s" % (m.name, node.lineno, node.name))
+    assert unnamed == []

@@ -2,7 +2,10 @@
 matrix identity checks."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -141,6 +144,44 @@ def test_validation_requires_paired_indices():
         TensorDiagram.make([("gamma", "a", "b")])
 
 
+_UNPAIRED = "delta a b\ndelta c d\n"
+_UNPAIRED_ERROR = "index 'a' must appear exactly once upper and once lower"
+
+
+def test_validation_names_the_first_bad_label_in_factor_order():
+    with pytest.raises(SpinNetError) as exc:
+        parse_tensor_diagram(_UNPAIRED).validate()
+    assert str(exc.value) == _UNPAIRED_ERROR
+    # an epsL factor has both labels lower, so 'a' is first in factor order
+    # though 'c' is the only upper label
+    with pytest.raises(SpinNetError) as exc:
+        parse_tensor_diagram("epsL a b\ndelta c d\n").validate()
+    assert str(exc.value) == _UNPAIRED_ERROR
+
+
+def test_validation_error_does_not_depend_on_string_hashing(tmp_path):
+    """The label named is the same under every PYTHONHASHSEED, directly
+    and as the corpus error line of a .td entry."""
+    (tmp_path / "manifest.txt").write_text(
+        "e | t.td | tensor | - | 2 | known | note\n")
+    (tmp_path / "t.td").write_text(_UNPAIRED)
+    code = ("import sys\n"
+            "from knotgraph.cli import main\n"
+            "from knotgraph.spinnet import SpinNetError, "
+            "parse_tensor_diagram\n"
+            "try:\n"
+            "    parse_tensor_diagram(%r).validate()\n"
+            "except SpinNetError as e:\n"
+            "    print(e)\n"
+            "sys.exit(main(['corpus', '--dir', sys.argv[1]]))\n" % _UNPAIRED)
+    for seed in ("1", "2", "3", "4", "5"):
+        done = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONHASHSEED=seed))
+        assert (done.returncode, done.stdout, done.stderr) == (
+            1, _UNPAIRED_ERROR + "\n", "error: %s\n" % _UNPAIRED_ERROR)
+
+
 def test_parse_tensor_diagram():
     td = parse_tensor_diagram("# loop\ndelta i i\n\n")
     assert td.factors == (("delta", "i", "i"),)
@@ -215,6 +256,33 @@ def test_projector_report():
         check_projector(5)
 
 
+def _doubled(make):
+    """A stand-in for a projector maker: twice its element, which is not
+    idempotent."""
+    return lambda n: PermElement.make(n, {p: 2 * c for p, c in make(n).terms})
+
+
+@pytest.mark.parametrize("name, stand_in, failing, row", [
+    ("symmetrizer", _doubled(symmetrizer), (1, 2, 3, 4),
+     "symmetrizer(%d) not idempotent"),
+    ("antisymmetrizer", _doubled(antisymmetrizer), (1, 2, 3, 4),
+     "antisymmetrizer(%d) not idempotent"),
+    ("antisymmetrizer", symmetrizer, (3, 4),
+     "antisymmetrizer(%d) nonzero on dimension 2"),
+    ("antisymmetrizer", lambda n: PermElement.make(n, {}), (1, 2),
+     "antisymmetrizer(%d) unexpectedly zero")],
+    ids=["sym-idempotent", "skew-idempotent", "skew-nonzero", "skew-zero"])
+def test_projector_report_names_each_failure(monkeypatch, name, stand_in,
+                                             failing, row):
+    """Negative control: each of check_projector's four rows fires for a
+    projector that breaks its rule, and only where it is broken."""
+    monkeypatch.setattr(spinnet, name, stand_in)
+    for n in range(1, 5):
+        rep = check_projector(n)
+        assert rep["failures"] == ([row % n] if n in failing else []), n
+        assert rep["ok"] == (n not in failing)
+
+
 def test_generators_are_traceless_and_hermitian():
     for t in generators():
         assert t[0][0] + t[1][1] == GR_ZERO
@@ -253,9 +321,30 @@ def test_fierz_report_names_each_failing_entry_in_order(monkeypatch):
         "commutator (3,1) entry (0,0)", "trace (3,2)"]
 
 
+def test_fierz_report_names_each_failing_symmetrizer_entry(monkeypatch):
+    # negative control: the identity in place of the two-slot symmetrizer
+    # is off by 1/2 wherever i != j and {i, j} = {k, l}
+    monkeypatch.setattr(spinnet, "symmetrizer", PermElement.identity)
+    rep = check_fierz()
+    assert not rep["ok"]
+    assert rep["failures"] == [
+        "symmetrizer entry (0,1,0,1)", "symmetrizer entry (0,1,1,0)",
+        "symmetrizer entry (1,0,0,1)", "symmetrizer entry (1,0,1,0)"]
+
+
 def test_spinor_tensor_identity_report():
     rep = check_spinor_tensor_identity()
     assert rep["ok"], rep["failures"]
+
+
+def test_spinor_tensor_identity_report_names_each_failing_assignment(
+        monkeypatch):
+    # negative control: i*eps with its (0, 1) entry zeroed
+    monkeypatch.setattr(spinnet, "_EPS", ((GR_ZERO, GR_ZERO),
+                                          (-GR_I, GR_ZERO)))
+    assert check_spinor_tensor_identity() == {
+        "failures": ["assignment (0,1,0,1)", "assignment (0,1,1,0)",
+                     "assignment (1,0,0,1)"], "ok": False}
 
 
 def test_casimir_eigenvalue():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from knotgraph import catalog
+from knotgraph import catalog, vassiliev
 from knotgraph.diagram import replace_kind
 from knotgraph.graphinv import VASSILIEV, eval_graph
 from knotgraph.ring import DELTA_POS, Series, rf, series_at_exp
@@ -55,6 +55,24 @@ def test_vanishing_below_vertex_count():
                    for r in out["reports"].values())
 
 
+def test_vanishing_check_lists_each_graph_that_fails(monkeypatch):
+    """Negative control: a series that does not vanish for the second
+    two-vertex graph puts it, and only it, on the failures list."""
+    real = vassiliev.vassiliev_series
+    calls = []
+
+    def stand_in(g, order):
+        calls.append(g)
+        return real(catalog.named_diagram("trefoil+") if len(calls) == 2
+                    else g, order)
+
+    monkeypatch.setattr(vassiliev, "vassiliev_series", stand_in)
+    out = vanishing_order_check(2)
+    assert out["failures"] == ["gb_2vert"]
+    assert out["reports"]["gb_2vert"].vanishing_order == 0
+    assert len(calls) == 8
+
+
 def test_vanishing_check_rejects_unknown_counts():
     with pytest.raises(ValueError):
         vanishing_order_check(9)
@@ -79,10 +97,10 @@ def _braid_graph(rng, strands: int, crossings: int, vertices: int):
 
 
 def test_series_matches_the_rational_function_route():
-    """vassiliev_series expands value / (A^2 + A^-2)^(c-1) when the
-    division is exact and divides by the power's unit series otherwise;
-    the reference divides the rational functions first and expands the
-    quotient.  Both routes occur for c > 1."""
+    """vassiliev_series divides the value's series by the unit series of
+    (A^2 + A^-2)^(c-1); the reference divides the rational functions
+    first and expands the quotient.  For c > 1 both quotients that are
+    polynomials and quotients that are not occur."""
     rng = random.Random(71)
     seen, exact = set(), set()
     for _ in range(40):
