@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from .diagram import Diagram, DiagramError
+from .diagram import ArcT, Diagram, DiagramError
 
 
 def braid_closure(strands: int, word: Sequence[Tuple[int, int]]) -> Diagram:
@@ -97,22 +97,19 @@ def _triple_core(vertex_on: str, c_pos: str,
     nodes = {"Z0": "Vert",
              "Na": "Vert" if vertex_on == "a" else "XPos",
              "Nb": "Vert" if vertex_on == "b" else "XNeg"}
-    arcs: List[Tuple[Tuple[str, int], Tuple[str, int]]] = []
-    ends: Dict[str, List[Tuple[str, int]]] = {}
-    if c_pos == "below":
-        arcs.append((("Na", 2), ("Z0", 0)))
-        ends["a"] = [("Z0", 2), ("Na", 0)]
-        arcs.append((("Nb", 2), ("Z0", 1)))
-        ends["b"] = [("Z0", 3), ("Nb", 0)]
-        arcs.append((("Na", 1), ("Nb", 3)))
-        ends["c"] = [("Nb", 1), ("Na", 3)]
-    else:
-        arcs.append((("Z0", 2), ("Na", 0)))
-        ends["a"] = [("Na", 2), ("Z0", 0)]
-        arcs.append((("Z0", 3), ("Nb", 0)))
-        ends["b"] = [("Nb", 2), ("Z0", 1)]
-        arcs.append((("Nb", 1), ("Na", 3)))
-        ends["c"] = [("Na", 1), ("Nb", 3)]
+    # the arcs and each strand's open (out, in) ends with c below; with c
+    # above, every one is reversed and each port p turned to p + 2 mod 4
+    arcs: List[ArcT] = [(("Na", 2), ("Z0", 0)), (("Nb", 2), ("Z0", 1)),
+                        (("Na", 1), ("Nb", 3))]
+    ends: Dict[str, ArcT] = {"a": (("Z0", 2), ("Na", 0)),
+                             "b": (("Z0", 3), ("Nb", 0)),
+                             "c": (("Nb", 1), ("Na", 3))}
+    if c_pos == "above":
+        def turn(pair: ArcT) -> ArcT:
+            (x, p), (y, q) = pair
+            return (y, (q + 2) % 4), (x, (p + 2) % 4)
+        arcs = [turn(arc) for arc in arcs]
+        ends = {strand: turn(pair) for strand, pair in ends.items()}
     for ci, (u, v) in enumerate(clasps):
         h1, h2 = "H%da" % ci, "H%db" % ci
         nodes[h1] = "XPos"
@@ -121,10 +118,9 @@ def _triple_core(vertex_on: str, c_pos: str,
         vo, vi = ends[v]
         arcs += [(uo, (h1, 0)), ((h1, 2), (h2, 0)),
                  (vo, (h1, 1)), ((h1, 3), (h2, 1))]
-        ends[u] = [(h2, 2), ui]
-        ends[v] = [(h2, 3), vi]
-    for s in ("a", "b", "c"):
-        arcs.append((ends[s][0], ends[s][1]))
+        ends[u] = ((h2, 2), ui)
+        ends[v] = ((h2, 3), vi)
+    arcs += ends.values()
     return Diagram.make(nodes, arcs)
 
 

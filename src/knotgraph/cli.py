@@ -20,7 +20,7 @@ from . import graphinv as gi
 from . import moves as mv
 from . import spinnet as sn
 from . import vassiliev as vs
-from .bracket import p_eval, z_eval
+from .bracket import LEVELS, p_eval, z_eval
 from .diagram import DiagramError, read_diagram, serialize, whole_number
 from .ring import RingError, parse_poly, rf
 
@@ -112,6 +112,10 @@ def _check_spinor(path: Optional[str]):
 
 def _quad_from_dir(path: str) -> dict:
     import glob
+    if not os.path.isdir(path):
+        raise CliError("%s is not a directory; check four-term reads a "
+                       "directory of *N.dg, *S.dg, *E.dg and *W.dg files"
+                       % path)
     quad = {}
     for label in ("N", "S", "E", "W"):
         hits = sorted(glob.glob(os.path.join(glob.escape(path),
@@ -213,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--scheme", default="vassiliev",
                    help="vassiliev | casimir | a,b,c polynomials")
-    p.add_argument("--level", default="p", choices=("p", "z"))
+    p.add_argument("--level", default="p", choices=LEVELS)
     p.set_defaults(func=_cmd_graph_eval)
 
     p = sub.add_parser("resolve", help="formal sum of vertex resolutions")

@@ -22,7 +22,7 @@ The model is abstract in the Gauss-code sense: planarity of the induced
 from __future__ import annotations
 
 import sys
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 from .ring import Value
 
@@ -226,29 +226,13 @@ def _adjacency(d: Diagram) -> Dict[str, List[Tuple[int, str, int, str]]]:
 def _canonical_form(d: Diagram) -> str:
     adj = _adjacency(d)
     kinds = d.node_map()
-    # connected parts of the node graph
-    parts: List[List[str]] = []
-    unseen = set(d.node_ids())
-    while unseen:
-        root = min(unseen)
-        stack, part = [root], []
-        unseen.discard(root)
-        while stack:
-            n = stack.pop()
-            part.append(n)
-            for _, peer, _, _ in adj[n]:
-                if peer in unseen:
-                    unseen.discard(peer)
-                    stack.append(peer)
-        parts.append(part)
 
-    def encode_from(root: str, part: Sequence[str]) -> str:
+    def search(root: str) -> Tuple[List[str], str]:
+        """The nodes a breadth-first search from root reaches, which make
+        up root's connected part, and the part encoded from root."""
         label: Dict[str, int] = {root: 0}
         order = [root]
-        qi = 0
-        while qi < len(order):
-            n = order[qi]
-            qi += 1
+        for n in order:
             for _, peer, _, _ in adj[n]:
                 if peer not in label:
                     label[peer] = len(order)
@@ -259,11 +243,14 @@ def _canonical_form(d: Diagram) -> str:
             for p, peer, q, dirn in adj[n]:
                 cells.append("%d%s%d.%d" % (p, dirn, label[peer], q))
             rows.append(" ".join(cells))
-        return " | ".join(rows)
+        return order, " | ".join(rows)
 
     encoded_parts = []
-    for part in parts:
-        encoded_parts.append(min(encode_from(r, part) for r in part))
+    unseen = set(d.node_ids())
+    while unseen:
+        part, code = search(min(unseen))
+        unseen.difference_update(part)
+        encoded_parts.append(min([code] + [search(n)[1] for n in part[1:]]))
     encoded_parts.sort()
     return "loops=%d ; %s" % (d.free_loops, " ;; ".join(encoded_parts))
 

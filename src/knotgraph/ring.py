@@ -266,11 +266,14 @@ def _times(p: Terms, q: Terms) -> Terms:
 
 
 def _divmod(num: Terms, den: Terms) -> Tuple[Terms, Terms]:
-    """Quotient and remainder of num by a nonzero den as ordinary
-    polynomials, both shifted to minimal exponent 0: num == quot*den + rem,
-    where rem spans fewer exponents than den from num's lowest one up.
-    Each step cancels the top term left.  A leading coefficient other
-    than +-1 divides through Fraction, so the quotient stays exact."""
+    """Quotient and remainder of num by den as ordinary polynomials, both
+    shifted to minimal exponent 0: num == quot*den + rem, where rem spans
+    fewer exponents than den from num's lowest one up.  Each step cancels
+    the top term left.  A leading coefficient other than +-1 divides
+    through Fraction, so the quotient stays exact.  A zero den is a
+    RingError."""
+    if not den:
+        raise RingError("division by zero polynomial")
     top = max(den)
     lead = den[top]
     inv = lead if lead in (1, -1) else 1 / Fraction(lead)
@@ -308,17 +311,12 @@ def poly_divmod(num: LaurentPoly, den: LaurentPoly):
     """Quotient and remainder treating both as ordinary polynomials after
     shifting minimal exponents to zero.  The quotient absorbs the net
     A-power shift, so num == q*den + r."""
-    if den.is_zero():
-        raise RingError("division by zero polynomial")
     q, r = _divmod(_terms(num), _terms(den))
     return LaurentPoly(_clean(q)), LaurentPoly(_clean(r))
 
 
 def poly_exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
-    q, r = poly_divmod(num, den)
-    if not r.is_zero():
-        raise RingError("inexact polynomial division")
-    return q
+    return LaurentPoly(_clean(_exact_div(_terms(num), _terms(den))))
 
 
 class RationalFunc(Value):
@@ -347,8 +345,7 @@ class RationalFunc(Value):
                                  self.den * o.den)
 
     def __sub__(self, o: "RationalFunc") -> "RationalFunc":
-        return RationalFunc.make(self.num * o.den - o.num * self.den,
-                                 self.den * o.den)
+        return self + -o
 
     def __neg__(self) -> "RationalFunc":
         return RationalFunc(-self.num, self.den)

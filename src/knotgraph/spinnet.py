@@ -20,7 +20,7 @@ import itertools
 import math
 from fractions import Fraction
 from numbers import Rational
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from .diagram import DiagramError, text_lines
 from .ring import Value
@@ -217,13 +217,10 @@ class PermElement(Value):
     def identity(n: int) -> "PermElement":
         return PermElement.make(n, {tuple(range(n)): Fraction(1)})
 
-    def term_dict(self) -> Dict[PermT, Fraction]:
-        return dict(self.terms)
-
     def __add__(self, other: "PermElement") -> "PermElement":
         if self.n != other.n:
             raise SpinNetError("mixed strand counts")
-        out = self.term_dict()
+        out = dict(self.terms)
         for p, c in other.terms:
             out[p] = out.get(p, Fraction(0)) + c
         return PermElement.make(self.n, out)
@@ -270,26 +267,23 @@ def _perm_sign(perm: PermT) -> int:
     return sign
 
 
-def _check_strands(n: int) -> None:
+def _projector(n: int, sign: Callable[[PermT], int]) -> PermElement:
+    """(1/n!) sum of all permutations p of n strands, each times sign(p)."""
     if not 1 <= n <= 5:
         raise SpinNetError("strand count %d out of range 1..5" % n)
+    coeff = Fraction(1, math.factorial(n))
+    return PermElement.make(
+        n, {p: coeff * sign(p) for p in itertools.permutations(range(n))})
 
 
 def symmetrizer(n: int) -> PermElement:
     """(1/n!) sum of all permutations of n strands."""
-    _check_strands(n)
-    coeff = Fraction(1, math.factorial(n))
-    return PermElement.make(
-        n, {p: coeff for p in itertools.permutations(range(n))})
+    return _projector(n, lambda p: 1)
 
 
 def antisymmetrizer(n: int) -> PermElement:
     """(1/n!) signed sum of all permutations of n strands."""
-    _check_strands(n)
-    coeff = Fraction(1, math.factorial(n))
-    return PermElement.make(
-        n, {p: coeff * _perm_sign(p)
-            for p in itertools.permutations(range(n))})
+    return _projector(n, _perm_sign)
 
 
 def check_projector(n: int) -> dict:

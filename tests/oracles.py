@@ -23,9 +23,15 @@ contraction engine, so it checks the engine at any size:
   every {0,1} assignment of its index labels.  It reads plain
   (symbol, i, j) tuples and uses nothing of knotgraph.spinnet, so it
   checks the chain walk of eval_tensor_diagram up to about 12 labels.
+- sl2_weight: the sl2 weight system in the 2-dimensional representation
+  of the chord diagram a Gauss code gives, each chord carrying the
+  Casimir t = P - 1/2 on V (x) V.  For a knot with j of its crossings
+  drawn as rigid vertices, the h^j coefficient of the graph's z value
+  under VASSILIEV is 2^(2j-1) times it, and lower ones vanish.
 """
 
 import itertools
+from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from knotgraph.diagram import Diagram
@@ -190,3 +196,35 @@ def tensor_value(factors: Sequence[Tuple[str, str, str]]) -> complex:
                 break
         total += prod
     return complex(total)
+
+
+def sl2_weight(chords: Sequence[str],
+               identity: Fraction = Fraction(-1, 2)) -> Fraction:
+    """The sum over subsets S of the j chords of
+    identity^(j - |S|) * 2^cycles(S), where chords lists the chord ends
+    in the order the circle meets them (each name twice, j >= 1) and
+    cycles(S) counts the circles left after the two strands are swapped
+    at each chord in S.  Each chord so carries P + identity on V (x) V,
+    dim V = 2; the Casimir is P - 1/2."""
+    n = len(chords)
+    partner: Dict[int, int] = {}
+    first: Dict[str, int] = {}
+    for i, c in enumerate(chords):
+        if c in first:
+            partner[i], partner[first[c]] = first[c], i
+        else:
+            first[c] = i
+    total = Fraction(0)
+    for size in range(len(first) + 1):
+        for subset in itertools.combinations(sorted(first), size):
+            swapped = set(subset)
+            seen: set = set()
+            cycles = 0
+            for start in range(n):
+                cycles += start not in seen
+                i = start
+                while i not in seen:
+                    seen.add(i)
+                    i = ((partner[i] if chords[i] in swapped else i) + 1) % n
+            total += identity ** (len(first) - size) * 2 ** cycles
+    return total

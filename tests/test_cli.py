@@ -11,7 +11,7 @@ import pytest
 from knotgraph import catalog
 from knotgraph import graphinv as gi
 from knotgraph import spinnet as sn
-from knotgraph.bracket import max_crossings
+from knotgraph.bracket import LEVELS, max_crossings
 from knotgraph.cli import main
 from knotgraph.corpus import DATA_DIR
 from knotgraph.diagram import DiagramError, serialize
@@ -50,6 +50,23 @@ def test_graph_eval_verb(dg, capsys):
                                 "--scheme", "casimir", "--level", "z"])
     assert code == 0
     assert out.strip() == "A^3 + A^-3"
+
+
+@pytest.mark.parametrize("level", sorted(LEVELS))
+def test_graph_eval_takes_every_level_of_the_table(dg, capsys, level):
+    value = gi.eval_graph(catalog.named_diagram("G_b_vertex"), gi.VASSILIEV,
+                          level=level)
+    assert run(capsys, ["graph-eval", dg("G_b_vertex"), "--level", level]) \
+        == (0, value.render() + "\n", "")
+
+
+def test_graph_eval_refuses_an_unknown_level_before_reading_the_file(
+        tmp_path, capsys):
+    code, out, err = run(capsys, ["graph-eval", str(tmp_path / "none.dg"),
+                                  "--level", "P"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: argument --level: invalid choice: ")
+    assert len(err.splitlines()) == 1 and "none.dg" not in err
 
 
 def test_graph_eval_custom_scheme(dg, capsys):
@@ -156,6 +173,15 @@ def test_check_four_term_refuses_a_directory_without_a_label(tmp_path,
     path = str(tmp_path / "q")
     assert run(capsys, ["check", "four-term", path]) == (
         1, "", "error: directory %s needs exactly one *E.dg file\n" % path)
+
+
+@pytest.mark.parametrize("target", ["file", "missing"])
+def test_check_four_term_refuses_a_path_that_is_not_a_directory(
+        dg, tmp_path, capsys, target):
+    path = dg("ft_N") if target == "file" else str(tmp_path / "nowhere")
+    assert run(capsys, ["check", "four-term", path]) == (
+        1, "", "error: %s is not a directory; check four-term reads a "
+        "directory of *N.dg, *S.dg, *E.dg and *W.dg files\n" % path)
 
 
 def test_check_fierz_and_projector(capsys):

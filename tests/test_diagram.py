@@ -1,6 +1,7 @@
 """Tests for the diagram model, codec and local surgery."""
 
 import glob
+import hashlib
 import os
 import random
 
@@ -9,6 +10,7 @@ import pytest
 from conftest import random_braid_link, random_vertex_graph
 from oracles import well_formed
 from knotgraph import catalog, diagram
+from knotgraph.graphinv import CASIMIR_PLAIN, VASSILIEV, resolve_vertices
 from knotgraph.diagram import (Diagram, DiagramError, disjoint_union, parse,
                                parse_diagram, replace_kind, serialize,
                                splice_node, vertex_ports)
@@ -168,6 +170,30 @@ def test_canonical_form_separates_distinct_diagrams():
              "figure-eight", "G_a_vertex", "G_b_vertex", "G_b_cvert")
     forms = {catalog.named_diagram(n).canonical_form() for n in names}
     assert len(forms) == len(names)
+
+
+def _canonical_form_cases():
+    """Every catalog diagram, unions of two of them (several parts, free
+    loops), and each term of the resolutions of seeded vertex graphs."""
+    rng = random.Random(41)
+    yield from (catalog.named_diagram(n) for n in catalog.NAMES)
+    for _ in range(20):
+        yield disjoint_union(*(catalog.named_diagram(n)
+                               for n in rng.sample(catalog.NAMES, 2)))
+    for _ in range(30):
+        g = random_vertex_graph(rng, rng.randint(0, 3))
+        for scheme in (VASSILIEV, CASIMIR_PLAIN):
+            yield from (d for _, d in resolve_vertices(g, scheme).terms())
+
+
+def test_canonical_forms_keep_their_strings():
+    """canonical_form strings order FormalSum's terms and print in
+    resolve, so they are frozen: one sha256 over all the cases."""
+    digest = hashlib.sha256()
+    for d in _canonical_form_cases():
+        digest.update((d.canonical_form() + "\n").encode())
+    assert digest.hexdigest() == ("925d22fb20397da8c382d57c9b1094b7"
+                                  "ce0106cb301002195cb236643215d323")
 
 
 def test_trefoil_presentations_differ_as_diagrams():

@@ -103,19 +103,18 @@ def test_the_package_registers_every_module_but_cli():
                                              for f in files))
 
 
-def test_every_top_level_def_and_class_is_named_elsewhere():
-    """Each top-level def and class of the package is named, as a whole
-    word, somewhere in src/, tests/, perfbench/, demos/ or scripts/ other
-    than its own def line.  A helper that nothing names is dead code.
-    Dunder hooks (a module's __dir__) are named by the interpreter."""
+def _unnamed(defs_of):
+    """'module:line name' of each def or class that defs_of(module tree)
+    yields, dunder hooks excepted, that is not named, as a whole word,
+    somewhere in src/, tests/, perfbench/, demos/ or scripts/ other than
+    its own def line."""
     texts = {p: p.read_text(encoding="utf-8")
              for d in ("src", "tests", "perfbench", "demos", "scripts")
              for p in sorted((ROOT / d).rglob("*.py"))}
     unnamed = []
     for m in sorted(SRC.glob("*.py")):
-        for node in ast.parse(texts[m]).body:
-            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    or re.fullmatch(r"__\w+__", node.name)):
+        for node in defs_of(ast.parse(texts[m])):
+            if re.fullmatch(r"__\w+__", node.name):
                 continue
             lines = texts[m].splitlines()
             del lines[node.lineno - 1]
@@ -123,4 +122,20 @@ def test_every_top_level_def_and_class_is_named_elsewhere():
             if not any(word.search("\n".join(lines) if p == m else text)
                        for p, text in texts.items()):
                 unnamed.append("%s:%d %s" % (m.name, node.lineno, node.name))
-    assert unnamed == []
+    return unnamed
+
+
+def test_every_top_level_def_and_class_is_named_elsewhere():
+    """A top-level helper that nothing names is dead code.  Dunder hooks
+    (a module's __dir__) are named by the interpreter."""
+    assert _unnamed(lambda tree: (
+        node for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)))) == []
+
+
+def test_every_method_is_named_elsewhere():
+    """A method of a top-level class that nothing names is dead code, by
+    the same rule; dunder methods are named by the interpreter."""
+    assert _unnamed(lambda tree: (
+        node for cls in tree.body if isinstance(cls, ast.ClassDef)
+        for node in cls.body if isinstance(node, ast.FunctionDef))) == []

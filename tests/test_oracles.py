@@ -1,17 +1,20 @@
 """The engine against values that do not come from a state sum: Jones's
 closed form for torus knots, the Fox-colouring determinant and the
 Polyak-Viro count of c2, on links of up to 110 crossings, far beyond
-bracket_naive."""
+bracket_naive; and graphs against the sl2 weight system of their chord
+diagrams."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from oracles import (fox_determinant, gauss_code, polyak_viro_c2,
-                     torus_jones, value_at_zeta_squared)
+                     sl2_weight, torus_jones, value_at_zeta_squared)
 from knotgraph.bracket import p_eval
 from knotgraph.catalog import braid_closure, named_diagram
-from knotgraph.diagram import disjoint_union
+from knotgraph.diagram import disjoint_union, replace_kind
+from knotgraph.graphinv import CASIMIR_PLAIN, VASSILIEV, eval_graph
 from knotgraph.ring import LaurentPoly, poly_series
 
 
@@ -86,12 +89,12 @@ def test_determinant_oracle_rejects_a_corrupted_coefficient():
         assert value_at_zeta_squared(_corrupt(p_eval(d))) != det * det
 
 
-def _seeded_knots(rng, count, low, high):
-    """Closures of random 2- to 4-strand braid words of low-high letters
-    that are knots."""
+def _seeded_knots(rng, count, low, high, max_strands=4):
+    """Closures of random 2- to max_strands-strand braid words of low-high
+    letters that are knots."""
     knots = []
     while len(knots) < count:
-        strands = rng.randint(2, 4)
+        strands = rng.randint(2, max_strands)
         word = [(rng.randint(1, strands - 1), rng.choice((1, -1)))
                 for _ in range(rng.randint(low, high))]
         d = braid_closure(strands, word)
@@ -128,3 +131,58 @@ def test_c2_oracle_rejects_a_flipped_crossing_sign():
     for code, sign, h2 in _c2_cases():
         assert any(h2 != -48 * polyak_viro_c2(code, dict(sign, **{x: -s}))
                    for x, s in sign.items())
+
+
+def test_sl2_weight_of_small_chord_diagrams():
+    """j isolated chords give dim V * c^j with the Casimir value c = 3/2;
+    two interlaced chords give 1/2 - 2 - 2 + 2 over S = {}, {a}, {b},
+    {a, b} (1, 2, 2 and 1 circles)."""
+    for j in range(1, 5):
+        assert sl2_weight("aabbccdd"[:2 * j]) == 2 * Fraction(3, 2) ** j
+    assert sl2_weight("abab") == Fraction(-3, 2)
+
+
+def _weight_cases():
+    """(graph, vertex count j, chord order) for 120 seeded braid-closure
+    knots of 2-5 strands and 6-20 crossings, j in 1..8 of them drawn as
+    rigid vertices.  The chord order is the knot's Gauss code, read
+    before its crossings become vertices, restricted to the vertices."""
+    rng = random.Random(29)
+    for d in _seeded_knots(rng, 120, 6, 20, max_strands=5):
+        j = rng.randint(1, min(8, len(d.crossings())))
+        vertices = set(rng.sample(d.crossings(), j))
+        g = d
+        for v in vertices:
+            g = replace_kind(g, v, "Vert")
+        yield g, j, [x for x, _ in gauss_code(d) if x in vertices]
+
+
+def _z_series(g, j):
+    return poly_series(eval_graph(g, VASSILIEV, level="z").as_poly(),
+                       j + 1).coeffs
+
+
+def test_top_coefficient_is_the_sl2_weight_system():
+    """The paper's finite-type claim, exactly: a one-component graph with
+    j rigid vertices has a z series under VASSILIEV that vanishes below
+    h^j, and its h^j coefficient is 2^(2j-1) W(D) for the chord diagram
+    D of its vertices."""
+    counts = set()
+    for g, j, chords in _weight_cases():
+        coeffs = _z_series(g, j)
+        assert coeffs[:j] == (0,) * j, (j, chords)
+        assert coeffs[j] == 2 ** (2 * j - 1) * sl2_weight(chords), chords
+        counts.add(j)
+    assert counts == set(range(1, 9))
+
+
+def test_weight_system_check_fails_off_the_casimir():
+    """Negative controls: with P + 1/2 in place of the Casimir P - 1/2 the
+    h^j coefficient differs on every graph, and CASIMIR_PLAIN, which is
+    not of finite type, has a nonzero value at A = 1 (so a nonzero h^0
+    coefficient) on every graph."""
+    for g, j, chords in _weight_cases():
+        assert _z_series(g, j)[j] != 2 ** (2 * j - 1) * sl2_weight(
+            chords, Fraction(1, 2)), chords
+        value = eval_graph(g, CASIMIR_PLAIN, level="z").as_poly()
+        assert value.eval_at_one() != 0, chords

@@ -71,8 +71,16 @@ def test_exact_division_inverts_multiplication(p, d):
 
 
 def test_exact_division_rejects_remainders():
-    with pytest.raises(RingError):
+    with pytest.raises(RingError, match="^inexact polynomial division$"):
         poly_exact_div(A + ONE, A + A_INV)
+
+
+def test_a_zero_divisor_is_refused_by_the_kernel():
+    for divide in (poly_divmod, poly_exact_div):
+        with pytest.raises(RingError, match="^division by zero polynomial$"):
+            divide(A + ONE, ZERO)
+    with pytest.raises(RingError, match="^division by zero polynomial$"):
+        _exact_div({1: 1}, {})
 
 
 @given(polys, nonzero_polys, polys, nonzero_polys)

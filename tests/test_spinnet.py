@@ -1,6 +1,7 @@
 """Tests for the tensor-diagram evaluator, permutation algebra, and the
 matrix identity checks."""
 
+import hashlib
 import itertools
 import os
 import random
@@ -239,6 +240,23 @@ def test_projectors_are_idempotent():
         if n >= 2:
             # the two projectors annihilate each other
             assert s.compose(a).terms == ()
+
+
+def test_projectors_keep_their_terms():
+    """The renders of both projectors on 1-5 strands, frozen as one
+    sha256; 0 and 6 strands are out of range for both."""
+    digest = hashlib.sha256()
+    for n in range(1, 6):
+        for projector in (symmetrizer, antisymmetrizer):
+            digest.update((projector(n).render() + "\n").encode())
+    assert digest.hexdigest() == ("f754644a13f36bf522da6498fee4e246"
+                                  "c5bc41bbd3ff413cb7c3280534551ef2")
+    assert antisymmetrizer(2).render() == "1/2*[0 1] + -1/2*[1 0]"
+    for projector in (symmetrizer, antisymmetrizer):
+        for n in (0, 6):
+            with pytest.raises(SpinNetError, match="^strand count %d out of "
+                               "range 1..5$" % n):
+                projector(n)
 
 
 def test_antisymmetrizer_vanishes_in_dimension_two():
