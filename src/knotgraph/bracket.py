@@ -25,6 +25,17 @@ built per call, so its cases are memoised for the call.  Both rest on a
 constant table, built at import, of the 30 ways an entry's pairing can
 meet the ports that lead back to the node.
 
+Before the plan, one pass over the arcs absorbs each bigon: two crossing
+nodes joined by exactly two arcs, both with all four ports on arcs and
+no self-loop, become one 4-port node named after the smaller id; a node
+joins at most one pair, taken in arc order.  The new node's table is the
+pair's profile, naive_profile of the 2-node tangle, from a module-level
+table keyed by the identities of the two crossing tables and the ports
+the two arcs join: at most 288 keys, each computed on first use with its
+cases beside it.  An R2 pair comes out as one identity entry of weight
+1.  Vertex tables, nodes with boundary ends (an open tangle keeps its
+end names) and nodes joined by three or four arcs are never paired.
+
 Inside the engine a weight is a term dict of ring's Laurent kernel.
 Bracket values lie in Z[A, A^-1], so the coefficients are ints, and
 Fractions only where a table weight is non-integral (a marked vertex
@@ -285,6 +296,74 @@ _CROSSING_JOINS = {id(table): {links: _entries(table, links)
                                for links in _LINKS}
                    for table in CROSSING_TABLES.values()}
 
+# Each crossing pair's table, keyed by the identities of its two crossing
+# tables and the (first node's port, second node's port) pairs of its two
+# joining arcs: 2 * 2 * 72 = 288 keys at most.  A pair's profile is the
+# same on every call, so an entry, computed on first use, stays.
+_PAIRS: Dict[tuple, tuple] = {}
+
+
+def _pair_table(ta: Table, tb: Table, pattern: Tuple[Pair, Pair]) -> tuple:
+    """The table of crossings ta and tb joined along pattern, as one node:
+    naive_profile of the 2-node tangle, whose ports 0, 1 are ta's free
+    ports and 2, 3 are tb's, in order.  Returns the table, its cases for
+    the ten local links, and the free ports as (0 for ta or 1 for tb,
+    port)."""
+    key = (id(ta), id(tb), pattern)
+    if key not in _PAIRS:
+        joined = ({p for p, _ in pattern}, {q for _, q in pattern})
+        free = [(n, p) for n in (0, 1) for p in range(4) if p not in joined[n]]
+        profile = naive_profile({0: ta, 1: tb},
+                                [((0, p), (1, q)) for p, q in pattern])
+        table = tuple(sorted(
+            (*sorted(tuple(sorted(map(free.index, pair))) for pair in pairing),
+             tuple(sorted(terms.items())))
+            for pairing, terms in profile.items()))
+        _PAIRS[key] = (table, {links: _entries(table, links)
+                               for links in _LINKS}, free)
+    return _PAIRS[key]
+
+
+def _absorb_bigons(tables: Dict[str, Table], arcs: Sequence[ArcT]
+                   ) -> Tuple[Dict[str, Table], Sequence[ArcT], dict]:
+    """Each pair of crossings joined by exactly two arcs, both with every
+    port on an arc and no self-loop, becomes one node named after the
+    smaller id, with the pair's table (_pair_table); a node joins at most
+    one pair, taken in arc order.  Returns the new tables and arcs and the
+    pair tables' cases by table identity."""
+    degree = dict.fromkeys(tables, 0)
+    between: Dict[Tuple[str, str], List[Pair]] = {}
+    for (a, p), (b, q) in arcs:
+        if a == b:
+            degree[a] += 8      # a node with a self-loop is never paired
+            continue
+        degree[a] += 1
+        degree[b] += 1
+        key, ports = ((a, b), (p, q)) if a < b else ((b, a), (q, p))
+        between.setdefault(key, []).append(ports)
+    taken = set()
+    pairs = []
+    for (a, b), pattern in between.items():
+        if (len(pattern) == 2 and degree[a] == degree[b] == 4
+                and a not in taken and b not in taken
+                and id(tables[a]) in _CROSSING_JOINS
+                and id(tables[b]) in _CROSSING_JOINS):
+            taken.update((a, b))
+            pairs.append((a, b, tuple(sorted(pattern))))
+    if not pairs:
+        return tables, arcs, {}
+    tables = dict(tables)
+    cases: Dict[int, dict] = {}
+    renamed: Dict[End, End] = {}
+    for a, b, pattern in pairs:
+        table, found, free = _pair_table(tables[a], tables.pop(b), pattern)
+        tables[a], cases[id(table)] = table, found
+        for i, (n, p) in enumerate(free):
+            renamed[(a, b)[n], p] = (a, i)
+    # an arc inside a pair has no renamed end
+    return tables, [(renamed.get(t, t), renamed.get(h, h)) for t, h in arcs
+                    if t in renamed or t[0] not in taken], cases
+
 
 def _plan(nodes: Iterable[str], arcs: Sequence[ArcT]
           ) -> Tuple[List[tuple], Dict[int, End], int]:
@@ -351,8 +430,8 @@ def contract(tables: Dict[str, Table], arcs: Sequence[ArcT]
     Returns the nonzero weights, as kernel terms, by the pairing of the
     boundary ends that each state makes (a frozenset of two-end
     frozensets; empty for a closed diagram)."""
+    tables, arcs, memo = _absorb_bigons(tables, arcs)
     steps, ends, width = _plan(tables, arcs)
-    memo: Dict[int, dict] = {}
     states: Dict[Tuple[int, ...], Terms] = {(-1,) * width: {0: 1}}
     for node, fixed, mates_of, port_at, dest_of, cleared, _ in steps:
         table = tables[node]

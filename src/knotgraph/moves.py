@@ -111,8 +111,9 @@ def r1_plus(d: Diagram, arc: ArcT, variant: str = "+a") -> Diagram:
 
 def find_r1_minus(d: Diagram) -> List[MoveSpec]:
     """One site per crossing that carries a kink loop, in arc order."""
+    kinds = d.node_map()
     kinked = [a for (a, p), (b, q) in d.arcs if a == b and (p + q) % 2 == 1
-              and d.kind_of(a) in ("XPos", "XNeg")]
+              and kinds[a] in ("XPos", "XNeg")]
     return [MoveSpec("R1-", (a,)) for a in dict.fromkeys(kinked)]
 
 
@@ -154,12 +155,12 @@ def find_r2_minus(d: Diagram) -> List[MoveSpec]:
         (a, _), (b, _) = arc
         if a != b:
             between.setdefault((a, b), []).append(arc)
+    kinds = d.node_map()
     sites = []
     for (a, b), arcs in between.items():
         if len(arcs) != 2 or between.get((b, a)):
             continue
-        ka, kb = d.kind_of(a), d.kind_of(b)
-        if {ka, kb} != {"XPos", "XNeg"}:
+        if {kinds[a], kinds[b]} != {"XPos", "XNeg"}:
             continue
         sites.append(MoveSpec("R2-", (a, b)))
     return sites

@@ -4,22 +4,24 @@ between the naive and the dynamic-programming evaluators."""
 import random
 from collections import deque
 from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import grow_with_moves, random_braid_link, random_vertex_graph
+from oracles import torus_jones
 from knotgraph import bracket, catalog, moves
 from knotgraph.bracket import (CROSSING_TABLES, bracket_naive, contract,
                                max_crossings, naive_profile, p_eval, z_eval)
-from knotgraph.bracket import _node_order, _plan
+from knotgraph.bracket import _absorb_bigons, _node_order, _plan
 from knotgraph.diagram import (Diagram, DiagramError, disjoint_union,
                                replace_kind, vertex_ports)
 from knotgraph.graphinv import (CASIMIR_MARKED, CASIMIR_PLAIN, VASSILIEV,
                                 ResolutionScheme, eval_graph,
                                 vertex_to_crossing, vertex_unfold)
-from knotgraph.moves import KINK_VARIANTS, r1_plus
+from knotgraph.moves import KINK_VARIANTS, find_r2_minus, r1_plus, r2_plus
 from knotgraph.ring import (A, A_INV, DELTA_POS, LOOP, LaurentPoly,
                             RingError, _exact_div, _terms, _times, parse_poly,
                             rf)
@@ -599,3 +601,186 @@ def test_a_cancelled_coefficient_leaves_no_zero_entry(monkeypatch):
         monkeypatch.setattr(bracket, "_node_order",
                             lambda nodes, arcs, order=order: order)
         assert contract(tables, arcs) == {key: {4: -1, -4: 1}}
+
+
+# --- bigons: two crossings joined by two arcs become one node ---------------
+
+
+def _bigon_rich_link(rng):
+    """A braid closure of runs of one letter and of letter-inverse pairs,
+    with up to two kinks on arcs next to its bigons; 10 nodes at most."""
+    strands = rng.randint(2, 4)
+    word = []
+    while len(word) < 6:
+        i, s = rng.randint(1, strands - 1), rng.choice((1, -1))
+        word += ([(i, s)] * rng.randint(2, 3) if rng.random() < 0.5
+                 else [(i, s), (i, -s)])
+    d = catalog.braid_closure(strands, word[:8])
+    for _ in range(rng.randint(0, 2)):
+        d = r1_plus(d, rng.choice(d.arcs), rng.choice(sorted(KINK_VARIANTS)))
+    return d
+
+
+def _three_arc_pairs():
+    """The Hopf link with a kink on one arc, so that its two crossings
+    meet by three arcs, and the same with a second kink next to them."""
+    hopf = catalog.named_diagram("hopf+")
+    found = []
+    for arc in hopf.arcs:
+        for variant in sorted(KINK_VARIANTS):
+            d = r1_plus(hopf, arc, variant)
+            found += [d, r1_plus(d, d.arcs[0], variant)]
+    return found
+
+
+def _crossing_tables(d):
+    return {i: CROSSING_TABLES[k] for i, k in d.nodes}
+
+
+_SCHEMES = ((VASSILIEV, "p"), (CASIMIR_PLAIN, "z"), (_GENERAL, "p"))
+
+
+def test_absorbed_bigons_keep_the_brute_force_state_sum():
+    """contract equals naive_profile on braid closures rich in bigons
+    (runs of one letter, letter-inverse pairs, kinks next to a bigon),
+    on crossing pairs that meet by three arcs, on seeded vertex graphs
+    under three schemes, and on open tangles cut from the links.  The
+    links absorb pairs and the three-arc pairs do not; in each cut
+    tangle a node that the closed link absorbs into a pair carries a
+    boundary end, so it stays a node and keeps its end names."""
+    rng = random.Random(43)
+    links = [_bigon_rich_link(rng) for _ in range(30)]
+    three = _three_arc_pairs()
+    closed = [(_crossing_tables(d), d.arcs) for d in links + three]
+    for _ in range(12):
+        g = random_vertex_graph(rng, rng.randint(1, 3))
+        closed += [(_graph_tables(g, {"Vert": s.over_one_den}, level), g.arcs)
+                   for s, level in _SCHEMES]
+    for tables, arcs in closed:
+        assert contract(tables, arcs) == naive_profile(tables, arcs)
+    absorbed = 0
+    for d in links:
+        tables = _crossing_tables(d)
+        # a pair keeps the smaller id: cut an arc at a node that goes, and
+        # about a fifth of the others
+        gone = [n for n in tables if n not in _absorb_bigons(tables,
+                                                             d.arcs)[0]]
+        if not gone:
+            continue
+        absorbed += 1
+        n = rng.choice(gone)
+        drop = rng.choice([arc for arc in d.arcs if n in (arc[0][0],
+                                                          arc[1][0])])
+        arcs = [arc for arc in d.arcs if arc != drop and rng.random() > 0.2]
+        assert _absorb_bigons(tables, arcs)[0][n] is tables[n]
+        assert contract(tables, arcs) == naive_profile(tables, arcs)
+    assert absorbed >= 25
+    for d in three:
+        assert len(_absorb_bigons(_crossing_tables(d), d.arcs)[0]) == len(
+            d.nodes)
+
+
+def _strand_ends(pattern):
+    """The two free ports of each strand through a pair of crossings joined
+    along pattern, as (0 for the first node or 1 for the second, port):
+    a strand goes straight through a crossing, from port p to p + 2."""
+    onward = {}
+    for p, q in pattern:
+        onward[0, p], onward[1, q] = (1, q), (0, p)
+    joined = set(onward)
+    ends = set()
+    for n in (0, 1):
+        for p in range(4):
+            if (n, p) in joined:
+                continue
+            m, r = n, (p + 2) % 4
+            while (m, r) in joined:
+                m, r = onward[m, r]
+                r = (r + 2) % 4
+            ends.add(frozenset({(n, p), (m, r)}))
+    return ends
+
+
+def test_an_r2_pair_is_one_identity_entry_of_weight_one():
+    """The table of a crossing and its inverse joined as by R2 is computed
+    by naive_profile, not assumed, and comes out as one entry of weight 1
+    that joins the two ends of each strand."""
+    rng = random.Random(44)
+    sites = 0
+    for _ in range(10):
+        d = random_braid_link(rng, 5, 3)
+        d = r2_plus(d, *rng.sample(d.arcs, 2))
+        kinds = d.node_map()
+        for m in find_r2_minus(d):
+            a, b = sorted(m.site)
+            pattern = tuple(sorted((p, q) if x == a else (q, p)
+                                   for (x, p), (y, q) in d.arcs
+                                   if {x, y} == {a, b}))
+            table, _, free = bracket._pair_table(
+                CROSSING_TABLES[kinds[a]], CROSSING_TABLES[kinds[b]], pattern)
+            (pair1, pair2, weight), = table
+            assert weight == ((0, 1),)
+            assert {frozenset(free[i] for i in pair)
+                    for pair in (pair1, pair2)} == _strand_ends(pattern)
+            sites += 1
+    assert sites >= 10
+
+
+def test_pair_tables_are_keyed_by_crossing_tables_alone(monkeypatch):
+    """Vertex graphs under three schemes absorb only crossing pairs, so
+    every key names two crossing tables' identities.  Two crossing
+    tables and the 72 ways two arcs can join two nodes give the 288 keys
+    there can be."""
+    monkeypatch.setattr(bracket, "_PAIRS", {})
+    rng = random.Random(45)
+    for _ in range(20):
+        g = random_vertex_graph(rng, rng.randint(1, 3))
+        for s, level in _SCHEMES:
+            eval_graph(g, s, level)
+    crossing = {id(t) for t in CROSSING_TABLES.values()}
+    assert bracket._PAIRS
+    assert all({ta, tb} <= crossing for ta, tb, _ in bracket._PAIRS)
+    patterns = {tuple(sorted(((p1, q1), (p2, q2))))
+                for p1, p2 in permutations(range(4), 2)
+                for q1, q2 in permutations(range(4), 2)}
+    for ta, tb in product(CROSSING_TABLES.values(), repeat=2):
+        for pattern in patterns:
+            bracket._pair_table(ta, tb, pattern)
+    assert len(patterns) == 72 and len(bracket._PAIRS) == 288
+
+
+def test_a_changed_pair_weight_changes_the_value(monkeypatch):
+    """Negative control: with the first entry of every pair table
+    multiplied by A, contract no longer equals naive_profile."""
+    rng = random.Random(46)
+    links = [_bigon_rich_link(rng) for _ in range(8)]
+    monkeypatch.setattr(bracket, "_PAIRS", {})
+    for d in links:
+        contract(_crossing_tables(d), d.arcs)
+    for key, (table, _, free) in list(bracket._PAIRS.items()):
+        (p1, p2, w), *rest = table
+        changed = ((p1, p2, tuple((e + 1, c) for e, c in w)), *rest)
+        bracket._PAIRS[key] = (changed, {local: bracket._entries(changed,
+                                                                local)
+                                         for local in bracket._LINKS}, free)
+    for d in links:
+        tables = _crossing_tables(d)
+        assert contract(tables, d.arcs) != naive_profile(tables, d.arcs)
+
+
+def test_torus_links_t_2_n_are_chains_of_bigons(monkeypatch):
+    """T(2, n), n = 1..40, is one chain of bigons.  A knot (n odd) has
+    Jones's closed form; a two-component link (n even), which the closed
+    form does not cover, obeys the oriented skein relation
+    P(T(2, n)) = A^-8 P(T(2, n - 2)) + (A^-2 - A^-6) P(T(2, n - 1)),
+    from the two-component unlink, P = A^2 + A^-2."""
+    monkeypatch.setenv("MAX_CROSSINGS", "40")
+    expect = {0: LaurentPoly.from_dict({2: 1, -2: 1})}
+    for n in range(1, 41):
+        if n % 2:
+            expect[n] = torus_jones(2, n)
+        else:
+            expect[n] = (LaurentPoly.monomial(-8) * expect[n - 2]
+                         + LaurentPoly.from_dict({-2: 1, -6: -1})
+                         * expect[n - 1])
+        assert p_eval(catalog.braid_closure(2, [(1, 1)] * n)) == expect[n], n
