@@ -125,7 +125,7 @@ def _op_fierz_form(g: Diagram, args: Dict[str, str], base: str) -> str:
     if len(vs) != 1:
         raise CorpusError("expected exactly one vertex")
     v = vs[0]
-    if g.kind_of(v) != "CVert":
+    if g.node_map()[v] != "CVert":
         raise CorpusError("fierz_form wants a marked vertex")
     marked = gi.eval_with_casimir_marks(g)
     plain_graph = replace_kind(g, v, "Vert")

@@ -58,12 +58,6 @@ class Diagram(Value):
                           for (a, p), (b, q) in arcs))
         return Diagram(nd, ar, int(free_loops))
 
-    def kind_of(self, node: str) -> str:
-        for i, k in self.nodes:
-            if i == node:
-                return k
-        raise DiagramError("unknown node %r" % node)
-
     def node_ids(self) -> List[str]:
         return [i for i, _ in self.nodes]
 
@@ -142,13 +136,6 @@ class Diagram(Value):
 
     # --- signs, writhe, components
 
-    def crossing_sign(self, node: str) -> int:
-        """+1 or -1 for a crossing, 0 for a vertex."""
-        kind = self.kind_of(node)
-        if kind not in CROSSING_KINDS:
-            return 0
-        return 1 if kind == crossing_kind(vertex_ports(self, node), 1) else -1
-
     def writhe(self) -> int:
         """The sum of the crossing signs: an XPos crossing is positive where
         its ports 0 and 1 both lead in or both lead out (crossing_kind)."""
@@ -177,20 +164,6 @@ class Diagram(Value):
 
     def components(self) -> int:
         return len(self.trace_components()) + self.free_loops
-
-    def reverse_component(self, index: int) -> "Diagram":
-        comps = self.trace_components()
-        if not 0 <= index < len(comps):
-            raise DiagramError("unknown component %d" % index)
-        flip = set(comps[index])
-        return Diagram.make(self.node_map(), [
-            (a[1], a[0]) if a in flip else a for a in self.arcs],
-            self.free_loops)
-
-    def mirror(self) -> "Diagram":
-        swap = {"XPos": "XNeg", "XNeg": "XPos"}
-        nodes = {i: swap.get(k, k) for i, k in self.nodes}
-        return Diagram.make(nodes, self.arcs, self.free_loops)
 
     # --- equality up to renumbering
 
@@ -363,22 +336,18 @@ def replace_kind(d: Diagram, node: str, kind: str) -> Diagram:
     return Diagram.make(nodes, d.arcs, d.free_loops)
 
 
-def splice_node(d: Diagram, node: str, joins: Dict[int, int]) -> Diagram:
-    """Remove a node, reconnecting strands per joins (in-port -> out-port).
+def splice_node(d: Diagram, node: str, joins: Dict[int, int],
+                piece: Iterable[ArcT] = ()) -> Diagram:
+    """Remove a node, reconnecting strands per joins (in-port -> out-port),
+    with the arcs of piece reversed first and joins naming the ports as
+    they are after the reversal.
 
     Every in-port and every out-port of the node must appear exactly once.
     Chains of arcs that close up entirely through the removed node become
-    free loops.
+    free loops.  A piece leaving the node and re-entering it on its other
+    strand breaks the node's orientation until the node is gone, so no
+    diagram is built in between.
     """
-    return reverse_and_splice(d, (), node, joins)
-
-
-def reverse_and_splice(d: Diagram, piece: Iterable[ArcT], node: str,
-                       joins: Dict[int, int]) -> Diagram:
-    """splice_node on d with the arcs of piece reversed first, joins naming
-    the ports as they are after the reversal.  A piece leaving the node and
-    re-entering it on its other strand breaks the node's orientation until
-    the node is gone, so no diagram is built in between."""
     flip = set(piece)
     arcs = [(h, t) if (t, h) in flip else (t, h) for t, h in d.arcs]
     outs = {arc[0]: arc for arc in arcs}
@@ -450,19 +419,3 @@ def path_to_reentry(d: Diagram, node: str, out_port: int):
             return path, p
         arc = outs[(n, (p + 2) % 4)]
 
-
-def disjoint_union(d1: Diagram, d2: Diagram, suffix: str = "'") -> Diagram:
-    """Union with d2's node ids suffixed to avoid clashes."""
-    ids1 = set(d1.node_ids())
-    rename = {}
-    for i in d2.node_ids():
-        j = i
-        while j in ids1 or j in rename.values():
-            j = j + suffix
-        rename[i] = j
-    nodes = d1.node_map()
-    for i, k in d2.nodes:
-        nodes[rename[i]] = k
-    arcs = list(d1.arcs) + [((rename[a], p), (rename[b], q))
-                            for (a, p), (b, q) in d2.arcs]
-    return Diagram.make(nodes, arcs, d1.free_loops + d2.free_loops)

@@ -21,8 +21,7 @@ from typing import Dict, List, Optional, Tuple
 from . import catalog
 from .bracket import check_size, closed_value, z_eval
 from .diagram import (Diagram, DiagramError, crossing_kind, path_to_reentry,
-                      replace_kind, reverse_and_splice, splice_node,
-                      vertex_ports)
+                      replace_kind, splice_node, vertex_ports)
 from .ring import (A, A_INV, DELTA_POS, ONE, LaurentPoly, RationalFunc,
                    RF_ONE, RF_ZERO, Terms, Value, _terms, poly_exact_div, rf,
                    rf_from_terms)
@@ -76,9 +75,6 @@ class FormalSum:
     def terms(self) -> List[Tuple[RationalFunc, Diagram]]:
         return [self._terms[k] for k in sorted(self._terms)]
 
-    def __len__(self) -> int:
-        return len(self._terms)
-
     def evaluate(self, value_fn) -> RationalFunc:
         total = RF_ZERO
         for coeff, d in self.terms():
@@ -118,8 +114,8 @@ def vertex_reversed_unfold(g: Diagram, v: str) -> Diagram:
     p = vertex_ports(g, v)
     path, reentry = path_to_reentry(g, v, p["out_b"])
     other_in = p["in_b"] if reentry == p["in_a"] else p["in_a"]
-    return reverse_and_splice(g, path, v,
-                              {other_in: reentry, p["out_b"]: p["out_a"]})
+    return splice_node(g, v, {other_in: reentry, p["out_b"]: p["out_a"]},
+                       path)
 
 
 # --- resolution and evaluation ----------------------------------------------
@@ -220,7 +216,7 @@ def casimir_decompose(g: Diagram) -> dict:
     its expression through the plain and marked evaluations, and check
     that the crossing values are recovered from the two evaluations."""
     vs = g.vertices()
-    if len(vs) != 1 or g.kind_of(vs[0]) != "Vert":
+    if len(vs) != 1 or g.node_map()[vs[0]] != "Vert":
         raise DiagramError("expected exactly one plain vertex")
     v = vs[0]
     lhs = eval_graph(g, VASSILIEV, level="p")
@@ -294,8 +290,6 @@ def derive_prop31() -> Tuple[RationalFunc, RationalFunc]:
         rows.append((zv, zu, lhs))
     (m11, m12, r1), (m21, m22, r2) = rows
     det = m11 * m22 - m12 * m21
-    if det.is_zero():
-        raise DiagramError("reference system is singular")
     x = (r1 * m22 - r2 * m12) / det
     y = (m11 * r2 - m21 * r1) / det
     a1 = y.scale(2)

@@ -120,16 +120,6 @@ class LaurentPoly(Value):
     def is_zero(self) -> bool:
         return not self.terms
 
-    def min_exp(self) -> int:
-        if not self.terms:
-            raise RingError("zero polynomial has no minimal exponent")
-        return self.terms[-1][0]
-
-    def max_exp(self) -> int:
-        if not self.terms:
-            raise RingError("zero polynomial has no maximal exponent")
-        return self.terms[0][0]
-
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         d = self.as_dict()
         for e, c in other.terms:
@@ -307,14 +297,6 @@ def _gcd(a: Terms, b: Terms) -> Terms:
     return a
 
 
-def poly_divmod(num: LaurentPoly, den: LaurentPoly):
-    """Quotient and remainder treating both as ordinary polynomials after
-    shifting minimal exponents to zero.  The quotient absorbs the net
-    A-power shift, so num == q*den + r."""
-    q, r = _divmod(_terms(num), _terms(den))
-    return LaurentPoly(_clean(q)), LaurentPoly(_clean(r))
-
-
 def poly_exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     return LaurentPoly(_clean(_exact_div(_terms(num), _terms(den))))
 
@@ -331,9 +313,6 @@ class RationalFunc(Value):
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
-
-    def is_poly(self) -> bool:
-        return self.den == ONE
 
     def as_poly(self) -> LaurentPoly:
         if self.den != ONE:
@@ -416,23 +395,6 @@ class Series(Value):
     @staticmethod
     def const(c, order: int) -> "Series":
         return Series.make(order, [Fraction(c)])
-
-    def __add__(self, o: "Series") -> "Series":
-        n = min(self.order, o.order)
-        return Series.make(n, [self.coeffs[i] + o.coeffs[i] for i in range(n + 1)])
-
-    def __mul__(self, o: "Series") -> "Series":
-        n = min(self.order, o.order)
-        cs = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if a == 0:
-                continue
-            for j in range(0, n + 1 - i):
-                cs[i + j] += a * o.coeffs[j]
-        return Series.make(n, cs)
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
 
     def valuation(self):
         for i, c in enumerate(self.coeffs):

@@ -213,18 +213,6 @@ class PermElement(Value):
         items = tuple(sorted((p, c) for p, c in clean.items() if c))
         return PermElement(n, items)
 
-    @staticmethod
-    def identity(n: int) -> "PermElement":
-        return PermElement.make(n, {tuple(range(n)): Fraction(1)})
-
-    def __add__(self, other: "PermElement") -> "PermElement":
-        if self.n != other.n:
-            raise SpinNetError("mixed strand counts")
-        out = dict(self.terms)
-        for p, c in other.terms:
-            out[p] = out.get(p, Fraction(0)) + c
-        return PermElement.make(self.n, out)
-
     def compose(self, other: "PermElement") -> "PermElement":
         """(self . other): apply other first, then self."""
         if self.n != other.n:

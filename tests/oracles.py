@@ -23,6 +23,9 @@ contraction engine, so it checks the engine at any size:
   every {0,1} assignment of its index labels.  It reads plain
   (symbol, i, j) tuples and uses nothing of knotgraph.spinnet, so it
   checks the chain walk of eval_tensor_diagram up to about 12 labels.
+- crossing_sign: +1 or -1 for a crossing from the directions of its two
+  strands, read off the arcs and the node's kind, so it checks
+  Diagram.writhe's parity rule.
 - sl2_weight: the sl2 weight system in the 2-dimensional representation
   of the chord diagram a Gauss code gives, each chord carrying the
   Casimir t = P - 1/2 on V (x) V.  For a knot with j of its crossings
@@ -53,6 +56,21 @@ def torus_jones(p: int, q: int) -> LaurentPoly:
     shift = (p - 1) * (q - 1) // 2
     return LaurentPoly.from_dict({-4 * (k + shift): c
                                   for k, c in enumerate(quot) if c})
+
+
+def crossing_sign(d: Diagram, node: str) -> int:
+    """+1 or -1 for a crossing node, 0 for a vertex.  Port p points at
+    p * 90 degrees; the over strand pairs ports 0-2 at XPos and 1-3 at
+    XNeg; the crossing is positive where the under strand leaves 90
+    degrees counterclockwise of the over strand."""
+    kind = dict(d.nodes)[node]
+    if kind not in ("XPos", "XNeg"):
+        return 0
+    outs = {p for (n, p), _ in d.arcs if n == node}
+    over = 0 if kind == "XPos" else 1
+    out_over = over if over in outs else over + 2
+    out_under = 1 - over if 1 - over in outs else 3 - over
+    return 1 if (out_under - out_over) % 4 == 1 else -1
 
 
 def value_at_zeta_squared(poly: LaurentPoly) -> int:

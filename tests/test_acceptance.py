@@ -10,7 +10,7 @@ import random
 import subprocess
 import sys
 
-from conftest import random_braid_link, random_vertex_graph
+from conftest import random_braid_link, random_vertex_graph, raw
 from knotgraph import catalog
 from knotgraph.bracket import bracket_naive, p_eval, z_eval
 from knotgraph.corpus import corpus_diagrams, run_corpus
@@ -32,11 +32,6 @@ from fractions import Fraction
 def _criterion(num, desc, ok):
     print("%s criterion %d: %s" % ("PASS" if ok else "FAIL", num, desc))
     assert ok, "criterion %d failed: %s" % (num, desc)
-
-
-def _raw(d):
-    return z_eval(d).scale(-1 if (d.components() - 1 + d.writhe()) % 2
-                           else 1)
 
 
 def test_criterion_01_reference_values():
@@ -75,9 +70,9 @@ def test_criterion_02_local_relations_on_200_sites():
         d = random_braid_link(rng)
         c = rng.choice(d.crossings())
         g = replace_kind(d, c, "Vert")
-        lhs = A * _raw(vertex_to_crossing(g, c, +1)) \
-            - A_INV * _raw(vertex_to_crossing(g, c, -1))
-        ok = ok and lhs == amam * _raw(vertex_unfold(g, c))
+        lhs = A * raw(vertex_to_crossing(g, c, +1)) \
+            - A_INV * raw(vertex_to_crossing(g, c, -1))
+        ok = ok and lhs == amam * raw(vertex_unfold(g, c))
     for _ in range(60):    # curl relation
         d = random_braid_link(rng)
         variant = rng.choice(sorted(KINK_VARIANTS))
@@ -153,7 +148,7 @@ def test_criterion_06_trace_identity_both_cases():
     ok = True
     cases = set()
     for name, d in corpus_diagrams().items():
-        plain = [v for v in d.vertices() if d.kind_of(v) == "Vert"]
+        plain = [v for v in d.vertices() if d.node_map()[v] == "Vert"]
         if not plain or len(d.vertices()) > 2:
             continue
         for v in plain:

@@ -10,14 +10,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import grow_with_moves, random_braid_link, random_vertex_graph
-from oracles import torus_jones
+from conftest import (disjoint_union, grow_with_moves, mirror,
+                      random_braid_link, random_vertex_graph, raw,
+                      reverse_component)
+from oracles import crossing_sign, torus_jones
 from knotgraph import bracket, catalog, moves
 from knotgraph.bracket import (CROSSING_TABLES, bracket_naive, contract,
                                max_crossings, naive_profile, p_eval, z_eval)
 from knotgraph.bracket import _absorb_bigons, _node_order, _plan
-from knotgraph.diagram import (Diagram, DiagramError, disjoint_union,
-                               replace_kind, vertex_ports)
+from knotgraph.diagram import (Diagram, DiagramError, replace_kind,
+                               vertex_ports)
 from knotgraph.graphinv import (CASIMIR_MARKED, CASIMIR_PLAIN, VASSILIEV,
                                 ResolutionScheme, eval_graph,
                                 vertex_to_crossing, vertex_unfold)
@@ -30,13 +32,6 @@ _LOOP = _terms(LOOP)
 # the (A, 2, -3A^-1) scheme: no vertex weight vanishes
 _GENERAL = ResolutionScheme(rf(A), rf(LaurentPoly.const(2)),
                             rf(A_INV.scale(-3)))
-
-
-def _raw(d):
-    """The orientation-free state sum: Z with its sign (-1)^(c - 1 + w)
-    undone."""
-    return z_eval(d).scale(-1 if (d.components() - 1 + d.writhe()) % 2
-                           else 1)
 
 
 def test_crossingless_values():
@@ -80,15 +75,15 @@ def test_mirror_inverts_the_variable():
     rng = random.Random(12)
     for _ in range(15):
         d = random_braid_link(rng)
-        assert z_eval(d.mirror()) == z_eval(d).substitute_inverse()
-        assert p_eval(d.mirror()) == p_eval(d).substitute_inverse()
+        assert z_eval(mirror(d)) == z_eval(d).substitute_inverse()
+        assert p_eval(mirror(d)) == p_eval(d).substitute_inverse()
 
 
 def test_component_reversal_preserves_the_value():
     rng = random.Random(13)
     for _ in range(10):
         d = random_braid_link(rng)
-        r = d.reverse_component(rng.randrange(len(d.trace_components())))
+        r = reverse_component(d, rng.randrange(len(d.trace_components())))
         assert z_eval(r) == z_eval(d)
 
 
@@ -99,9 +94,9 @@ def test_crossing_replacement_relation():
         d = random_braid_link(rng)
         c = rng.choice(d.crossings())
         g = replace_kind(d, c, "Vert")
-        lhs = A * _raw(vertex_to_crossing(g, c, +1)) \
-            - A_INV * _raw(vertex_to_crossing(g, c, -1))
-        rhs = (A * A - A_INV * A_INV) * _raw(vertex_unfold(g, c))
+        lhs = A * raw(vertex_to_crossing(g, c, +1)) \
+            - A_INV * raw(vertex_to_crossing(g, c, -1))
+        rhs = (A * A - A_INV * A_INV) * raw(vertex_unfold(g, c))
         assert lhs == rhs
 
 
@@ -519,7 +514,7 @@ def test_a_vertex_table_equal_to_a_crossing_table_gives_its_value():
         expect = contract(tables, d.arcs)
         for i, k in d.nodes[::2]:
             alone = {0: -1}     # the table's entries carry a factor -1
-            a, b = (alone, {}) if d.crossing_sign(i) == 1 else ({}, alone)
+            a, b = (alone, {}) if crossing_sign(d, i) == 1 else ({}, alone)
             table = bracket._vertex_table(vertex_ports(d, i), a, b, {}, "z")
             assert (table is not CROSSING_TABLES[k]
                     and sorted(table) == sorted(CROSSING_TABLES[k]))

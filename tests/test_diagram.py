@@ -7,13 +7,14 @@ import random
 
 import pytest
 
-from conftest import random_braid_link, random_vertex_graph
-from oracles import well_formed
+from conftest import (disjoint_union, mirror, random_braid_link,
+                      random_vertex_graph, reverse_component)
+from oracles import crossing_sign, well_formed
 from knotgraph import catalog, diagram
 from knotgraph.graphinv import CASIMIR_PLAIN, VASSILIEV, resolve_vertices
-from knotgraph.diagram import (Diagram, DiagramError, disjoint_union, parse,
-                               parse_diagram, replace_kind, serialize,
-                               splice_node, vertex_ports)
+from knotgraph.diagram import (Diagram, DiagramError, parse, parse_diagram,
+                               replace_kind, serialize, splice_node,
+                               vertex_ports)
 
 
 def test_validate_accepts_all_catalog_diagrams():
@@ -89,22 +90,22 @@ def test_writhe_values():
 
 
 def test_writhe_is_the_sum_of_the_crossing_signs():
-    """writhe reads the in-port ends once; crossing_sign takes the strand
-    ports of vertex_ports.  They agree on links, their mirrors and their
+    """writhe reads the in-port ends once; the crossing_sign oracle turns
+    the strands' directions.  They agree on links, their mirrors and their
     component reversals, and on vertex graphs, where a vertex adds 0."""
     rng = random.Random(29)
     diagrams = []
     for _ in range(40):
         d = random_braid_link(rng, 12, 5)
-        diagrams += [d, d.mirror()]
-        diagrams += [d.reverse_component(i)
+        diagrams += [d, mirror(d)]
+        diagrams += [reverse_component(d, i)
                      for i in range(len(d.trace_components()))]
     diagrams += [random_vertex_graph(rng, rng.randint(0, 3))
                  for _ in range(20)]
     diagrams += [catalog.named_diagram(name) for name in catalog.NAMES]
     assert any(d.vertices() for d in diagrams)
     for d in diagrams:
-        assert d.writhe() == sum(d.crossing_sign(i) for i in d.node_ids())
+        assert d.writhe() == sum(crossing_sign(d, i) for i in d.node_ids())
 
 
 def test_writhe_builds_no_port_map_per_node(monkeypatch):
@@ -118,15 +119,15 @@ def test_writhe_builds_no_port_map_per_node(monkeypatch):
     rng = random.Random(31)
     for _ in range(10):
         d = random_braid_link(rng, 12, 5)
-        assert d.writhe() == -d.mirror().writhe()
+        assert d.writhe() == -mirror(d).writhe()
     assert catalog.named_diagram("trefoil+").writhe() == 3
 
 
 def test_mirror_flips_writhe_and_is_involutive():
     for name in ("trefoil+", "figure-eight", "hopf-"):
         d = catalog.named_diagram(name)
-        assert d.mirror().writhe() == -d.writhe()
-        assert d.mirror().mirror() == d
+        assert mirror(d).writhe() == -d.writhe()
+        assert mirror(mirror(d)) == d
 
 
 def test_serialize_parse_roundtrip():
@@ -206,10 +207,25 @@ def test_trefoil_presentations_differ_as_diagrams():
 def test_replace_kind():
     d = catalog.named_diagram("hopf+")
     g = replace_kind(d, "n0", "Vert")
-    assert g.kind_of("n0") == "Vert"
-    assert g.kind_of("n1") == "XPos"
+    assert g.node_map() == {"n0": "Vert", "n1": "XPos"}
     with pytest.raises(DiagramError):
         replace_kind(d, "zz", "Vert")
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: catalog.braid_closure(3, [(1, 1), (3, -1)]),
+     "braid position 3 out of range"),
+    (lambda: catalog.braid_closure(2, [(0, 1)]),
+     "braid position 0 out of range"),
+    (lambda: catalog.named_diagram("trefoil"),
+     "unknown diagram name 'trefoil'"),
+    (lambda: catalog.four_term_quadruple("clasp3"),
+     "unknown closure 'clasp3'"),
+], ids=["braid-above", "braid-below", "name", "closure"])
+def test_catalog_refuses_what_it_cannot_build(build, message):
+    with pytest.raises(DiagramError) as exc:
+        build()
+    assert str(exc.value) == message
 
 
 def test_plain_vertices_leave_out_crossings_and_marked_vertices():
@@ -241,21 +257,6 @@ def test_splice_node_checks_port_cover():
     d = catalog.named_diagram("kink+")
     with pytest.raises(DiagramError):
         splice_node(d, "n", {0: 0})
-
-
-def test_reverse_component_keeps_validity():
-    d = catalog.named_diagram("hopf+")
-    r = d.reverse_component(0)
-    assert r.validate() == []
-    assert r.components() == 2
-
-
-def test_disjoint_union_renames_clashes():
-    d = catalog.named_diagram("kink+")
-    u = disjoint_union(d, d)
-    assert u.validate() == []
-    assert len(u.nodes) == 2
-    assert u.components() == 2
 
 
 def test_vertex_ports_roles():

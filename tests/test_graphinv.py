@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_vertex_graph
+from oracles import crossing_sign
 from knotgraph import catalog
 from knotgraph.bracket import closed_value, p_eval, z_eval
 from knotgraph.diagram import Diagram, DiagramError, replace_kind, serialize
@@ -31,8 +32,8 @@ def test_vertex_to_crossing_signs():
         v = g.vertices()[0]
         pos = vertex_to_crossing(g, v, +1)
         neg = vertex_to_crossing(g, v, -1)
-        assert pos.crossing_sign(v) == 1
-        assert neg.crossing_sign(v) == -1
+        assert crossing_sign(pos, v) == 1
+        assert crossing_sign(neg, v) == -1
         assert pos.writhe() - neg.writhe() == 2
 
 
@@ -83,15 +84,15 @@ def test_formal_sum_merges_equal_diagrams():
     fs = FormalSum()
     fs.add(rf(parse_poly("A")), d)
     fs.add(rf(parse_poly("A^-1")), d)
-    assert len(fs) == 1
+    assert len(fs.terms()) == 1
     assert fs.terms()[0][0] == rf(parse_poly("A + A^-1"))
     fs.add(rf(parse_poly("-1*A + -1*A^-1")), d)
-    assert len(fs) == 0
+    assert fs.terms() == []
 
 
 def test_resolution_term_counts():
     g = catalog.named_diagram("flower3")
-    assert len(resolve_vertices(g, VASSILIEV)) <= 8
+    assert len(resolve_vertices(g, VASSILIEV).terms()) <= 8
     fs = resolve_vertices(g, ResolutionScheme(
         rf(parse_poly("1")), rf(parse_poly("1")), rf(parse_poly("1"))))
     assert all(not c.is_zero() for c, _ in fs.terms())
@@ -321,7 +322,7 @@ def test_trace_identity_on_randomised_graphs():
     for _ in range(10):
         g = random_vertex_graph(rng, steps=1)
         v = rng.choice([v for v in g.vertices()
-                        if g.kind_of(v) == "Vert"])
+                        if g.node_map()[v] == "Vert"])
         assert check_spinor(g, v)["residual"].is_zero()
 
 

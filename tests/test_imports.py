@@ -106,10 +106,11 @@ def test_the_package_registers_every_module_but_cli():
 def _unnamed(defs_of):
     """'module:line name' of each def or class that defs_of(module tree)
     yields, dunder hooks excepted, that is not named, as a whole word,
-    somewhere in src/, tests/, perfbench/, demos/ or scripts/ other than
-    its own def line."""
+    somewhere in src/, perfbench/, demos/ or scripts/ other than its own
+    def line.  tests/ does not count: a helper that only tests reach is
+    a tool of the tests, and lives there."""
     texts = {p: p.read_text(encoding="utf-8")
-             for d in ("src", "tests", "perfbench", "demos", "scripts")
+             for d in ("src", "perfbench", "demos", "scripts")
              for p in sorted((ROOT / d).rglob("*.py"))}
     unnamed = []
     for m in sorted(SRC.glob("*.py")):
@@ -126,8 +127,9 @@ def _unnamed(defs_of):
 
 
 def test_every_top_level_def_and_class_is_named_elsewhere():
-    """A top-level helper that nothing names is dead code.  Dunder hooks
-    (a module's __dir__) are named by the interpreter."""
+    """A top-level helper that no program path names is dead code, or
+    a test's tool.  Dunder hooks (a module's __dir__) are named by the
+    interpreter."""
     assert _unnamed(lambda tree: (
         node for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)))) == []

@@ -209,6 +209,18 @@ def test_slide_rejects_bad_sites():
         apply_move(g, MoveSpec("R4", m.site[:2] + ((("zz", 0), ("zz", 2)),)))
 
 
+def test_r2_plus_refuses_one_arc_twice():
+    d = catalog.named_diagram("hopf+")
+    with pytest.raises(MoveError, match="^R2 needs two distinct arcs$"):
+        r2_plus(d, d.arcs[0], d.arcs[0])
+
+
+def test_apply_move_refuses_an_unknown_move():
+    d = catalog.named_diagram("hopf+")
+    with pytest.raises(MoveError, match="^unknown move 'R6'$"):
+        apply_move(d, MoveSpec("R6", (d.arcs[0],)))
+
+
 def test_tangle_profiles_match_brute_force(monkeypatch):
     """Every open-tangle state sum the R3/R4/R5 site search asks for,
     before and after the swap, equals the brute-force one, term by term."""

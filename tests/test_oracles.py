@@ -9,11 +9,13 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import (fox_determinant, gauss_code, polyak_viro_c2,
-                     sl2_weight, torus_jones, value_at_zeta_squared)
+from conftest import disjoint_union
+from oracles import (crossing_sign, fox_determinant, gauss_code,
+                     polyak_viro_c2, sl2_weight, torus_jones,
+                     value_at_zeta_squared)
 from knotgraph.bracket import p_eval
 from knotgraph.catalog import braid_closure, named_diagram
-from knotgraph.diagram import disjoint_union, replace_kind
+from knotgraph.diagram import replace_kind
 from knotgraph.graphinv import CASIMIR_PLAIN, VASSILIEV, eval_graph
 from knotgraph.ring import LaurentPoly, poly_series
 
@@ -30,7 +32,7 @@ def _torus(p, q):
 
 def _corrupt(poly):
     """poly with its top coefficient raised by one."""
-    return poly + LaurentPoly.monomial(poly.max_exp())
+    return poly + LaurentPoly.monomial(poly.terms[0][0])
 
 
 def test_torus_knots_t_p_p_plus_1_match_jones():
@@ -109,7 +111,7 @@ def _c2_cases():
     knots = (_seeded_knots(random.Random(3), 20, 5, 40)
              + _seeded_knots(random.Random(17), 10, 40, 110))
     for d in knots:
-        sign = {x: d.crossing_sign(x) for x in d.crossings()}
+        sign = {x: crossing_sign(d, x) for x in d.crossings()}
         yield gauss_code(d), sign, poly_series(p_eval(d), 2).coeffs[2]
 
 

@@ -207,6 +207,17 @@ def test_tensor_lines_end_only_at_line_feeds_and_carriage_returns():
                               ("epsL", "k", "i"))
 
 
+def _identity(n):
+    return PermElement.make(n, {tuple(range(n)): 1})
+
+
+def _plus(x, y):
+    out = dict(x.terms)
+    for p, c in y.terms:
+        out[p] = out.get(p, 0) + c
+    return PermElement.make(x.n, out)
+
+
 def test_perm_element_group_algebra():
     rng = random.Random(41)
     n = 3
@@ -215,19 +226,19 @@ def test_perm_element_group_algebra():
         return PermElement.make(
             n, {rng.choice(perms): Fraction(rng.randint(-3, 3))
                 for _ in range(3)})
-    e = PermElement.identity(n)
+    e = _identity(n)
     for _ in range(15):
         x, y, z = rand_elem(), rand_elem(), rand_elem()
         assert x.compose(e) == e.compose(x) == x
         assert x.compose(y.compose(z)) == x.compose(y).compose(z)
-        assert x.compose(y + z) == x.compose(y) + x.compose(z)
+        assert x.compose(_plus(y, z)) == _plus(x.compose(y), x.compose(z))
 
 
 def test_perm_element_rejects_bad_permutations():
     with pytest.raises(SpinNetError):
         PermElement.make(2, {(0, 0): Fraction(1)})
-    with pytest.raises(SpinNetError):
-        PermElement.identity(2) + PermElement.identity(3)
+    with pytest.raises(SpinNetError, match="^mixed strand counts$"):
+        _identity(2).compose(_identity(3))
 
 
 def test_projectors_are_idempotent():
@@ -342,7 +353,7 @@ def test_fierz_report_names_each_failing_entry_in_order(monkeypatch):
 def test_fierz_report_names_each_failing_symmetrizer_entry(monkeypatch):
     # negative control: the identity in place of the two-slot symmetrizer
     # is off by 1/2 wherever i != j and {i, j} = {k, l}
-    monkeypatch.setattr(spinnet, "symmetrizer", PermElement.identity)
+    monkeypatch.setattr(spinnet, "symmetrizer", _identity)
     rep = check_fierz()
     assert not rep["ok"]
     assert rep["failures"] == [

@@ -8,7 +8,7 @@ import pytest
 from knotgraph import catalog, vassiliev
 from knotgraph.diagram import replace_kind
 from knotgraph.graphinv import VASSILIEV, eval_graph
-from knotgraph.ring import DELTA_POS, Series, rf, series_at_exp
+from knotgraph.ring import DELTA_POS, ONE, Series, rf, series_at_exp
 from knotgraph.vassiliev import (VassilievReport, vanishing_order_check,
                                  vassiliev_series)
 
@@ -42,7 +42,7 @@ def test_two_vertex_graph_series():
 
 def test_identically_zero_series_report():
     rep = vassiliev_series(catalog.named_diagram("G_a_vertex"), 4)
-    assert rep.series.is_zero()
+    assert rep.series.valuation() is None
     assert rep.vanishing_order is None
     assert rep.vanishes_below(7)
 
@@ -110,7 +110,7 @@ def test_series_matches_the_rational_function_route():
         seen.add(c)
         value = eval_graph(g, VASSILIEV) / rf(DELTA_POS ** (c - 1))
         if c > 1:
-            exact.add(value.is_poly())
+            exact.add(value.den == ONE)
         for order in range(13):
             rep = vassiliev_series(g, order)
             assert rep.series == series_at_exp(value, order)
@@ -131,7 +131,7 @@ def test_weight_system_ignores_crossing_changes():
             g = _braid_graph(rng, rng.randint(2, 4), j + rng.randint(2, 6), j)
             before = vassiliev_series(g, j + 1).series.coeffs
             for node in rng.sample(g.crossings(), 2):
-                h = replace_kind(g, node, flip[g.kind_of(node)])
+                h = replace_kind(g, node, flip[g.node_map()[node]])
                 after = vassiliev_series(h, j + 1).series.coeffs
                 assert after[:j + 1] == before[:j + 1], (j, node)
                 nonzero += before[j] != 0
@@ -158,6 +158,6 @@ def test_k_vertices_kill_every_coefficient_below_h_k(monkeypatch):
             for node in nodes:
                 g = replace_kind(g, node, "Vert")
             assert vassiliev_series(g, k + 1).vanishes_below(k), k
-            h = replace_kind(g, nodes[0], link.kind_of(nodes[0]))
+            h = replace_kind(g, nodes[0], link.node_map()[nodes[0]])
             sharp += vassiliev_series(h, k + 1).vanishing_order == k - 1
         assert sharp > 0, k
