@@ -25,16 +25,15 @@ built per call, so its cases are memoised for the call.  Both rest on a
 constant table, built at import, of the 30 ways an entry's pairing can
 meet the ports that lead back to the node.
 
-Before the plan, one pass over the arcs absorbs each bigon: two crossing
-nodes joined by exactly two arcs, both with all four ports on arcs and
-no self-loop, become one 4-port node named after the smaller id; a node
-joins at most one pair, taken in arc order.  The new node's table is the
-pair's profile, naive_profile of the 2-node tangle, from a module-level
-table keyed by the identities of the two crossing tables and the ports
-the two arcs join: at most 288 keys, each computed on first use with its
-cases beside it.  An R2 pair comes out as one identity entry of weight
+Before the plan, one pass over the arcs absorbs each twist region, a
+chain of crossings joined two arcs at a time, into one 4-port node.  In
+the 2-strand Temperley-Lieb algebra a crossing is A 1 + A^-1 e or its
+inverse, so a region of net twist m is sigma^m = A^m 1 + c_m e (Kauffman,
+Topology 26, 1987): a table of at most two entries, from a module-level
+table keyed by m.  An R2 pair comes out as one identity entry of weight
 1.  Vertex tables, nodes with boundary ends (an open tangle keeps its
-end names) and nodes joined by three or four arcs are never paired.
+end names) or a self-loop, and two crossings joined by three or four
+arcs or from opposite ports are never in a twist.
 
 Inside the engine a weight is a term dict of ring's Laurent kernel.
 Bracket values lie in Z[A, A^-1], so the coefficients are ints, and
@@ -282,10 +281,10 @@ def _entries(table: Table, links: Tuple[int, ...]
     found = []
     for pair1, pair2, w in table:
         joins, k = _JOINS[links, pair1, pair2]
-        factor = dict(w)
+        factor = w      # shared, not copied, where no loop closes
         for _ in range(k):
-            factor = _times(factor, _LOOP)
-        found.append((joins, tuple(factor.items())))
+            factor = tuple(_times(dict(factor), _LOOP).items())
+        found.append((joins, tuple(factor)))
     return tuple(found)
 
 
@@ -296,71 +295,90 @@ _CROSSING_JOINS = {id(table): {links: _entries(table, links)
                                for links in _LINKS}
                    for table in CROSSING_TABLES.values()}
 
-# Each crossing pair's table, keyed by the identities of its two crossing
-# tables and the (first node's port, second node's port) pairs of its two
-# joining arcs: 2 * 2 * 72 = 288 keys at most.  A pair's profile is the
-# same on every call, so an entry, computed on first use, stays.
-_PAIRS: Dict[tuple, tuple] = {}
+# Each crossing table's twist step by a pair of adjacent ports: the entry
+# that joins them is e, and its weight A takes the net twist down by 1,
+# A^-1 up by 1.
+_TWIST_STEP = {(id(t), pair): -w[0][0] for t in CROSSING_TABLES.values()
+               for p1, p2, w in t for pair in (p1, p2)}
+
+# Each twist region's table, keyed by its net twist m, with its cases as
+# contract meets them: sigma^m = A^m 1 + ((-1)^m A^-3m - A^m) / LOOP e in
+# the 2-strand Temperley-Lieb algebra, 1 joining ports 0-2 and 1-3 and e
+# 0-1 and 2-3, less a zero entry (an R2 pair, m = 0, is 1 of weight 1).
+_TWISTS: Dict[int, tuple] = {}
 
 
-def _pair_table(ta: Table, tb: Table, pattern: Tuple[Pair, Pair]) -> tuple:
-    """The table of crossings ta and tb joined along pattern, as one node:
-    naive_profile of the 2-node tangle, whose ports 0, 1 are ta's free
-    ports and 2, 3 are tb's, in order.  Returns the table, its cases for
-    the ten local links, and the free ports as (0 for ta or 1 for tb,
-    port)."""
-    key = (id(ta), id(tb), pattern)
-    if key not in _PAIRS:
-        joined = ({p for p, _ in pattern}, {q for _, q in pattern})
-        free = [(n, p) for n in (0, 1) for p in range(4) if p not in joined[n]]
-        profile = naive_profile({0: ta, 1: tb},
-                                [((0, p), (1, q)) for p, q in pattern])
-        table = tuple(sorted(
-            (*sorted(tuple(sorted(map(free.index, pair))) for pair in pairing),
-             tuple(sorted(terms.items())))
-            for pairing, terms in profile.items()))
-        _PAIRS[key] = (table, {links: _entries(table, links)
-                               for links in _LINKS}, free)
-    return _PAIRS[key]
+def _twist_table(m: int) -> tuple:
+    if m not in _TWISTS:
+        e = _exact_div({-3 * m: -1 if m % 2 else 1, m: -1} if m else {},
+                       _LOOP)
+        table = tuple((p1, p2, tuple(sorted(w.items()))) for p1, p2, w in
+                      (((0, 2), (1, 3), {m: 1}), ((0, 1), (2, 3), e)) if w)
+        _TWISTS[m] = table, {}
+    return _TWISTS[m]
 
 
-def _absorb_bigons(tables: Dict[str, Table], arcs: Sequence[ArcT]
+def _absorb_twists(tables: Dict[str, Table], arcs: Sequence[ArcT]
                    ) -> Tuple[Dict[str, Table], Sequence[ArcT], dict]:
-    """Each pair of crossings joined by exactly two arcs, both with every
-    port on an arc and no self-loop, becomes one node named after the
-    smaller id, with the pair's table (_pair_table); a node joins at most
-    one pair, taken in arc order.  Returns the new tables and arcs and the
-    pair tables' cases by table identity."""
+    """Each twist region becomes one node, named after its first crossing,
+    with the table of its net twist (_twist_table).  Two crossings, both
+    with every port on an arc and no self-loop, are neighbours when
+    exactly two arcs join them and leave each from adjacent ports; each
+    has at most two, so the chains are paths, and cycles, which leave one
+    crossing out.  Ports 0, 1 are the first crossing's outer ports and
+    2, 3 the last's that the all-1 state joins them to.  Returns the new
+    tables and arcs and the twist tables' cases by table identity."""
     degree = dict.fromkeys(tables, 0)
     between: Dict[Tuple[str, str], List[Pair]] = {}
     for (a, p), (b, q) in arcs:
         if a == b:
-            degree[a] += 8      # a node with a self-loop is never paired
+            degree[a] += 8      # a node with a self-loop is in no twist
             continue
         degree[a] += 1
         degree[b] += 1
         key, ports = ((a, b), (p, q)) if a < b else ((b, a), (q, p))
         between.setdefault(key, []).append(ports)
-    taken = set()
-    pairs = []
+    nbrs: Dict[str, List[str]] = {}
+    link: Dict[End, End] = {}       # along the two arcs between neighbours
     for (a, b), pattern in between.items():
         if (len(pattern) == 2 and degree[a] == degree[b] == 4
-                and a not in taken and b not in taken
+                and (pattern[0][0] - pattern[1][0]) % 2
+                and (pattern[0][1] - pattern[1][1]) % 2
                 and id(tables[a]) in _CROSSING_JOINS
                 and id(tables[b]) in _CROSSING_JOINS):
-            taken.update((a, b))
-            pairs.append((a, b, tuple(sorted(pattern))))
-    if not pairs:
+            nbrs.setdefault(a, []).append(b)
+            nbrs.setdefault(b, []).append(a)
+            for p, q in pattern:
+                link[a, p], link[b, q] = (b, q), (a, p)
+    if not nbrs:
         return tables, arcs, {}
     tables = dict(tables)
     cases: Dict[int, dict] = {}
     renamed: Dict[End, End] = {}
-    for a, b, pattern in pairs:
-        table, found, free = _pair_table(tables[a], tables.pop(b), pattern)
-        tables[a], cases[id(table)] = table, found
-        for i, (n, p) in enumerate(free):
-            renamed[(a, b)[n], p] = (a, i)
-    # an arc inside a pair has no renamed end
+    taken: set = set()
+    # the paths, each from an end, then the cycles, each from a neighbour
+    # of the crossing out that it leaves out, from the ports to out
+    for node in [n for n, near in nbrs.items() if len(near) == 1] + list(nbrs):
+        if node in taken:
+            continue
+        out = node if len(nbrs[node]) == 2 else None
+        if out is not None:
+            node = nbrs[out][0]
+        x, y = (p for p in range(4) if link.get((node, p), (None,))[0] == out)
+        first, m = node, 0
+        renamed[node, x], renamed[node, y] = (first, 0), (first, 1)
+        while True:     # the all-1 state's strands go on from x and y
+            taken.add(node)
+            m += _TWIST_STEP[id(tables.pop(node)), (x, y) if x < y else (y, x)]
+            x, y = (2 * x - y) % 4, (2 * y - x) % 4
+            on = link.get((node, x))
+            if on is None or on[0] == out:
+                break
+            node, x, y = on[0], on[1], link[node, y][1]
+        renamed[node, x], renamed[node, y] = (first, 2), (first, 3)
+        tables[first], found = _twist_table(m)
+        cases[id(tables[first])] = found
+    # an arc inside a twist has no renamed end
     return tables, [(renamed.get(t, t), renamed.get(h, h)) for t, h in arcs
                     if t in renamed or t[0] not in taken], cases
 
@@ -430,7 +448,7 @@ def contract(tables: Dict[str, Table], arcs: Sequence[ArcT]
     Returns the nonzero weights, as kernel terms, by the pairing of the
     boundary ends that each state makes (a frozenset of two-end
     frozensets; empty for a closed diagram)."""
-    tables, arcs, memo = _absorb_bigons(tables, arcs)
+    tables, arcs, memo = _absorb_twists(tables, arcs)
     steps, ends, width = _plan(tables, arcs)
     states: Dict[Tuple[int, ...], Terms] = {(-1,) * width: {0: 1}}
     for node, fixed, mates_of, port_at, dest_of, cleared, _ in steps:

@@ -4,7 +4,8 @@ between the naive and the dynamic-programming evaluators."""
 import random
 from collections import deque
 from fractions import Fraction
-from itertools import permutations, product
+from functools import lru_cache
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -17,7 +18,7 @@ from oracles import crossing_sign, torus_jones
 from knotgraph import bracket, catalog, moves
 from knotgraph.bracket import (CROSSING_TABLES, bracket_naive, contract,
                                max_crossings, naive_profile, p_eval, z_eval)
-from knotgraph.bracket import _absorb_bigons, _node_order, _plan
+from knotgraph.bracket import _absorb_twists, _node_order, _plan
 from knotgraph.diagram import (Diagram, DiagramError, replace_kind,
                                vertex_ports)
 from knotgraph.graphinv import (CASIMIR_MARKED, CASIMIR_PLAIN, VASSILIEV,
@@ -598,7 +599,7 @@ def test_a_cancelled_coefficient_leaves_no_zero_entry(monkeypatch):
         assert contract(tables, arcs) == {key: {4: -1, -4: 1}}
 
 
-# --- bigons: two crossings joined by two arcs become one node ---------------
+# --- twists: a chain of crossings joined two arcs at a time is one node ----
 
 
 def _bigon_rich_link(rng):
@@ -640,8 +641,8 @@ def test_absorbed_bigons_keep_the_brute_force_state_sum():
     (runs of one letter, letter-inverse pairs, kinks next to a bigon),
     on crossing pairs that meet by three arcs, on seeded vertex graphs
     under three schemes, and on open tangles cut from the links.  The
-    links absorb pairs and the three-arc pairs do not; in each cut
-    tangle a node that the closed link absorbs into a pair carries a
+    links absorb twists and the three-arc pairs do not; in each cut
+    tangle a node that the closed link absorbs into a twist carries a
     boundary end, so it stays a node and keeps its end names."""
     rng = random.Random(43)
     links = [_bigon_rich_link(rng) for _ in range(30)]
@@ -656,9 +657,9 @@ def test_absorbed_bigons_keep_the_brute_force_state_sum():
     absorbed = 0
     for d in links:
         tables = _crossing_tables(d)
-        # a pair keeps the smaller id: cut an arc at a node that goes, and
-        # about a fifth of the others
-        gone = [n for n in tables if n not in _absorb_bigons(tables,
+        # a twist keeps its first crossing's id: cut an arc at a node that
+        # goes, and about a fifth of the others
+        gone = [n for n in tables if n not in _absorb_twists(tables,
                                                              d.arcs)[0]]
         if not gone:
             continue
@@ -667,11 +668,11 @@ def test_absorbed_bigons_keep_the_brute_force_state_sum():
         drop = rng.choice([arc for arc in d.arcs if n in (arc[0][0],
                                                           arc[1][0])])
         arcs = [arc for arc in d.arcs if arc != drop and rng.random() > 0.2]
-        assert _absorb_bigons(tables, arcs)[0][n] is tables[n]
+        assert _absorb_twists(tables, arcs)[0][n] is tables[n]
         assert contract(tables, arcs) == naive_profile(tables, arcs)
     assert absorbed >= 25
     for d in three:
-        assert len(_absorb_bigons(_crossing_tables(d), d.arcs)[0]) == len(
+        assert len(_absorb_twists(_crossing_tables(d), d.arcs)[0]) == len(
             d.nodes)
 
 
@@ -696,79 +697,185 @@ def _strand_ends(pattern):
     return ends
 
 
+def _twist_ports(tables, arcs, node):
+    """The crossing port that each port of node, a twist after the pass,
+    stands for: its arc's other end, looked up among the arcs before."""
+    after = _absorb_twists(tables, arcs)[1]
+    other = {end: far for arc in arcs for end, far in (arc, arc[::-1])}
+    return {near[1]: other[far] for arc in after
+            for near, far in (arc, arc[::-1]) if near[0] == node}
+
+
 def test_an_r2_pair_is_one_identity_entry_of_weight_one():
-    """The table of a crossing and its inverse joined as by R2 is computed
-    by naive_profile, not assumed, and comes out as one entry of weight 1
-    that joins the two ends of each strand."""
+    """A crossing and its inverse joined as by R2, and by no other arc to
+    a crossing of a twist, become one node with the table of net twist 0:
+    one entry of weight 1 that joins the two ends of each strand.  The
+    diagram's state sum is the brute-force one."""
     rng = random.Random(44)
     sites = 0
-    for _ in range(10):
-        d = random_braid_link(rng, 5, 3)
+    for _ in range(30):
+        d = random_braid_link(rng, 5, 4)
         d = r2_plus(d, *rng.sample(d.arcs, 2))
-        kinds = d.node_map()
+        tables = _crossing_tables(d)
+        after = _absorb_twists(tables, d.arcs)[0]
         for m in find_r2_minus(d):
             a, b = sorted(m.site)
+            kept = [n for n in (a, b) if n in after]
+            if len(kept) != 1 or after[kept[0]] in CROSSING_TABLES.values():
+                continue
+            ports = _twist_ports(tables, d.arcs, kept[0])
+            if {n for n, _ in ports.values()} != {a, b}:
+                continue        # a longer twist
+            (pair1, pair2, weight), = after[kept[0]]
+            assert after[kept[0]] is bracket._twist_table(0)[0]
+            assert weight == ((0, 1),)
             pattern = tuple(sorted((p, q) if x == a else (q, p)
                                    for (x, p), (y, q) in d.arcs
                                    if {x, y} == {a, b}))
-            table, _, free = bracket._pair_table(
-                CROSSING_TABLES[kinds[a]], CROSSING_TABLES[kinds[b]], pattern)
-            (pair1, pair2, weight), = table
-            assert weight == ((0, 1),)
-            assert {frozenset(free[i] for i in pair)
-                    for pair in (pair1, pair2)} == _strand_ends(pattern)
+            assert {frozenset((int(ports[i][0] == b), ports[i][1])
+                              for i in pair) for pair in (pair1, pair2)
+                    } == _strand_ends(pattern)
+            assert contract(tables, d.arcs) == naive_profile(tables, d.arcs)
             sites += 1
     assert sites >= 10
 
 
-def test_pair_tables_are_keyed_by_crossing_tables_alone(monkeypatch):
-    """Vertex graphs under three schemes absorb only crossing pairs, so
-    every key names two crossing tables' identities.  Two crossing
-    tables and the 72 ways two arcs can join two nodes give the 288 keys
-    there can be."""
-    monkeypatch.setattr(bracket, "_PAIRS", {})
-    rng = random.Random(45)
-    for _ in range(20):
-        g = random_vertex_graph(rng, rng.randint(1, 3))
-        for s, level in _SCHEMES:
-            eval_graph(g, s, level)
-    crossing = {id(t) for t in CROSSING_TABLES.values()}
-    assert bracket._PAIRS
-    assert all({ta, tb} <= crossing for ta, tb, _ in bracket._PAIRS)
-    patterns = {tuple(sorted(((p1, q1), (p2, q2))))
-                for p1, p2 in permutations(range(4), 2)
-                for q1, q2 in permutations(range(4), 2)}
-    for ta, tb in product(CROSSING_TABLES.values(), repeat=2):
-        for pattern in patterns:
-            bracket._pair_table(ta, tb, pattern)
-    assert len(patterns) == 72 and len(bracket._PAIRS) == 288
+def _chain_word(rng, k):
+    return [(1, rng.choice((1, -1))) for _ in range(k)]
 
 
-def test_a_changed_pair_weight_changes_the_value(monkeypatch):
-    """Negative control: with the first entry of every pair table
-    multiplied by A, contract no longer equals naive_profile."""
-    rng = random.Random(46)
-    links = [_bigon_rich_link(rng) for _ in range(8)]
-    monkeypatch.setattr(bracket, "_PAIRS", {})
-    for d in links:
-        contract(_crossing_tables(d), d.arcs)
-    for key, (table, _, free) in list(bracket._PAIRS.items()):
-        (p1, p2, w), *rest = table
-        changed = ((p1, p2, tuple((e + 1, c) for e, c in w)), *rest)
-        bracket._PAIRS[key] = (changed, {local: bracket._entries(changed,
-                                                                local)
-                                         for local in bracket._LINKS}, free)
-    for d in links:
-        tables = _crossing_tables(d)
-        assert contract(tables, d.arcs) != naive_profile(tables, d.arcs)
+@lru_cache(maxsize=None)
+def _chains():
+    """Seeded chains of k = 1..12 crossings of mixed signs, with their net
+    twist and their brute-force state sums.  A closed chain is the
+    2-strand closure of its word, a cycle; an open one closes through a
+    further crossing whose table is a copy, so it is in no twist."""
+    rng = random.Random(47)
+    chains = []
+    for k in range(1, 13):
+        word = _chain_word(rng, k)
+        closed = catalog.braid_closure(2, word)
+        opened = catalog.braid_closure(2, word + [(1, 1)])
+        tables = _crossing_tables(opened)
+        tables["c%d" % k] = list(tables["c%d" % k])
+        for tables, arcs, kind in ((_crossing_tables(closed), closed.arcs,
+                                    "closed"), (tables, opened.arcs, "open")):
+            chains.append((k, kind, sum(s for _, s in word), tables, arcs,
+                           naive_profile(tables, arcs)))
+    return chains
 
 
-def test_torus_links_t_2_n_are_chains_of_bigons(monkeypatch):
-    """T(2, n), n = 1..40, is one chain of bigons.  A knot (n odd) has
+def test_twist_chains_keep_the_brute_force_state_sum():
+    """An open chain becomes one node beside the crossing that closes it;
+    a closed one, a cycle, leaves one crossing out of its twist, so from
+    three crossings on it is two nodes."""
+    for k, kind, _, tables, arcs, naive in _chains():
+        after = _absorb_twists(tables, arcs)[0]
+        assert len(after) == (min(k, 2) if kind == "closed" else 2)
+        assert contract(tables, arcs) == naive
+
+
+def test_the_twist_table_gains_one_key_per_new_net_twist(monkeypatch):
+    """The open chains of two crossings or more, contracted one by one:
+    each adds the key of its net twist if it is new, and no other."""
+    monkeypatch.setattr(bracket, "_TWISTS", {})
+    nets = set()
+    for k, kind, net, tables, arcs, _ in _chains():
+        if kind == "open" and k >= 2:
+            contract(tables, arcs)
+            nets.add(net)
+            assert set(bracket._TWISTS) == nets
+    assert len(nets) >= 5
+
+
+def test_a_changed_twist_weight_changes_the_value(monkeypatch):
+    """Negative control: with the table of net twist -m in place of that
+    of m, or with the e entry's weight times A, contract no longer equals
+    naive_profile on the open chains of nonzero net twist."""
+    twists = {m: bracket._twist_table(m) for m in range(-13, 14)}
+    flipped = {m: twists[-m] for m in twists}
+    changed = {}
+    for m, (table, _) in twists.items():
+        (p1, p2, w), *e = table
+        e = [(q1, q2, tuple((x + 1, c) for x, c in v)) for q1, q2, v in e]
+        changed[m] = ((p1, p2, w), *e), {}
+    cases = [(tables, arcs, naive) for k, kind, net, tables, arcs, naive
+             in _chains() if kind == "open" and k >= 2 and net]
+    assert len(cases) >= 8
+    for wrong in (flipped, changed):
+        monkeypatch.setattr(bracket, "_TWISTS", wrong)
+        for tables, arcs, naive in cases:
+            assert contract(tables, arcs) != naive
+
+
+def _profiles_agree(d, schemes):
+    """contract equals naive_profile on the tables of d at both levels."""
+    for level in ("z", "p"):
+        tables = bracket.node_tables(d.nodes, d.in_ports(), schemes,
+                                     level)[0]
+        assert contract(tables, d.arcs) == naive_profile(tables, d.arcs)
+
+
+def test_the_twist_pass_takes_whole_runs_and_nothing_else():
+    """A run of one letter becomes one node; a twist that ends at a vertex
+    is absorbed, and the vertex keeps its table; a crossing with a
+    boundary end stays a node and keeps its end names; two crossings
+    joined by two arcs that leave one of them from opposite ports, which
+    no planar diagram has, stay two nodes."""
+    rng = random.Random(48)
+    vert = {"Vert": VASSILIEV.over_one_den}
+    for k in range(2, 9):
+        # sigma_2^k between sigma_1 and sigma_3, each closing on itself
+        d = catalog.braid_closure(4, [(2, s) for _, s in _chain_word(rng, k)]
+                                  + [(1, 1), (3, 1)])
+        assert len(_absorb_twists(_crossing_tables(d), d.arcs)[0]) == 3
+        _profiles_agree(d, {})
+    for k in range(3, 8):
+        # a 2-strand closure with one crossing a vertex: the others are
+        # one twist whose two ends meet the vertex
+        d = catalog.braid_closure(2, _chain_word(rng, k))
+        v = rng.choice(d.node_ids())
+        g = replace_kind(d, v, "Vert")
+        tables = bracket.node_tables(g.nodes, g.in_ports(), vert, "p")[0]
+        after = _absorb_twists(tables, g.arcs)[0]
+        assert len(after) == 2 and after[v] is tables[v]
+        _profiles_agree(g, vert)
+        # cut one arc at a crossing of the twist: it has boundary ends
+        c = rng.choice([n for n in d.node_ids() if n != v])
+        arcs = [arc for arc in g.arcs if c not in (arc[0][0], arc[1][0])]
+        arcs += [arc for arc in g.arcs if c in (arc[0][0], arc[1][0])][1:]
+        assert _absorb_twists(tables, arcs)[0][c] is tables[c]
+        profile = contract(tables, arcs)
+        assert profile == naive_profile(tables, arcs)
+        assert {end for pairing in profile for pair in pairing
+                for end in pair} >= {(c, p) for p in range(4)} - {
+            end for arc in arcs for end in arc}
+    # two crossings a, b joined by two arcs, the rest of their ports on a
+    # vertex-like node: a copy of a crossing table, so in no twist
+    copy = list(CROSSING_TABLES["XPos"])
+    for joined, merged in ((((0, 0), (1, 1)), True),
+                           (((0, 0), (2, 1)), False),
+                           (((0, 0), (2, 2)), False)):
+        arcs = [(("a", p), ("b", q)) for p, q in joined]
+        rest = [("a", p) for p in range(4) if p not in {p for p, _ in joined}]
+        rest += [("b", q) for q in range(4) if q not in {q for _, q in joined}]
+        arcs += [(end, ("v", i)) for i, end in enumerate(rest)]
+        for ka, kb in product(CROSSING_TABLES, repeat=2):
+            tables = {"a": CROSSING_TABLES[ka], "b": CROSSING_TABLES[kb],
+                      "v": copy}
+            after = _absorb_twists(tables, arcs)[0]
+            assert len(after) == (2 if merged else 3)
+            assert contract(tables, arcs) == naive_profile(tables, arcs)
+
+
+def test_twist_cycles_give_the_torus_link_of_their_net_twist(monkeypatch):
+    """T(2, n), n = 1..40, is one cycle of crossings.  A knot (n odd) has
     Jones's closed form; a two-component link (n even), which the closed
     form does not cover, obeys the oriented skein relation
     P(T(2, n)) = A^-8 P(T(2, n - 2)) + (A^-2 - A^-6) P(T(2, n - 1)),
-    from the two-component unlink, P = A^2 + A^-2."""
+    from the two-component unlink, P = A^2 + A^-2.  A cycle of k+
+    positive and k- negative crossings, up to 40 in all, is T(2, k+ - k-)
+    by R2, whose value at n < 0 is the mirror's: A -> A^-1."""
     monkeypatch.setenv("MAX_CROSSINGS", "40")
     expect = {0: LaurentPoly.from_dict({2: 1, -2: 1})}
     for n in range(1, 41):
@@ -779,3 +886,13 @@ def test_torus_links_t_2_n_are_chains_of_bigons(monkeypatch):
                          + LaurentPoly.from_dict({-2: 1, -6: -1})
                          * expect[n - 1])
         assert p_eval(catalog.braid_closure(2, [(1, 1)] * n)) == expect[n], n
+    rng = random.Random(49)
+    nets = set()
+    for _ in range(60):
+        word = _chain_word(rng, rng.randint(2, 40))
+        net = sum(s for _, s in word)
+        nets.add(net)
+        value = p_eval(catalog.braid_closure(2, word))
+        assert value == (expect[net] if net >= 0
+                         else expect[-net].substitute_inverse()), word
+    assert min(nets) < 0 < max(nets) and 0 in nets

@@ -7,6 +7,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import tokenize
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "knotgraph"
@@ -103,25 +104,32 @@ def test_the_package_registers_every_module_but_cli():
                                              for f in files))
 
 
+def _named_at():
+    """Each name that is a NAME token in src/, perfbench/, demos/ or
+    scripts/, with the (file, line) of each place: a word in a string, a
+    docstring or a comment is not a NAME token."""
+    at = {}
+    for d in ("src", "perfbench", "demos", "scripts"):
+        for p in sorted((ROOT / d).rglob("*.py")):
+            with p.open(encoding="utf-8") as f:
+                for tok in tokenize.generate_tokens(f.readline):
+                    if tok.type == tokenize.NAME:
+                        at.setdefault(tok.string, set()).add((p, tok.start[0]))
+    return at
+
+
 def _unnamed(defs_of):
     """'module:line name' of each def or class that defs_of(module tree)
-    yields, dunder hooks excepted, that is not named, as a whole word,
-    somewhere in src/, perfbench/, demos/ or scripts/ other than its own
-    def line.  tests/ does not count: a helper that only tests reach is
-    a tool of the tests, and lives there."""
-    texts = {p: p.read_text(encoding="utf-8")
-             for d in ("src", "perfbench", "demos", "scripts")
-             for p in sorted((ROOT / d).rglob("*.py"))}
+    yields, dunder hooks excepted, whose name _named_at finds nowhere but
+    on its own def line.  tests/ does not count: a helper that only tests
+    reach is a tool of the tests, and lives there."""
+    at = _named_at()
     unnamed = []
     for m in sorted(SRC.glob("*.py")):
-        for node in defs_of(ast.parse(texts[m])):
+        for node in defs_of(ast.parse(m.read_text(encoding="utf-8"))):
             if re.fullmatch(r"__\w+__", node.name):
                 continue
-            lines = texts[m].splitlines()
-            del lines[node.lineno - 1]
-            word = re.compile(r"\b%s\b" % re.escape(node.name))
-            if not any(word.search("\n".join(lines) if p == m else text)
-                       for p, text in texts.items()):
+            if not at.get(node.name, set()) - {(m, node.lineno)}:
                 unnamed.append("%s:%d %s" % (m.name, node.lineno, node.name))
     return unnamed
 
