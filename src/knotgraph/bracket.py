@@ -29,11 +29,13 @@ Before the plan, one pass over the arcs absorbs each twist region, a
 chain of crossings joined two arcs at a time, into one 4-port node.  In
 the 2-strand Temperley-Lieb algebra a crossing is A 1 + A^-1 e or its
 inverse, so a region of net twist m is sigma^m = A^m 1 + c_m e (Kauffman,
-Topology 26, 1987): a table of at most two entries, from a module-level
-table keyed by m.  An R2 pair comes out as one identity entry of weight
-1.  Vertex tables, nodes with boundary ends (an open tangle keeps its
-end names) or a self-loop, and two crossings joined by three or four
-arcs or from opposite ports are never in a twist.
+Topology 26, 1987): a table of two entries, from a module-level table
+keyed by m.  A region of net twist 0, such as an R2 pair, is the
+identity: it gets no node, its two strands are spliced straight through,
+and a strand that closes on itself is a free loop.  Vertex tables, nodes
+with boundary ends (an open tangle keeps its end names) or a self-loop,
+and two crossings joined by three or four arcs or from opposite ports
+are never in a twist.
 
 Inside the engine a weight is a term dict of ring's Laurent kernel.
 Bracket values lie in Z[A, A^-1], so the coefficients are ints, and
@@ -301,33 +303,35 @@ _CROSSING_JOINS = {id(table): {links: _entries(table, links)
 _TWIST_STEP = {(id(t), pair): -w[0][0] for t in CROSSING_TABLES.values()
                for p1, p2, w in t for pair in (p1, p2)}
 
-# Each twist region's table, keyed by its net twist m, with its cases as
-# contract meets them: sigma^m = A^m 1 + ((-1)^m A^-3m - A^m) / LOOP e in
-# the 2-strand Temperley-Lieb algebra, 1 joining ports 0-2 and 1-3 and e
-# 0-1 and 2-3, less a zero entry (an R2 pair, m = 0, is 1 of weight 1).
+# Each twist region's table, keyed by its net twist m != 0, with its cases
+# as contract meets them: sigma^m = A^m 1 + ((-1)^m A^-3m - A^m) / LOOP e
+# in the 2-strand Temperley-Lieb algebra, 1 joining ports 0-2 and 1-3 and
+# e 0-1 and 2-3.  At m = 0 the region is 1 and gets no node.
 _TWISTS: Dict[int, tuple] = {}
 
 
 def _twist_table(m: int) -> tuple:
     if m not in _TWISTS:
-        e = _exact_div({-3 * m: -1 if m % 2 else 1, m: -1} if m else {},
-                       _LOOP)
-        table = tuple((p1, p2, tuple(sorted(w.items()))) for p1, p2, w in
-                      (((0, 2), (1, 3), {m: 1}), ((0, 1), (2, 3), e)) if w)
-        _TWISTS[m] = table, {}
+        e = _exact_div({-3 * m: -1 if m % 2 else 1, m: -1}, _LOOP)
+        _TWISTS[m] = (((0, 2), (1, 3), ((m, 1),)),
+                      ((0, 1), (2, 3), tuple(sorted(e.items())))), {}
     return _TWISTS[m]
 
 
 def _absorb_twists(tables: Dict[str, Table], arcs: Sequence[ArcT]
-                   ) -> Tuple[Dict[str, Table], Sequence[ArcT], dict]:
+                   ) -> Tuple[Dict[str, Table], Sequence[ArcT], dict, int]:
     """Each twist region becomes one node, named after its first crossing,
     with the table of its net twist (_twist_table).  Two crossings, both
     with every port on an arc and no self-loop, are neighbours when
     exactly two arcs join them and leave each from adjacent ports; each
     has at most two, so the chains are paths, and cycles, which leave one
     crossing out.  Ports 0, 1 are the first crossing's outer ports and
-    2, 3 the last's that the all-1 state joins them to.  Returns the new
-    tables and arcs and the twist tables' cases by table identity."""
+    2, 3 the last's that the all-1 state joins them to.  A region of net
+    twist 0 is 1 and gets no node: its strands, 0-2 and 1-3, are spliced,
+    the arc into each going on to where the arc out of it leads, and a
+    strand closed by such strands alone is a free loop.  Returns the new
+    tables and arcs, the twist tables' cases by table identity and the
+    number of free loops made."""
     degree = dict.fromkeys(tables, 0)
     between: Dict[Tuple[str, str], List[Pair]] = {}
     for (a, p), (b, q) in arcs:
@@ -351,11 +355,12 @@ def _absorb_twists(tables: Dict[str, Table], arcs: Sequence[ArcT]
             for p, q in pattern:
                 link[a, p], link[b, q] = (b, q), (a, p)
     if not nbrs:
-        return tables, arcs, {}
+        return tables, arcs, {}, 0
     tables = dict(tables)
     cases: Dict[int, dict] = {}
     renamed: Dict[End, End] = {}
     taken: set = set()
+    strands: List[Tuple[End, End]] = []     # each net-zero strand's ends
     # the paths, each from an end, then the cycles, each from a neighbour
     # of the crossing out that it leaves out, from the ports to out
     for node in [n for n, near in nbrs.items() if len(near) == 1] + list(nbrs):
@@ -365,8 +370,7 @@ def _absorb_twists(tables: Dict[str, Table], arcs: Sequence[ArcT]
         if out is not None:
             node = nbrs[out][0]
         x, y = (p for p in range(4) if link.get((node, p), (None,))[0] == out)
-        first, m = node, 0
-        renamed[node, x], renamed[node, y] = (first, 0), (first, 1)
+        first, m, ends = node, 0, ((node, x), (node, y))
         while True:     # the all-1 state's strands go on from x and y
             taken.add(node)
             m += _TWIST_STEP[id(tables.pop(node)), (x, y) if x < y else (y, x)]
@@ -375,12 +379,30 @@ def _absorb_twists(tables: Dict[str, Table], arcs: Sequence[ArcT]
             if on is None or on[0] == out:
                 break
             node, x, y = on[0], on[1], link[node, y][1]
-        renamed[node, x], renamed[node, y] = (first, 2), (first, 3)
-        tables[first], found = _twist_table(m)
-        cases[id(tables[first])] = found
-    # an arc inside a twist has no renamed end
+        if m:
+            renamed[ends[0]], renamed[ends[1]] = (first, 0), (first, 1)
+            renamed[node, x], renamed[node, y] = (first, 2), (first, 3)
+            tables[first], found = _twist_table(m)
+            cases[id(tables[first])] = found
+        else:
+            strands += (ends[0], (node, x)), (ends[1], (node, y))
+    loops = 0
+    if strands:
+        head = dict(arcs)
+        # each net-zero strand from the end it enters at to the one it leaves
+        through = dict((b, a) if a in head else (a, b) for a, b in strands)
+        while through:
+            a, b = through.popitem()
+            end = head[b]
+            while end in through:       # a net-zero strand follows
+                end = head[through.pop(end)]
+            if end == a:
+                loops += 1
+            else:       # the arc into a goes on to end
+                renamed[a] = renamed.get(end, end)
+    # an arc inside a twist or out of a net-zero strand has no renamed tail
     return tables, [(renamed.get(t, t), renamed.get(h, h)) for t, h in arcs
-                    if t in renamed or t[0] not in taken], cases
+                    if t in renamed or t[0] not in taken], cases, loops
 
 
 def _plan(nodes: Iterable[str], arcs: Sequence[ArcT]
@@ -444,11 +466,12 @@ def contract(tables: Dict[str, Table], arcs: Sequence[ArcT]
     """State sum of the tangle whose nodes are the keys of tables, by
     frontier contraction.  A table entry (pair1, pair2, weight) joins the
     node's ports along both pairings.  Every arc joins two table nodes,
-    and a port on no arc is a boundary end, named by its (node, port).
-    Returns the nonzero weights, as kernel terms, by the pairing of the
-    boundary ends that each state makes (a frozenset of two-end
-    frozensets; empty for a closed diagram)."""
-    tables, arcs, memo = _absorb_twists(tables, arcs)
+    from an out-port to an in-port as in a Diagram, and a port on no arc
+    is a boundary end, named by its (node, port).  Returns the nonzero
+    weights, as kernel terms, by the pairing of the boundary ends that
+    each state makes (a frozenset of two-end frozensets; empty for a
+    closed diagram)."""
+    tables, arcs, memo, loops = _absorb_twists(tables, arcs)
     steps, ends, width = _plan(tables, arcs)
     states: Dict[Tuple[int, ...], Terms] = {(-1,) * width: {0: 1}}
     for node, fixed, mates_of, port_at, dest_of, cleared, _ in steps:
@@ -500,6 +523,8 @@ def contract(tables: Dict[str, Table], arcs: Sequence[ArcT]
                 else:
                     del new_states[key]
         states = new_states
+    for _ in range(loops):
+        states = {state: _times(w, _LOOP) for state, w in states.items()}
     return {frozenset(frozenset((ends[s], ends[t]))
                       for s, t in enumerate(state) if s < t): terms
             for state, terms in states.items()}

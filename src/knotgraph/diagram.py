@@ -22,7 +22,7 @@ The model is abstract in the Gauss-code sense: planarity of the induced
 from __future__ import annotations
 
 import sys
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from .ring import Value
 
@@ -143,27 +143,20 @@ class Diagram(Value):
         return sum(1 if (((i, 0) in ins) == ((i, 1) in ins)) == (k == "XPos")
                    else -1 for i, k in self.nodes if k in CROSSING_KINDS)
 
-    def trace_components(self) -> List[List[ArcT]]:
-        """Closed oriented loops through nodes, as arc lists (free loops
-        excluded)."""
-        outs = self.out_ports()
-        seen: Set[ArcT] = set()
-        comps: List[List[ArcT]] = []
-        for start in self.arcs:
-            if start in seen:
-                continue
-            comp = []
-            arc = start
-            while arc not in seen:
-                comp.append(arc)
-                seen.add(arc)
-                n, p = arc[1]
-                arc = outs[(n, (p + 2) % 4)]
-            comps.append(comp)
-        return comps
-
     def components(self) -> int:
-        return len(self.trace_components()) + self.free_loops
+        """The number of closed strands, free loops included.  Each strand
+        through nodes is a cycle of arcs, walked from any of its arcs to
+        the arc that leaves the opposite port of its head, each taken out
+        of the out-port map, until it is back where it started."""
+        outs = self.out_ports()
+        count = self.free_loops
+        while outs:
+            _, arc = outs.popitem()
+            count += 1
+            while arc is not None:
+                n, p = arc[1]
+                arc = outs.pop((n, (p + 2) % 4), None)
+        return count
 
     # --- equality up to renumbering
 

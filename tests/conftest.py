@@ -50,9 +50,27 @@ def mirror(d):
                         d.free_loops)
 
 
+def trace_components(d):
+    """The closed oriented loops of d through its nodes, as arc lists
+    (free loops excluded): each arc leads on to the arc that leaves the
+    opposite port of its head."""
+    outs = d.out_ports()
+    seen, comps = set(), []
+    for arc in d.arcs:
+        comp = []
+        while arc not in seen:
+            comp.append(arc)
+            seen.add(arc)
+            n, p = arc[1]
+            arc = outs[(n, (p + 2) % 4)]
+        if comp:
+            comps.append(comp)
+    return comps
+
+
 def reverse_component(d, index: int):
     """d with the index-th loop of trace_components run backwards."""
-    flip = set(d.trace_components()[index])
+    flip = set(trace_components(d)[index])
     return Diagram.make(d.node_map(), [(h, t) if (t, h) in flip else (t, h)
                                        for t, h in d.arcs], d.free_loops)
 

@@ -2,7 +2,7 @@
 between the naive and the dynamic-programming evaluators."""
 
 import random
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import (disjoint_union, grow_with_moves, mirror,
                       random_braid_link, random_vertex_graph, raw,
-                      reverse_component)
+                      reverse_component, trace_components)
 from oracles import crossing_sign, torus_jones
 from knotgraph import bracket, catalog, moves
 from knotgraph.bracket import (CROSSING_TABLES, bracket_naive, contract,
@@ -84,7 +84,7 @@ def test_component_reversal_preserves_the_value():
     rng = random.Random(13)
     for _ in range(10):
         d = random_braid_link(rng)
-        r = reverse_component(d, rng.randrange(len(d.trace_components())))
+        r = reverse_component(d, rng.randrange(len(trace_components(d))))
         assert z_eval(r) == z_eval(d)
 
 
@@ -676,68 +676,41 @@ def test_absorbed_bigons_keep_the_brute_force_state_sum():
             d.nodes)
 
 
-def _strand_ends(pattern):
-    """The two free ports of each strand through a pair of crossings joined
-    along pattern, as (0 for the first node or 1 for the second, port):
-    a strand goes straight through a crossing, from port p to p + 2."""
-    onward = {}
-    for p, q in pattern:
-        onward[0, p], onward[1, q] = (1, q), (0, p)
-    joined = set(onward)
-    ends = set()
-    for n in (0, 1):
-        for p in range(4):
-            if (n, p) in joined:
-                continue
-            m, r = n, (p + 2) % 4
-            while (m, r) in joined:
-                m, r = onward[m, r]
-                r = (r + 2) % 4
-            ends.add(frozenset({(n, p), (m, r)}))
-    return ends
-
-
-def _twist_ports(tables, arcs, node):
-    """The crossing port that each port of node, a twist after the pass,
-    stands for: its arc's other end, looked up among the arcs before."""
-    after = _absorb_twists(tables, arcs)[1]
-    other = {end: far for arc in arcs for end, far in (arc, arc[::-1])}
-    return {near[1]: other[far] for arc in after
-            for near, far in (arc, arc[::-1]) if near[0] == node}
-
-
-def test_an_r2_pair_is_one_identity_entry_of_weight_one():
-    """A crossing and its inverse joined as by R2, and by no other arc to
-    a crossing of a twist, become one node with the table of net twist 0:
-    one entry of weight 1 that joins the two ends of each strand.  The
-    diagram's state sum is the brute-force one."""
+def test_an_r2_pair_leaves_no_node(monkeypatch):
+    """A crossing and its inverse joined as by R2, and by two arcs to no
+    other crossing, are a twist of net twist 0: the pass leaves no node
+    for them and splices each strand straight through, as r2_minus does.
+    Where no other twist remains, the pass gives r2_minus's nodes and arcs
+    (each arc up to direction) and its free loops.  The state sum is the
+    brute-force one, and _TWISTS never gains key 0."""
+    monkeypatch.setattr(bracket, "_TWISTS", {})
     rng = random.Random(44)
-    sites = 0
-    for _ in range(30):
+    sites = exact = 0
+    for _ in range(40):
         d = random_braid_link(rng, 5, 4)
         d = r2_plus(d, *rng.sample(d.arcs, 2))
         tables = _crossing_tables(d)
-        after = _absorb_twists(tables, d.arcs)[0]
+        after, arcs, _, loops = _absorb_twists(tables, d.arcs)
+        assert contract(tables, d.arcs) == naive_profile(tables, d.arcs)
+        joined = Counter(frozenset((a, b)) for (a, _), (b, _) in d.arcs
+                         if a != b)
         for m in find_r2_minus(d):
-            a, b = sorted(m.site)
-            kept = [n for n in (a, b) if n in after]
-            if len(kept) != 1 or after[kept[0]] in CROSSING_TABLES.values():
-                continue
-            ports = _twist_ports(tables, d.arcs, kept[0])
-            if {n for n, _ in ports.values()} != {a, b}:
+            a, b = m.site
+            if any(n in pair for pair, k in joined.items() if k == 2
+                   and pair != {a, b} for n in (a, b)):
                 continue        # a longer twist
-            (pair1, pair2, weight), = after[kept[0]]
-            assert after[kept[0]] is bracket._twist_table(0)[0]
-            assert weight == ((0, 1),)
-            pattern = tuple(sorted((p, q) if x == a else (q, p)
-                                   for (x, p), (y, q) in d.arcs
-                                   if {x, y} == {a, b}))
-            assert {frozenset((int(ports[i][0] == b), ports[i][1])
-                              for i in pair) for pair in (pair1, pair2)
-                    } == _strand_ends(pattern)
-            assert contract(tables, d.arcs) == naive_profile(tables, d.arcs)
+            assert a not in after and b not in after
+            assert not {a, b} & {n for arc in arcs for n, _ in arc}
             sites += 1
-    assert sites >= 10
+            if len(after) != len(tables) - 2:
+                continue        # the pass absorbs other twists too
+            e = moves.r2_minus(d, a, b)
+            assert after == _crossing_tables(e)
+            assert sorted(map(sorted, arcs)) == sorted(map(sorted, e.arcs))
+            assert d.free_loops + loops == e.free_loops
+            exact += 1
+    assert sites >= 10 and exact >= 5
+    assert 0 not in bracket._TWISTS
 
 
 def _chain_word(rng, k):
@@ -766,33 +739,47 @@ def _chains():
 
 
 def test_twist_chains_keep_the_brute_force_state_sum():
-    """An open chain becomes one node beside the crossing that closes it;
-    a closed one, a cycle, leaves one crossing out of its twist, so from
-    three crossings on it is two nodes."""
-    for k, kind, _, tables, arcs, naive in _chains():
+    """An open chain of two crossings or more becomes one node beside the
+    crossing that closes it, or none where its net twist is 0; a closed
+    one, a cycle, leaves one crossing out of its twist, so from three
+    crossings on it is two nodes, or only the one left out where the
+    others' net twist is 0."""
+    spliced = 0
+    for k, kind, net, tables, arcs, naive in _chains():
         after = _absorb_twists(tables, arcs)[0]
-        assert len(after) == (min(k, 2) if kind == "closed" else 2)
+        if kind == "open":
+            nodes = 1 + (k == 1 or net != 0)
+        elif k >= 3:
+            out, = [n for n in after if after[n] is tables[n]]
+            sign = 1 if tables[out] is CROSSING_TABLES["XPos"] else -1
+            nodes = 1 + (net != sign)
+        else:
+            nodes = k       # one crossing, or two joined by four arcs
+        assert len(after) == nodes
+        spliced += nodes == 1 and k >= 2
         assert contract(tables, arcs) == naive
+    assert spliced >= 3
 
 
 def test_the_twist_table_gains_one_key_per_new_net_twist(monkeypatch):
     """The open chains of two crossings or more, contracted one by one:
-    each adds the key of its net twist if it is new, and no other."""
+    each adds the key of its net twist if it is new and not 0, and no
+    other."""
     monkeypatch.setattr(bracket, "_TWISTS", {})
     nets = set()
     for k, kind, net, tables, arcs, _ in _chains():
         if kind == "open" and k >= 2:
             contract(tables, arcs)
             nets.add(net)
-            assert set(bracket._TWISTS) == nets
-    assert len(nets) >= 5
+            assert set(bracket._TWISTS) == nets - {0}
+    assert len(nets) >= 5 and 0 in nets
 
 
 def test_a_changed_twist_weight_changes_the_value(monkeypatch):
     """Negative control: with the table of net twist -m in place of that
     of m, or with the e entry's weight times A, contract no longer equals
     naive_profile on the open chains of nonzero net twist."""
-    twists = {m: bracket._twist_table(m) for m in range(-13, 14)}
+    twists = {m: bracket._twist_table(m) for m in range(-13, 14) if m}
     flipped = {m: twists[-m] for m in twists}
     changed = {}
     for m, (table, _) in twists.items():
@@ -817,28 +804,32 @@ def _profiles_agree(d, schemes):
 
 
 def test_the_twist_pass_takes_whole_runs_and_nothing_else():
-    """A run of one letter becomes one node; a twist that ends at a vertex
-    is absorbed, and the vertex keeps its table; a crossing with a
-    boundary end stays a node and keeps its end names; two crossings
-    joined by two arcs that leave one of them from opposite ports, which
-    no planar diagram has, stay two nodes."""
+    """A run of one letter becomes one node, or none where its net twist
+    is 0; a twist that ends at a vertex is absorbed, and the vertex keeps
+    its table; a crossing with a boundary end stays a node and keeps its
+    end names; two crossings joined by two arcs that leave one of them
+    from opposite ports, which no planar diagram has, stay two nodes."""
     rng = random.Random(48)
     vert = {"Vert": VASSILIEV.over_one_den}
     for k in range(2, 9):
         # sigma_2^k between sigma_1 and sigma_3, each closing on itself
-        d = catalog.braid_closure(4, [(2, s) for _, s in _chain_word(rng, k)]
-                                  + [(1, 1), (3, 1)])
-        assert len(_absorb_twists(_crossing_tables(d), d.arcs)[0]) == 3
+        word = [(2, s) for _, s in _chain_word(rng, k)]
+        d = catalog.braid_closure(4, word + [(1, 1), (3, 1)])
+        net = sum(s for _, s in word)
+        assert len(_absorb_twists(_crossing_tables(d), d.arcs)[0]) == (
+            2 + (net != 0))
         _profiles_agree(d, {})
     for k in range(3, 8):
         # a 2-strand closure with one crossing a vertex: the others are
         # one twist whose two ends meet the vertex
-        d = catalog.braid_closure(2, _chain_word(rng, k))
+        word = _chain_word(rng, k)
+        d = catalog.braid_closure(2, word)
         v = rng.choice(d.node_ids())
+        net = sum(s for _, s in word) - word[int(v[1:])][1]
         g = replace_kind(d, v, "Vert")
         tables = bracket.node_tables(g.nodes, g.in_ports(), vert, "p")[0]
         after = _absorb_twists(tables, g.arcs)[0]
-        assert len(after) == 2 and after[v] is tables[v]
+        assert len(after) == 1 + (net != 0) and after[v] is tables[v]
         _profiles_agree(g, vert)
         # cut one arc at a crossing of the twist: it has boundary ends
         c = rng.choice([n for n in d.node_ids() if n != v])
@@ -864,8 +855,106 @@ def test_the_twist_pass_takes_whole_runs_and_nothing_else():
             tables = {"a": CROSSING_TABLES[ka], "b": CROSSING_TABLES[kb],
                       "v": copy}
             after = _absorb_twists(tables, arcs)[0]
-            assert len(after) == (2 if merged else 3)
+            # joined this way, XPos and XNeg are an R2 pair: no node
+            assert len(after) == (1 + (ka == kb) if merged else 3)
             assert contract(tables, arcs) == naive_profile(tables, arcs)
+
+
+# the 3-strand closures that the splice turns into one node and a free
+# loop, and into no node at all: (word, nodes, loops, Z, P)
+_SPLICED = (([(1, 1), (1, 1), (1, -1), (1, -1), (2, 1)], 1, 1,
+             {5: 1, 1: 1}, {2: 1, -2: 1}),
+            ([(1, 1), (2, 1), (1, -1), (2, -1)], 0, 1, {0: 1}, {0: 1}))
+
+
+def test_a_spliced_strand_closes_into_a_free_loop():
+    """The 3-strand closure of sigma1^2 sigma1^-2 sigma2 leaves one node:
+    strand 1 is spliced shut into a free loop, beside a kinked unknot, so
+    Z = A^5 + A and P = A^2 + A^-2.  The closure of sigma1 sigma2
+    sigma1^-1 sigma2^-1, an unknot, leaves no node at all, and Z = 1.
+    Each agrees with naive_profile at both levels and with
+    bracket_naive."""
+    for word, nodes, loops, z, p in _SPLICED:
+        d = catalog.braid_closure(3, word)
+        after, arcs, _, made = _absorb_twists(_crossing_tables(d), d.arcs)
+        assert (len(after), made) == (nodes, loops)
+        _profiles_agree(d, {})
+        assert z_eval(d) == bracket_naive(d) == LaurentPoly.from_dict(z)
+        assert p_eval(d) == LaurentPoly.from_dict(p)
+
+
+def test_a_dropped_splice_loop_changes_the_value(monkeypatch):
+    """Negative control: with the pass's free loops dropped, contract no
+    longer equals naive_profile on the shapes above."""
+    absorb = bracket._absorb_twists
+    monkeypatch.setattr(bracket, "_absorb_twists",
+                        lambda tables, arcs: absorb(tables, arcs)[:3] + (0,))
+    for word, *_ in _SPLICED:
+        d = catalog.braid_closure(3, word)
+        tables = _crossing_tables(d)
+        assert contract(tables, d.arcs) != naive_profile(tables, d.arcs)
+
+
+def _inverse(word):
+    return [(i, -s) for i, s in reversed(word)]
+
+
+def _with_r2_blocks(rng):
+    """A random braid word on 3-5 strands that has every letter, as
+    (strands, base word, word with R2 blocks): each block is a run
+    sigma_i^k sigma_i^-k, k = 1..3, or w x x^-1 w^-1 for a letter x and a
+    word w of one or two letters.  Each letter of the longer word is
+    (letter, its place in the base word or None)."""
+    strands = rng.randint(3, 5)
+
+    def letter():
+        return rng.randint(1, strands - 1), rng.choice((1, -1))
+    base = [(i, rng.choice((1, -1))) for i in range(1, strands)]
+    base += [letter() for _ in range(rng.randint(0, 3))]
+    rng.shuffle(base)
+    word = [(x, n) for n, x in enumerate(base)]
+    for _ in range(rng.randint(1, 2)):
+        if rng.random() < 0.5:
+            run = [letter()] * rng.randint(1, 3)
+        else:
+            w = [letter() for _ in range(rng.randint(1, 2))]
+            run = w + [letter()]
+        at = rng.randint(0, len(word))
+        word[at:at] = [(x, None) for x in run + _inverse(run)]
+    return strands, base, word
+
+
+def test_r2_blocks_leave_the_values_of_the_word_without_them(monkeypatch):
+    """Seeded braid words with R2 blocks inserted: the pass leaves fewer
+    nodes than the word has crossings; z_eval equals bracket_naive up to
+    10 crossings; p_eval equals that of the word without the blocks; and
+    with one or two letters of the base word drawn as Vert, eval_graph
+    under VASSILIEV at levels z and p equals that of the graph without
+    the blocks."""
+    monkeypatch.setenv("MAX_CROSSINGS", "40")
+    rng = random.Random(71)
+    naive = spliced = 0
+    for _ in range(40):
+        strands, base, word = _with_r2_blocks(rng)
+        d = catalog.braid_closure(strands, [x for x, _ in word])
+        d0 = catalog.braid_closure(strands, base)
+        after = _absorb_twists(_crossing_tables(d), d.arcs)[0]
+        assert len(after) < len(word)
+        # with every crossing positive no twist of a braid has net 0
+        positive = dict.fromkeys(d.node_ids(), CROSSING_TABLES["XPos"])
+        spliced += len(_absorb_twists(positive, d.arcs)[0]) > len(after)
+        if len(word) <= 10:
+            assert z_eval(d) == bracket_naive(d)
+            naive += 1
+        assert p_eval(d) == p_eval(d0)
+        g, g0 = d, d0
+        for n in rng.sample(range(len(base)), rng.randint(1, 2)):
+            g = replace_kind(g, "c%d" % [m for _, m in word].index(n), "Vert")
+            g0 = replace_kind(g0, "c%d" % n, "Vert")
+        for level in ("z", "p"):
+            assert (eval_graph(g, VASSILIEV, level=level)
+                    == eval_graph(g0, VASSILIEV, level=level))
+    assert naive >= 5 and spliced >= 25
 
 
 def test_twist_cycles_give_the_torus_link_of_their_net_twist(monkeypatch):

@@ -8,7 +8,8 @@ import random
 import pytest
 
 from conftest import (disjoint_union, mirror, random_braid_link,
-                      random_vertex_graph, reverse_component)
+                      random_vertex_graph, reverse_component,
+                      trace_components)
 from oracles import crossing_sign, well_formed
 from knotgraph import catalog, diagram
 from knotgraph.graphinv import CASIMIR_PLAIN, VASSILIEV, resolve_vertices
@@ -79,6 +80,31 @@ def test_component_counts():
     assert catalog.named_diagram("figure-eight").components() == 1
 
 
+def test_components_count_the_traced_loops_and_the_braid_cycles():
+    """components walks the strands without listing their arcs: it equals
+    the number of loops trace_components lists plus the free loops, and
+    for a braid closure the number of cycles of the braid's permutation."""
+    rng = random.Random(61)
+    for _ in range(60):
+        strands = rng.randint(1, 6)
+        word = [(rng.randint(1, strands - 1), rng.choice((1, -1)))
+                for _ in range(rng.randint(0, 12) if strands > 1 else 0)]
+        d = catalog.braid_closure(strands, word)
+        perm = list(range(strands))
+        for i, _ in word:
+            perm[i - 1], perm[i] = perm[i], perm[i - 1]
+        cycles, seen = 0, set()
+        for start in range(strands):
+            cycles += start not in seen
+            while start not in seen:
+                seen.add(start)
+                start = perm[start]
+        assert d.components() == cycles
+        g = random_vertex_graph(rng, rng.randint(0, 3))
+        for e in (d, g, Diagram.make(g.node_map(), g.arcs, 2)):
+            assert e.components() == len(trace_components(e)) + e.free_loops
+
+
 def test_writhe_values():
     assert catalog.named_diagram("trefoil+").writhe() == 3
     assert catalog.named_diagram("trefoil-").writhe() == -3
@@ -99,7 +125,7 @@ def test_writhe_is_the_sum_of_the_crossing_signs():
         d = random_braid_link(rng, 12, 5)
         diagrams += [d, mirror(d)]
         diagrams += [reverse_component(d, i)
-                     for i in range(len(d.trace_components()))]
+                     for i in range(len(trace_components(d)))]
     diagrams += [random_vertex_graph(rng, rng.randint(0, 3))
                  for _ in range(20)]
     diagrams += [catalog.named_diagram(name) for name in catalog.NAMES]
