@@ -23,7 +23,9 @@ constant table, built at import, of their 20 (table, local links) cases,
 keyed by the identity of those module-lifetime tables; a vertex table is
 built per call, so its cases are memoised for the call.  Both rest on a
 constant table, built at import, of the 30 ways an entry's pairing can
-meet the ports that lead back to the node.
+meet the ports that lead back to the node.  A crossing or twist table's
+packed cases (below) sit in the same dict as its term cases, keyed by
+their digit width, a multiple of 16 bits.
 
 Before the plan, one pass over the arcs absorbs each twist region, a
 chain of crossings joined two arcs at a time, into one 4-port node.  In
@@ -37,13 +39,21 @@ with boundary ends (an open tangle keeps its end names) or a self-loop,
 and two crossings joined by three or four arcs or from opposite ports
 are never in a twist.
 
-Inside the engine a weight is a term dict of ring's Laurent kernel.
-Bracket values lie in Z[A, A^-1], so the coefficients are ints, and
-Fractions only where a table weight is non-integral (a marked vertex
-carries 1/4).  Table weights are kernel terms already, the closing
-division by the loop value stays in the same integer domain, and
-contract and closed_value return kernel terms: LaurentPoly is built
-only where z_eval returns a value.
+Table weights are terms of ring's Laurent kernel, and contract and
+closed_value return kernel terms: LaurentPoly is built only where z_eval
+returns a value.  Inside the run, a network of crossing and twist tables
+alone (every link) packs each state's weight into one int, a Kronecker
+substitution: A^low sum_k c_k A^(2k) is read as sum_k c_k 2^(C k), so
+absorbing a node costs a multiply, a shift and an add per state and
+entry.  Exponents two apart suffice because every entry of such a
+table, and the loop value, keeps the parity of the exponents of a
+state.  The int is exact whatever its digits carry; only the final
+coefficients must fit in C bits, and _digit_width bounds them from the
+plan.  Each surviving state is decoded once, in balanced base 2^C.  A
+network with a vertex table keeps term dicts, whose coefficients are
+ints, and Fractions only where a table weight is non-integral (a marked
+vertex carries 1/4): a vertex weight such as A^10000 would make a packed
+int span every exponent between its terms.
 
 closed_value is the one route from a closed diagram, link or graph, to
 its value: node_tables, contract, then _close (free loops, sign and
@@ -461,6 +471,95 @@ def _plan(nodes: Iterable[str], arcs: Sequence[ArcT]
             len(held) + len(free))
 
 
+# A packed weight is a Kronecker substitution (Harvey, J. Symbolic
+# Comput. 44, 2009): a pair (low, x) stands for the terms c A^(low + S k)
+# and x for the integer sum of c 2^(C k), S the spacing and C the digit
+# width.  Every entry of a crossing or twist table has exponents of one
+# parity, that of its net twist, and LOOP's are even, so all the states
+# of one step have exponents of one parity and S = 2 holds them.  (S = 4
+# holds a planar network's, whose states' exponents agree mod 4, but
+# nothing checks that a network is planar.)
+_SPACING = 2
+
+
+def _loop_norm(table: Table, closing: int) -> int:
+    """The sum over a table's entries of the L1 norm of its weight times
+    2^k, k the number of its pairings whose two ports are both bits of
+    closing."""
+    norm = 0
+    for (p, q), (r, s), w in table:
+        l1 = 0
+        for _, c in w:
+            l1 += abs(c)
+        norm += l1 << (closing >> p & closing >> q & 1) + (
+            closing >> r & closing >> s & 1)
+    return norm
+
+
+# Each crossing table's _loop_norm for each set of closing ports.
+_CROSSING_NORMS = {id(table): [_loop_norm(table, closing)
+                               for closing in range(16)]
+                   for table in CROSSING_TABLES.values()}
+
+
+def _digit_width(steps: List[tuple], tables: Dict[str, Table],
+                 loops: int) -> int:
+    """The digit width C of the packed run of a plan's steps over
+    crossing and twist tables, to which absorbing the twists added loops
+    free loops: enough bits for every coefficient of the state sum.
+
+    A loop closes at the step that places the last of its nodes, and
+    there it runs along a pairing of the chosen entry whose two ports
+    both lead back, to earlier nodes or to the node itself.  So an entry
+    closes at most as many loops as it has such pairings, k, and the L1
+    norm of the state sum is at most 2^loops times the product over the
+    steps of the sum over the node's entries of |weight|_1 2^k
+    (_loop_norm).  That sum is 3 for a crossing whose two adjacent
+    in-ports lead back, as in a braid closure, and at most 4 (1 + |m|)
+    for a twist of net twist m.  A digit of C bits holds a coefficient c
+    in balanced base 2^C when |c| < 2^(C - 1), so C is one bit more than
+    the bound's bit length, rounded up to a multiple of 16 so that few
+    widths, and so few packed cases, ever occur."""
+    norm = 1 << loops
+    for node, fixed, *_ in steps:
+        f0, f1, f2, f3, _ = fixed       # below 0: the port leads back
+        closing = (f0 < 0) | (f1 < 0) << 1 | (f2 < 0) << 2 | (f3 < 0) << 3
+        table = tables[node]
+        norms = _CROSSING_NORMS.get(id(table))
+        norm *= norms[closing] if norms else _loop_norm(table, closing)
+    return -(-(norm.bit_length() + 1) // 16) * 16
+
+
+def _pack(cases: dict, table: Table, links: Tuple[int, ...], width: int
+          ) -> Tuple[Tuple[Tuple[Pair, ...], int, int], ...]:
+    """The term case of links with each weight packed at the given digit
+    width.  A twist's term case is built here but not kept: only its
+    packed cases are read again."""
+    packed = []
+    for joins, factor in cases.get(links) or _entries(table, links):
+        low = min(e for e, _ in factor)
+        packed.append((joins, low, sum(c << (e - low) // _SPACING * width
+                                       for e, c in factor)))
+    return tuple(packed)
+
+
+def _unpack(low: int, x: int, width: int) -> Terms:
+    """The terms of a packed weight, from x's digits in balanced base
+    2^width."""
+    terms = {}
+    full = 1 << width
+    half, mask = full >> 1, full - 1
+    while x:
+        c = x & mask
+        if c >= half:
+            c -= full
+        if c:
+            terms[low] = c
+        x = (x - c) >> width
+        low += _SPACING
+    return terms
+
+
 def contract(tables: Dict[str, Table], arcs: Sequence[ArcT]
              ) -> Dict[frozenset, Terms]:
     """State sum of the tangle whose nodes are the keys of tables, by
@@ -470,10 +569,29 @@ def contract(tables: Dict[str, Table], arcs: Sequence[ArcT]
     is a boundary end, named by its (node, port).  Returns the nonzero
     weights, as kernel terms, by the pairing of the boundary ends that
     each state makes (a frozenset of two-end frozensets; empty for a
-    closed diagram)."""
+    closed diagram).  Where every table left after _absorb_twists is a
+    crossing or twist table, each state's weight is one packed integer
+    (_run_packed); a network with any other table, such as a vertex's,
+    keeps term dicts (_run_terms)."""
     tables, arcs, memo, loops = _absorb_twists(tables, arcs)
-    steps, ends, width = _plan(tables, arcs)
-    states: Dict[Tuple[int, ...], Terms] = {(-1,) * width: {0: 1}}
+    steps, ends, slots = _plan(tables, arcs)
+    if all(id(t) in _CROSSING_JOINS or id(t) in memo
+           for t in tables.values()):
+        width = _digit_width(steps, tables, loops)
+        states = {state: _unpack(low, x, width) for state, (low, x)
+                  in _run_packed(steps, tables, memo, slots, loops,
+                                 width).items()}
+    else:
+        states = _run_terms(steps, tables, memo, slots, loops)
+    return {frozenset(frozenset((ends[s], ends[t]))
+                      for s, t in enumerate(state) if s < t): terms
+            for state, terms in states.items()}
+
+
+def _run_terms(steps: List[tuple], tables: Dict[str, Table], memo: dict,
+               slots: int, loops: int) -> Dict[Tuple[int, ...], Terms]:
+    """The plan's run with each state's weight a term dict."""
+    states: Dict[Tuple[int, ...], Terms] = {(-1,) * slots: {0: 1}}
     for node, fixed, mates_of, port_at, dest_of, cleared, _ in steps:
         table = tables[node]
         cases = _CROSSING_JOINS.get(id(table))
@@ -525,9 +643,65 @@ def contract(tables: Dict[str, Table], arcs: Sequence[ArcT]
         states = new_states
     for _ in range(loops):
         states = {state: _times(w, _LOOP) for state, w in states.items()}
-    return {frozenset(frozenset((ends[s], ends[t]))
-                      for s, t in enumerate(state) if s < t): terms
-            for state, terms in states.items()}
+    return states
+
+
+def _run_packed(steps: List[tuple], tables: Dict[str, Table], memo: dict,
+                slots: int, loops: int, width: int
+                ) -> Dict[Tuple[int, ...], Tuple[int, int]]:
+    """The plan's run with each state's weight packed as (low, x), low
+    its lowest exponent (_SPACING).  An entry's packed weight multiplies
+    x and adds to low; two weights that meet add after the one of higher
+    low is shifted by whole digits.  The integers are exact, so only the
+    final coefficients must fit a digit (_digit_width).  A table's packed
+    cases sit in its cases dict under the key width, beside its term
+    cases."""
+    spacing = _SPACING
+    states: Dict[Tuple[int, ...], Tuple[int, int]] = {(-1,) * slots: (0, 1)}
+    for node, fixed, mates_of, port_at, dest_of, cleared, _ in steps:
+        table = tables[node]
+        cases = _CROSSING_JOINS.get(id(table)) or memo[id(table)]
+        packed = cases.get(width)
+        if packed is None:
+            packed = cases[width] = {}
+        port_of = port_at.__getitem__
+        new_states: Dict[Tuple[int, ...], Tuple[int, int]] = {}
+        for state, (low, x) in states.items():
+            ext = fixed + state
+            links = tuple(map(port_of, mates_of(ext)))
+            found = packed.get(links)
+            if found is None:
+                found = packed[links] = _pack(cases, table, links, width)
+            dest = dest_of(ext)
+            base = state
+            if cleared:
+                base = list(state)
+                for s in cleared:
+                    base[s] = -1
+            for joins, f, y in found:
+                new = list(base)
+                for p, q in joins:
+                    a, b = dest[p], dest[q]
+                    new[a], new[b] = b, a
+                key = tuple(new)
+                e, v = low + f, x * y if y != 1 else x
+                target = new_states.get(key)
+                if target is None:
+                    new_states[key] = e, v
+                    continue
+                e1, x1 = target
+                if e1 < e:
+                    v, e = x1 + (v << (e - e1) // spacing * width), e1
+                else:
+                    v += x1 << (e1 - e) // spacing * width
+                if v:
+                    new_states[key] = e, v
+                else:
+                    del new_states[key]
+        states = new_states
+    loop = -1 - (1 << 4 // spacing * width)     # LOOP = -A^-2 - A^2
+    return {state: (low - 2 * loops, x * loop ** loops)
+            for state, (low, x) in states.items()}
 
 
 def _vertex_table(ports: Dict[str, int], a: Terms, b: Terms, c: Terms,

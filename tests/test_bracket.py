@@ -23,9 +23,10 @@ from knotgraph.diagram import (Diagram, DiagramError, replace_kind,
                                vertex_ports)
 from knotgraph.graphinv import (CASIMIR_MARKED, CASIMIR_PLAIN, VASSILIEV,
                                 ResolutionScheme, eval_graph,
+                                eval_with_casimir_marks, resolve_vertices,
                                 vertex_to_crossing, vertex_unfold)
 from knotgraph.moves import KINK_VARIANTS, find_r2_minus, r1_plus, r2_plus
-from knotgraph.ring import (A, A_INV, DELTA_POS, LOOP, LaurentPoly,
+from knotgraph.ring import (A, A_INV, DELTA_POS, LOOP, RF_ZERO, LaurentPoly,
                             RingError, _exact_div, _terms, _times, parse_poly,
                             rf)
 
@@ -486,14 +487,18 @@ def test_join_table_has_every_local_state_and_no_other():
 def test_crossing_joins_are_computed_at_import_for_every_local_state():
     """The constant table holds, for both crossing tables and each of the
     ten ways their ports can lead back, what _join and the ring give on
-    the fly: the joined ports and the entry's weight times LOOP^k."""
+    the fly: the joined ports and the entry's weight times LOOP^k.  Its
+    other keys are the digit widths of the packed cases that runs added."""
     assert set(bracket._CROSSING_JOINS) == {id(t) for t in
                                             CROSSING_TABLES.values()}
     all_links = {links for links, _, _ in bracket._JOINS}
     for table in CROSSING_TABLES.values():
         joins = bracket._CROSSING_JOINS[id(table)]
-        assert set(joins) == all_links and len(all_links) == 10
-        for links, found in joins.items():
+        terms = {key: found for key, found in joins.items()
+                 if isinstance(key, tuple)}
+        assert all(isinstance(key, int) for key in joins.keys() - terms)
+        assert set(terms) == all_links and len(all_links) == 10
+        for links, found in terms.items():
             expect = []
             for pair1, pair2, w in table:
                 outward, k = bracket._join(links, pair1, pair2)
@@ -985,3 +990,143 @@ def test_twist_cycles_give_the_torus_link_of_their_net_twist(monkeypatch):
         assert value == (expect[net] if net >= 0
                          else expect[-net].substitute_inverse()), word
     assert min(nets) < 0 < max(nets) and 0 in nets
+
+
+# --- packed state weights ---------------------------------------------------
+
+
+def _fresh_cases(monkeypatch):
+    """Empty packed-case stores for one test: the crossing tables keep
+    only their term cases and no twist table exists yet, so the widths
+    and spacing that the test sets leave no packed case behind."""
+    monkeypatch.setattr(bracket, "_CROSSING_JOINS", {
+        key: {links: found for links, found in cases.items()
+              if isinstance(links, tuple)}
+        for key, cases in bracket._CROSSING_JOINS.items()})
+    monkeypatch.setattr(bracket, "_TWISTS", {})
+
+
+def _random_crossing_network(rng, k, closed):
+    """k crossings of random kinds whose out-ports (2, 3) lead to in-ports
+    (0, 1) by a random matching, so most networks are not planar and some
+    have self-loops.  A closed network matches every port; an open one
+    leaves some out-ports and as many in-ports as boundary ends."""
+    nodes = ["n%d" % i for i in range(k)]
+    tables = {n: CROSSING_TABLES[rng.choice(("XPos", "XNeg"))] for n in nodes}
+    outs = [(n, p) for n in nodes for p in (2, 3)]
+    ins = [(n, p) for n in nodes for p in (0, 1)]
+    rng.shuffle(outs)
+    rng.shuffle(ins)
+    cut = len(outs) if closed else rng.randrange(len(outs))
+    return tables, list(zip(outs[:cut], ins[:cut]))
+
+
+def test_packed_runs_equal_the_brute_force_sum_on_any_port_matching(
+        monkeypatch):
+    """Seeded networks of 1-7 crossings with arbitrary port matchings,
+    closed and open: contract runs packed weights and equals naive_profile
+    at every key.  Negative control: with the spacing forced to 4, which
+    holds only planar networks, most differ."""
+    rng = random.Random(61)
+    networks = [_random_crossing_network(rng, rng.randint(1, 7), closed)
+                for closed in (True, False) for _ in range(120)]
+    assert sum(a == b for _, arcs in networks
+               for (a, _), (b, _) in arcs) >= 20        # self-loops
+    packed = []
+    run = bracket._run_packed
+
+    def counted(*args):
+        packed.append(args)
+        return run(*args)
+    _fresh_cases(monkeypatch)
+    monkeypatch.setattr(bracket, "_run_packed", counted)
+    naive = [naive_profile(tables, arcs) for tables, arcs in networks]
+    assert sum(frozenset() in p for p in naive) >= 100
+    assert sum(any(p) for p in naive) >= 100       # boundary ends paired
+    assert [contract(tables, arcs) for tables, arcs in networks] == naive
+    assert len(packed) == len(networks)
+    _fresh_cases(monkeypatch)
+    monkeypatch.setattr(bracket, "_SPACING", 4)
+    wrong = sum(contract(tables, arcs) != expect
+                for (tables, arcs), expect in zip(networks, naive))
+    assert wrong >= 100
+
+
+def test_a_digit_one_bit_short_misreads_the_largest_coefficient(
+        monkeypatch):
+    """Through the one helper that picks the digit width: at the bit
+    length of the largest coefficient plus one for the sign, the value
+    matches; one bit less misreads that coefficient, which lies outside
+    the balanced digit range [-2^(C-1), 2^(C-1))."""
+    d = catalog.braid_closure(4, [(1, 1), (2, -1), (3, 1)] * 5)
+    tables = _crossing_tables(d)
+    expect = contract(tables, d.arcs)
+    assert set(expect) == {frozenset()}
+    top = max(expect[frozenset()].values(), key=abs)
+    bits = abs(top).bit_length()
+    assert bits >= 4 and top != -(1 << bits - 1)
+    for width, same in ((bits + 1, True), (bits, False)):
+        _fresh_cases(monkeypatch)
+        monkeypatch.setattr(bracket, "_digit_width",
+                            lambda steps, tables, loops, w=width: w)
+        assert (contract(tables, d.arcs) == expect) is same
+
+
+def test_vertex_networks_stay_on_term_dicts(monkeypatch):
+    """With packing refused, a 4-vertex braid-closure graph keeps its
+    values under three schemes, a sparse one whose packed weights would
+    span every exponent between A^-10000 and A^10000, and the Casimir
+    marks' 1/4 weights; each equals its resolution sum."""
+    word = [(1, 1), (2, -1), (1, 1), (3, 1), (2, 1), (3, -1), (1, -1),
+            (2, 1), (3, 1), (2, -1)]
+    g = catalog.braid_closure(4, word)
+    for n in (0, 3, 5, 8):
+        g = replace_kind(g, "c%d" % n, "Vert")
+    sparse = ResolutionScheme(rf(LaurentPoly.monomial(10000)),
+                              rf(LaurentPoly.monomial(-10000)),
+                              rf(LaurentPoly.const(1)))
+    cases = [(VASSILIEV, "p"), (CASIMIR_PLAIN, "z"), (_GENERAL, "p"),
+             (sparse, "p")]
+    expect = [resolve_vertices(g, s).evaluate(p_eval if level == "p"
+                                               else z_eval)
+              for s, level in cases]
+    marked = replace_kind(g, "c3", "CVert")
+    byhand = RF_ZERO
+    for weight, branch in ((CASIMIR_MARKED.a, vertex_to_crossing(g, "c3", 1)),
+                           (CASIMIR_MARKED.b, vertex_to_crossing(g, "c3", -1)),
+                           (CASIMIR_MARKED.c, vertex_unfold(g, "c3"))):
+        byhand = byhand + weight * resolve_vertices(
+            branch, CASIMIR_PLAIN).evaluate(z_eval)
+
+    def refuse(*args):
+        raise AssertionError("a vertex network was packed")
+    _fresh_cases(monkeypatch)
+    monkeypatch.setattr(bracket, "_pack", refuse)
+    assert [eval_graph(g, s, level) for s, level in cases] == expect
+    assert eval_with_casimir_marks(marked) == byhand
+    with pytest.raises(AssertionError):
+        z_eval(catalog.named_diagram("trefoil+"))
+
+
+def test_packed_cases_keep_one_width_per_rounding_step(monkeypatch):
+    """After p_eval of T(2, n), n <= 60, and of 5-strand closures, each
+    table's cases hold packed cases only at multiples of 16 bits, so at
+    most one width per rounding step, each with at most the ten ways the
+    ports can lead back."""
+    _fresh_cases(monkeypatch)
+    monkeypatch.setenv("MAX_CROSSINGS", "64")
+    rng = random.Random(67)
+    for n in range(1, 61):
+        p_eval(catalog.braid_closure(2, [(1, 1)] * n))
+    for _ in range(8):
+        p_eval(catalog.braid_closure(5, [(rng.randint(1, 4), rng.choice((1, -1)))
+                                         for _ in range(28)]))
+    stores = list(bracket._CROSSING_JOINS.values())
+    stores += [cases for _, cases in bracket._TWISTS.values()]
+    widths = [key for cases in stores for key in cases
+              if isinstance(key, int)]
+    assert len(bracket._TWISTS) >= 40 and len(set(widths)) >= 2
+    for cases in stores:
+        for key, packed in cases.items():
+            if isinstance(key, int):
+                assert key % 16 == 0 and len(packed) <= 10
