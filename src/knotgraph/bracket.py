@@ -20,12 +20,16 @@ closing arcs lead back to, and the slots it frees.  What a table entry
 does to a state depends only on the table and on which of the node's
 ports lead back to which.  For the two crossing tables it comes from a
 constant table, built at import, of their 20 (table, local links) cases,
-keyed by the identity of those module-lifetime tables; a vertex table is
-built per call, so its cases are memoised for the call.  Both rest on a
-constant table, built at import, of the 30 ways an entry's pairing can
-meet the ports that lead back to the node.  A crossing or twist table's
-packed cases (below) sit in the same dict as its term cases, keyed by
-their digit width, a multiple of 16 bits.
+keyed by the identity of those module-lifetime tables.  A twist table
+(below) is built once per net twist, and a vertex table once per scheme
+weights, level and orientation, kept in a store of at most 64 that holds
+every table its identity-keyed cases name; each keeps its cases across
+calls as contract meets them.  Only a table the caller builds has its
+cases memoised for the call alone.  All rest on a constant table, built
+at import, of the 30 ways an entry's pairing can meet the ports that
+lead back to the node.  A table's packed cases (below) sit in the same
+dict as its term cases, keyed by their digit width, a multiple of 16
+bits.
 
 Before the plan, one pass over the arcs absorbs each twist region, a
 chain of crossings joined two arcs at a time, into one 4-port node.  In
@@ -41,19 +45,23 @@ are never in a twist.
 
 Table weights are terms of ring's Laurent kernel, and contract and
 closed_value return kernel terms: LaurentPoly is built only where z_eval
-returns a value.  Inside the run, a network of crossing and twist tables
-alone (every link) packs each state's weight into one int, a Kronecker
+returns a value.  Inside the run, a network whose every table packs
+(every link, and every graph under the Vassiliev or the plain Casimir
+scheme) packs each state's weight into one int, a Kronecker
 substitution: A^low sum_k c_k A^(2k) is read as sum_k c_k 2^(C k), so
 absorbing a node costs a multiply, a shift and an add per state and
-entry.  Exponents two apart suffice because every entry of such a
-table, and the loop value, keeps the parity of the exponents of a
-state.  The int is exact whatever its digits carry; only the final
-coefficients must fit in C bits, and _digit_width bounds them from the
-plan.  Each surviving state is decoded once, in balanced base 2^C.  A
-network with a vertex table keeps term dicts, whose coefficients are
-ints, and Fractions only where a table weight is non-integral (a marked
-vertex carries 1/4): a vertex weight such as A^10000 would make a packed
-int span every exponent between its terms.
+entry.  A table packs when its coefficients are ints, its exponents have
+one parity and they span at most twice as many digits as it has terms;
+a shared table is checked once, when it is made, and a caller's table
+once per call.  Exponents two apart then suffice, because every entry,
+and the loop value, keeps the parity of a state's exponents.  The int is
+exact whatever its digits carry; only the final coefficients must fit
+in C bits, and _digit_width bounds them from the plan.  Each surviving
+state is decoded once, in balanced base 2^C.  Any other network keeps
+term dicts, whose coefficients are ints, and Fractions only where a
+table weight is non-integral: a marked vertex carries 1/4, the weights
+(A, 2, -3A^-1) mix parities, and a sparse weight such as A^10000 would
+make a packed int span every exponent between its terms.
 
 closed_value is the one route from a closed diagram, link or graph, to
 its value: node_tables, contract, then _close (free loops, sign and
@@ -300,11 +308,66 @@ def _entries(table: Table, links: Tuple[int, ...]
     return tuple(found)
 
 
-# The entries of both crossing tables for each of the ten ways their
-# ports can lead back, keyed by the identity of the table: these tables
-# live as long as the module, so no other table shares their identity.
-_CROSSING_JOINS = {id(table): {links: _entries(table, links)
-                               for links in _LINKS}
+# A packed weight is a Kronecker substitution (Harvey, J. Symbolic
+# Comput. 44, 2009): a pair (low, x) stands for the terms c A^(low + S k)
+# and x for the integer sum of c 2^(C k), S the spacing and C the digit
+# width.  Every table that packs has exponents of one parity (_norms), as
+# crossing and twist tables do, and LOOP's are even, so all the states of
+# one step have exponents of one parity and S = 2 holds them.  (S = 4
+# holds a planar network's, whose states' exponents agree mod 4, but
+# nothing checks that a network is planar.)
+_SPACING = 2
+
+
+def _loop_norm(table: Table, closing: int) -> int:
+    """The sum over a table's entries of the L1 norm of its weight times
+    2^k, k the number of its pairings whose two ports are both bits of
+    closing."""
+    norm = 0
+    for (p, q), (r, s), w in table:
+        l1 = 0
+        for _, c in w:
+            l1 += abs(c)
+        norm += l1 << (closing >> p & closing >> q & 1) + (
+            closing >> r & closing >> s & 1)
+    return norm
+
+
+def _norms(table: Table) -> Optional[List[int]]:
+    """A table's _loop_norm for each of the 16 sets of closing ports, or
+    None where its weights do not pack: no entry or an empty weight, a
+    coefficient that is not an int, exponents of both parities, or
+    exponents that span more than twice as many digits as the table has
+    terms (a sparse weight such as A^10000 + A^-10000 would make a packed
+    int span every exponent between its terms)."""
+    exps = [e for _, _, w in table for e, _ in w]
+    if (not exps or not all(w for _, _, w in table)
+            or any(type(c) is not int for _, _, w in table for _, c in w)
+            or len({e % 2 for e in exps}) > 1
+            or (max(exps) - min(exps)) // _SPACING >= 2 * len(exps)):
+        return None
+    return [_loop_norm(table, closing) for closing in range(16)]
+
+
+class _Cases(dict):
+    """A shared table's cases, kept across calls as long as the table: what
+    each entry does to a state, by the local links (_entries), and its
+    packed cases, by digit width (_run_packed); norms holds its _norms,
+    checked once when the table is made."""
+
+    __slots__ = ("norms",)
+
+    def __init__(self, table: Table, cases: Iterable = ()) -> None:
+        super().__init__(cases)
+        self.norms = _norms(table)
+
+
+# The cases of both crossing tables, with the entries for each of the ten
+# ways their ports can lead back, keyed by the identity of the table:
+# these tables live as long as the module, so no other table shares their
+# identity.
+_CROSSING_JOINS = {id(table): _Cases(table, ((links, _entries(table, links))
+                                             for links in _LINKS))
                    for table in CROSSING_TABLES.values()}
 
 # Each crossing table's twist step by a pair of adjacent ports: the entry
@@ -314,17 +377,18 @@ _TWIST_STEP = {(id(t), pair): -w[0][0] for t in CROSSING_TABLES.values()
                for p1, p2, w in t for pair in (p1, p2)}
 
 # Each twist region's table, keyed by its net twist m != 0, with its cases
-# as contract meets them: sigma^m = A^m 1 + ((-1)^m A^-3m - A^m) / LOOP e
-# in the 2-strand Temperley-Lieb algebra, 1 joining ports 0-2 and 1-3 and
-# e 0-1 and 2-3.  At m = 0 the region is 1 and gets no node.
+# (_Cases) as contract meets them: sigma^m = A^m 1 + ((-1)^m A^-3m - A^m) /
+# LOOP e in the 2-strand Temperley-Lieb algebra, 1 joining ports 0-2 and
+# 1-3 and e 0-1 and 2-3.  At m = 0 the region is 1 and gets no node.
 _TWISTS: Dict[int, tuple] = {}
 
 
 def _twist_table(m: int) -> tuple:
     if m not in _TWISTS:
         e = _exact_div({-3 * m: -1 if m % 2 else 1, m: -1}, _LOOP)
-        _TWISTS[m] = (((0, 2), (1, 3), ((m, 1),)),
-                      ((0, 1), (2, 3), tuple(sorted(e.items())))), {}
+        table = (((0, 2), (1, 3), ((m, 1),)),
+                 ((0, 1), (2, 3), tuple(sorted(e.items()))))
+        _TWISTS[m] = table, _Cases(table)
     return _TWISTS[m]
 
 
@@ -471,42 +535,11 @@ def _plan(nodes: Iterable[str], arcs: Sequence[ArcT]
             len(held) + len(free))
 
 
-# A packed weight is a Kronecker substitution (Harvey, J. Symbolic
-# Comput. 44, 2009): a pair (low, x) stands for the terms c A^(low + S k)
-# and x for the integer sum of c 2^(C k), S the spacing and C the digit
-# width.  Every entry of a crossing or twist table has exponents of one
-# parity, that of its net twist, and LOOP's are even, so all the states
-# of one step have exponents of one parity and S = 2 holds them.  (S = 4
-# holds a planar network's, whose states' exponents agree mod 4, but
-# nothing checks that a network is planar.)
-_SPACING = 2
-
-
-def _loop_norm(table: Table, closing: int) -> int:
-    """The sum over a table's entries of the L1 norm of its weight times
-    2^k, k the number of its pairings whose two ports are both bits of
-    closing."""
-    norm = 0
-    for (p, q), (r, s), w in table:
-        l1 = 0
-        for _, c in w:
-            l1 += abs(c)
-        norm += l1 << (closing >> p & closing >> q & 1) + (
-            closing >> r & closing >> s & 1)
-    return norm
-
-
-# Each crossing table's _loop_norm for each set of closing ports.
-_CROSSING_NORMS = {id(table): [_loop_norm(table, closing)
-                               for closing in range(16)]
-                   for table in CROSSING_TABLES.values()}
-
-
-def _digit_width(steps: List[tuple], tables: Dict[str, Table],
+def _digit_width(steps: List[tuple], nodes: Dict[str, tuple],
                  loops: int) -> int:
-    """The digit width C of the packed run of a plan's steps over
-    crossing and twist tables, to which absorbing the twists added loops
-    free loops: enough bits for every coefficient of the state sum.
+    """The digit width C of the packed run of a plan's steps, each node's
+    (table, cases, norms) in nodes, to which absorbing the twists added
+    loops free loops: enough bits for every coefficient of the state sum.
 
     A loop closes at the step that places the last of its nodes, and
     there it runs along a pairing of the chosen entry whose two ports
@@ -516,25 +549,24 @@ def _digit_width(steps: List[tuple], tables: Dict[str, Table],
     steps of the sum over the node's entries of |weight|_1 2^k
     (_loop_norm).  That sum is 3 for a crossing whose two adjacent
     in-ports lead back, as in a braid closure, and at most 4 (1 + |m|)
-    for a twist of net twist m.  A digit of C bits holds a coefficient c
-    in balanced base 2^C when |c| < 2^(C - 1), so C is one bit more than
-    the bound's bit length, rounded up to a multiple of 16 so that few
-    widths, and so few packed cases, ever occur."""
+    for a twist of net twist m; each table's norms hold it for the 16
+    sets of closing ports (_norms).  A digit of C bits holds a
+    coefficient c in balanced base 2^C when |c| < 2^(C - 1), so C is one
+    bit more than the bound's bit length, rounded up to a multiple of 16
+    so that few widths, and so few packed cases, ever occur."""
     norm = 1 << loops
     for node, fixed, *_ in steps:
         f0, f1, f2, f3, _ = fixed       # below 0: the port leads back
         closing = (f0 < 0) | (f1 < 0) << 1 | (f2 < 0) << 2 | (f3 < 0) << 3
-        table = tables[node]
-        norms = _CROSSING_NORMS.get(id(table))
-        norm *= norms[closing] if norms else _loop_norm(table, closing)
+        norm *= nodes[node][2][closing]
     return -(-(norm.bit_length() + 1) // 16) * 16
 
 
 def _pack(cases: dict, table: Table, links: Tuple[int, ...], width: int
           ) -> Tuple[Tuple[Tuple[Pair, ...], int, int], ...]:
     """The term case of links with each weight packed at the given digit
-    width.  A twist's term case is built here but not kept: only its
-    packed cases are read again."""
+    width.  A twist's or a vertex's term case is built here but not kept:
+    only its packed cases are read again."""
     packed = []
     for joins, factor in cases.get(links) or _entries(table, links):
         low = min(e for e, _ in factor)
@@ -569,34 +601,52 @@ def contract(tables: Dict[str, Table], arcs: Sequence[ArcT]
     is a boundary end, named by its (node, port).  Returns the nonzero
     weights, as kernel terms, by the pairing of the boundary ends that
     each state makes (a frozenset of two-end frozensets; empty for a
-    closed diagram).  Where every table left after _absorb_twists is a
-    crossing or twist table, each state's weight is one packed integer
-    (_run_packed); a network with any other table, such as a vertex's,
-    keeps term dicts (_run_terms)."""
+    closed diagram).  Where every table left after _absorb_twists packs
+    (_norms), each state's weight is one packed integer (_run_packed);
+    otherwise, as with a marked vertex's 1/4 or a weight of both
+    parities, states keep term dicts (_run_terms)."""
     tables, arcs, memo, loops = _absorb_twists(tables, arcs)
     steps, ends, slots = _plan(tables, arcs)
-    if all(id(t) in _CROSSING_JOINS or id(t) in memo
-           for t in tables.values()):
-        width = _digit_width(steps, tables, loops)
+    found: Dict[int, tuple] = {}
+    for table in tables.values():
+        if id(table) not in found:
+            found[id(table)] = _cases(table, memo)
+    nodes = {node: found[id(table)] for node, table in tables.items()}
+    if all(norms for _, _, norms in found.values()):
+        width = _digit_width(steps, nodes, loops)
         states = {state: _unpack(low, x, width) for state, (low, x)
-                  in _run_packed(steps, tables, memo, slots, loops,
-                                 width).items()}
+                  in _run_packed(steps, nodes, slots, loops, width).items()}
     else:
-        states = _run_terms(steps, tables, memo, slots, loops)
+        states = _run_terms(steps, nodes, slots, loops)
     return {frozenset(frozenset((ends[s], ends[t]))
                       for s, t in enumerate(state) if s < t): terms
             for state, terms in states.items()}
 
 
-def _run_terms(steps: List[tuple], tables: Dict[str, Table], memo: dict,
-               slots: int, loops: int) -> Dict[Tuple[int, ...], Terms]:
-    """The plan's run with each state's weight a term dict."""
+def _cases(table: Table, memo: dict) -> tuple:
+    """A table, its cases and its norms (_norms).  A crossing, twist or
+    shared vertex table keeps its cases across calls (_Cases) and was
+    checked when it was made; any other table, built by the caller, gets
+    cases in memo for this call and is checked here."""
+    key = id(table)
+    for store in (_CROSSING_JOINS, memo, _VERTEX_CASES):
+        cases = store.get(key)
+        if cases is not None:
+            break
+    else:
+        cases = memo[key] = {}
+    if isinstance(cases, _Cases):
+        return table, cases, cases.norms
+    return table, cases, _norms(table)
+
+
+def _run_terms(steps: List[tuple], nodes: Dict[str, tuple], slots: int,
+               loops: int) -> Dict[Tuple[int, ...], Terms]:
+    """The plan's run with each state's weight a term dict, each node's
+    (table, cases, norms) in nodes."""
     states: Dict[Tuple[int, ...], Terms] = {(-1,) * slots: {0: 1}}
     for node, fixed, mates_of, port_at, dest_of, cleared, _ in steps:
-        table = tables[node]
-        cases = _CROSSING_JOINS.get(id(table))
-        if cases is None:
-            cases = memo.setdefault(id(table), {})
+        table, cases, _ = nodes[node]
         port_of = port_at.__getitem__
         new_states: Dict[Tuple[int, ...], Terms] = {}
         summed = set()      # the targets a sum may have left a zero in
@@ -646,21 +696,20 @@ def _run_terms(steps: List[tuple], tables: Dict[str, Table], memo: dict,
     return states
 
 
-def _run_packed(steps: List[tuple], tables: Dict[str, Table], memo: dict,
-                slots: int, loops: int, width: int
+def _run_packed(steps: List[tuple], nodes: Dict[str, tuple], slots: int,
+                loops: int, width: int
                 ) -> Dict[Tuple[int, ...], Tuple[int, int]]:
     """The plan's run with each state's weight packed as (low, x), low
     its lowest exponent (_SPACING).  An entry's packed weight multiplies
     x and adds to low; two weights that meet add after the one of higher
     low is shifted by whole digits.  The integers are exact, so only the
     final coefficients must fit a digit (_digit_width).  A table's packed
-    cases sit in its cases dict under the key width, beside its term
-    cases."""
+    cases sit in its cases dict (nodes, as in _run_terms) under the key
+    width, beside its term cases."""
     spacing = _SPACING
     states: Dict[Tuple[int, ...], Tuple[int, int]] = {(-1,) * slots: (0, 1)}
     for node, fixed, mates_of, port_at, dest_of, cleared, _ in steps:
-        table = tables[node]
-        cases = _CROSSING_JOINS.get(id(table)) or memo[id(table)]
+        table, cases, _ = nodes[node]
         packed = cases.get(width)
         if packed is None:
             packed = cases[width] = {}
@@ -723,6 +772,29 @@ def _vertex_table(ports: Dict[str, int], a: Terms, b: Terms, c: Terms,
                  if (terms := tuple((e, k) for e, k in w.items() if k)))
 
 
+# The vertex tables node_tables has built, oldest first, keyed by their
+# scheme weights' terms, level and orientation, and each one's cases
+# (_Cases) keyed by its identity: the store holds every table that
+# _VERTEX_CASES names, and drops its oldest beyond _VERTEX_LIMIT tables.
+_VERTICES: Dict[tuple, Table] = {}
+_VERTEX_CASES: Dict[int, _Cases] = {}
+_VERTEX_LIMIT = 64
+
+
+def _shared_vertex_table(ports: Dict[str, int], a: Terms, b: Terms,
+                         c: Terms, level: str) -> Table:
+    """_vertex_table's table, built once and kept in _VERTICES."""
+    key = (level, ports["in_a"], ports["in_b"], tuple(a.items()),
+           tuple(b.items()), tuple(c.items()))
+    table = _VERTICES.get(key)
+    if table is None:
+        if len(_VERTICES) >= _VERTEX_LIMIT:
+            del _VERTEX_CASES[id(_VERTICES.pop(next(iter(_VERTICES))))]
+        table = _VERTICES[key] = _vertex_table(ports, a, b, c, level)
+        _VERTEX_CASES[id(table)] = _Cases(table)
+    return table
+
+
 def node_tables(nodes: Sequence[Tuple[str, str]],
                 ins: Optional[Dict[End, ArcT]],
                 schemes: Dict[str, Tuple[Terms, ...]], level: str
@@ -730,7 +802,9 @@ def node_tables(nodes: Sequence[Tuple[str, str]],
     """Each (id, kind) node's table at level 'z' or 'p', and the product
     of the vertices' denominators.  schemes maps a vertex kind to its
     scheme's (den, a, b, c) over_one_den terms; ins (Diagram.in_ports)
-    orients the vertices.  Raises DiagramError for any other kind."""
+    orients the vertices, and every call with the same weights, level and
+    orientation gets the same table (_shared_vertex_table).  Raises
+    DiagramError for any other kind."""
     tables: Dict[str, Table] = {}
     den: Terms = {0: 1}
     for i, kind in nodes:
@@ -738,7 +812,8 @@ def node_tables(nodes: Sequence[Tuple[str, str]],
             tables[i] = CROSSING_TABLES[kind]
         elif kind in schemes:
             vden, a, b, c = schemes[kind]
-            tables[i] = _vertex_table(strand_ports(ins, i), a, b, c, level)
+            tables[i] = _shared_vertex_table(strand_ports(ins, i), a, b, c,
+                                             level)
             den = _times(den, vden)
         else:
             raise DiagramError(

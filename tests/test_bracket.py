@@ -783,7 +783,10 @@ def test_the_twist_table_gains_one_key_per_new_net_twist(monkeypatch):
 def test_a_changed_twist_weight_changes_the_value(monkeypatch):
     """Negative control: with the table of net twist -m in place of that
     of m, or with the e entry's weight times A, contract no longer equals
-    naive_profile on the open chains of nonzero net twist."""
+    naive_profile on the open chains of nonzero net twist.  The changed
+    table mixes exponent parities, so it goes to term dicts, and contract
+    is the brute-force sum of the network with that table in the twist's
+    place."""
     twists = {m: bracket._twist_table(m) for m in range(-13, 14) if m}
     flipped = {m: twists[-m] for m in twists}
     changed = {}
@@ -798,6 +801,10 @@ def test_a_changed_twist_weight_changes_the_value(monkeypatch):
         monkeypatch.setattr(bracket, "_TWISTS", wrong)
         for tables, arcs, naive in cases:
             assert contract(tables, arcs) != naive
+            if wrong is changed:
+                after, left, _, loops = _absorb_twists(tables, arcs)
+                assert loops == 0
+                assert contract(tables, arcs) == naive_profile(after, left)
 
 
 def _profiles_agree(d, schemes):
@@ -997,13 +1004,16 @@ def test_twist_cycles_give_the_torus_link_of_their_net_twist(monkeypatch):
 
 def _fresh_cases(monkeypatch):
     """Empty packed-case stores for one test: the crossing tables keep
-    only their term cases and no twist table exists yet, so the widths
-    and spacing that the test sets leave no packed case behind."""
+    only their term cases and no twist or shared vertex table exists yet,
+    so the widths and spacing that the test sets leave no packed case
+    behind."""
     monkeypatch.setattr(bracket, "_CROSSING_JOINS", {
         key: {links: found for links, found in cases.items()
               if isinstance(links, tuple)}
         for key, cases in bracket._CROSSING_JOINS.items()})
     monkeypatch.setattr(bracket, "_TWISTS", {})
+    monkeypatch.setattr(bracket, "_VERTICES", {})
+    monkeypatch.setattr(bracket, "_VERTEX_CASES", {})
 
 
 def _random_crossing_network(rng, k, closed):
@@ -1072,11 +1082,20 @@ def test_a_digit_one_bit_short_misreads_the_largest_coefficient(
         assert (contract(tables, d.arcs) == expect) is same
 
 
-def test_vertex_networks_stay_on_term_dicts(monkeypatch):
-    """With packing refused, a 4-vertex braid-closure graph keeps its
-    values under three schemes, a sparse one whose packed weights would
-    span every exponent between A^-10000 and A^10000, and the Casimir
-    marks' 1/4 weights; each equals its resolution sum."""
+def _refuse(name):
+    def refuse(*args):
+        raise AssertionError("%s was called" % name)
+    return refuse
+
+
+def test_vertex_networks_pack_where_every_table_packs(monkeypatch):
+    """A 4-vertex braid-closure graph.  With _pack made to raise, the
+    networks whose tables do not pack keep their resolution sums: a sparse
+    scheme whose packed weights would span every exponent between A^-10000
+    and A^10000, (A, 2, -3A^-1) at p, whose vertex weights mix exponent
+    parities, and the Casimir marks' 1/4 weights.  With _run_terms made to
+    raise, VASSILIEV and CASIMIR_PLAIN at both levels pack and keep theirs;
+    a trefoil still packs."""
     word = [(1, 1), (2, -1), (1, 1), (3, 1), (2, 1), (3, -1), (1, -1),
             (2, 1), (3, 1), (2, -1)]
     g = catalog.braid_closure(4, word)
@@ -1085,11 +1104,12 @@ def test_vertex_networks_stay_on_term_dicts(monkeypatch):
     sparse = ResolutionScheme(rf(LaurentPoly.monomial(10000)),
                               rf(LaurentPoly.monomial(-10000)),
                               rf(LaurentPoly.const(1)))
-    cases = [(VASSILIEV, "p"), (CASIMIR_PLAIN, "z"), (_GENERAL, "p"),
-             (sparse, "p")]
+    terms = [(sparse, "p"), (_GENERAL, "p")]
+    packed = [(s, level) for s in (VASSILIEV, CASIMIR_PLAIN)
+              for level in ("p", "z")]
     expect = [resolve_vertices(g, s).evaluate(p_eval if level == "p"
                                                else z_eval)
-              for s, level in cases]
+              for s, level in terms + packed]
     marked = replace_kind(g, "c3", "CVert")
     byhand = RF_ZERO
     for weight, branch in ((CASIMIR_MARKED.a, vertex_to_crossing(g, "c3", 1)),
@@ -1097,15 +1117,127 @@ def test_vertex_networks_stay_on_term_dicts(monkeypatch):
                            (CASIMIR_MARKED.c, vertex_unfold(g, "c3"))):
         byhand = byhand + weight * resolve_vertices(
             branch, CASIMIR_PLAIN).evaluate(z_eval)
-
-    def refuse(*args):
-        raise AssertionError("a vertex network was packed")
     _fresh_cases(monkeypatch)
-    monkeypatch.setattr(bracket, "_pack", refuse)
-    assert [eval_graph(g, s, level) for s, level in cases] == expect
-    assert eval_with_casimir_marks(marked) == byhand
-    with pytest.raises(AssertionError):
-        z_eval(catalog.named_diagram("trefoil+"))
+    with monkeypatch.context() as patch:
+        patch.setattr(bracket, "_pack", _refuse("_pack"))
+        assert [eval_graph(g, s, level) for s, level in terms] == expect[:2]
+        assert eval_with_casimir_marks(marked) == byhand
+        with pytest.raises(AssertionError):
+            z_eval(catalog.named_diagram("trefoil+"))
+    monkeypatch.setattr(bracket, "_run_terms", _refuse("_run_terms"))
+    assert [eval_graph(g, s, level) for s, level in packed] == expect[2:]
+
+
+def _braid_graph(rng, vertices):
+    """A seeded closure of a 3- or 4-strand braid word of 6-8 letters with
+    the given number of its crossings drawn as Vert."""
+    strands = rng.randint(3, 4)
+    word = [(rng.randint(1, strands - 1), rng.choice((1, -1)))
+            for _ in range(rng.randint(max(6, vertices), 8))]
+    g = catalog.braid_closure(strands, word)
+    for n in rng.sample(range(len(word)), vertices):
+        g = replace_kind(g, "c%d" % n, "Vert")
+    return g
+
+
+def test_packed_vertex_networks_equal_the_brute_force_sum(monkeypatch):
+    """Seeded braid-form graphs of 1-5 vertices under VASSILIEV and
+    CASIMIR_PLAIN at both levels, closed and with about 30% of the arcs
+    cut: every network packs (_run_terms raises) and contract equals
+    naive_profile."""
+    rng = random.Random(83)
+    networks = []
+    for k in range(1, 6):
+        for _ in range(2):
+            g = _braid_graph(rng, k)
+            for s, level in product((VASSILIEV, CASIMIR_PLAIN), ("p", "z")):
+                tables = _graph_tables(g, {"Vert": s.over_one_den}, level)
+                networks.append((tables, g.arcs))
+                networks.append((tables, [a for a in g.arcs
+                                          if rng.random() > 0.3]))
+    naive = [naive_profile(tables, arcs) for tables, arcs in networks]
+    assert sum(frozenset() in p for p in naive) >= 20
+    assert sum(any(p) for p in naive) >= 20         # boundary ends paired
+    _fresh_cases(monkeypatch)
+    monkeypatch.setattr(bracket, "_run_terms", _refuse("_run_terms"))
+    assert [contract(tables, arcs) for tables, arcs in networks] == naive
+
+
+def test_a_digit_one_bit_short_misreads_a_vertex_network(monkeypatch):
+    """As for links: on a 3-vertex graph under VASSILIEV at p, a digit of
+    the largest coefficient's bit length plus one for the sign keeps the
+    value, and one bit less misreads that coefficient."""
+    g = catalog.braid_closure(4, [(1, 1), (2, -1), (3, 1)] * 4)
+    for n in (1, 5, 9):
+        g = replace_kind(g, "c%d" % n, "Vert")
+    tables = _graph_tables(g, {"Vert": VASSILIEV.over_one_den}, "p")
+    expect = contract(tables, g.arcs)
+    assert set(expect) == {frozenset()}
+    top = max(expect[frozenset()].values(), key=abs)
+    bits = abs(top).bit_length()
+    assert bits >= 4 and top != -(1 << bits - 1)
+    for width, same in ((bits + 1, True), (bits, False)):
+        _fresh_cases(monkeypatch)
+        tables = _graph_tables(g, {"Vert": VASSILIEV.over_one_den}, "p")
+        monkeypatch.setattr(bracket, "_digit_width",
+                            lambda steps, nodes, loops, w=width: w)
+        assert (contract(tables, g.arcs) == expect) is same
+
+
+def test_vertex_tables_are_built_and_checked_once(monkeypatch):
+    """After a graph's first evaluation, a second one, and one under an
+    equal scheme built anew, read the same vertex table objects and their
+    cases and check no table again; a table built by the caller is
+    checked once per call, however many nodes share it."""
+    monkeypatch.setattr(bracket, "_VERTICES", {})
+    monkeypatch.setattr(bracket, "_VERTEX_CASES", {})
+    g = _braid_graph(random.Random(84), 3)
+    first = _graph_tables(g, {"Vert": VASSILIEV.over_one_den}, "p")
+    value = eval_graph(g, VASSILIEV, level="p")
+    cases = dict(bracket._VERTEX_CASES)
+    assert len(cases) == len(bracket._VERTICES) >= 1
+    checked = []
+    norms = bracket._norms
+
+    def counted(table):
+        checked.append(table)
+        return norms(table)
+    monkeypatch.setattr(bracket, "_norms", counted)
+    again = ResolutionScheme(VASSILIEV.a, VASSILIEV.b, VASSILIEV.c)
+    assert eval_graph(g, VASSILIEV, level="p") == value
+    assert eval_graph(g, again, level="p") == value
+    second = _graph_tables(g, {"Vert": again.over_one_den}, "p")
+    assert checked == [] and bracket._VERTEX_CASES == cases
+    for v in g.vertices():
+        assert second[v] is first[v]
+        assert bracket._VERTEX_CASES[id(first[v])] is cases[id(first[v])]
+    mine = {i: list(t) for i, t in first.items()}
+    mine.update(dict.fromkeys(g.vertices(), mine[g.vertices()[0]]))
+    contract(mine, g.arcs)
+    assert sorted(map(id, checked)) == sorted({id(t) for t in
+                                               mine.values()})
+
+
+def test_the_vertex_store_stays_bounded(monkeypatch):
+    """500 generated schemes, each evaluated on a 2-vertex graph: the
+    store keeps at most _VERTEX_LIMIT tables, its cases name exactly the
+    tables it holds, and a scheme whose table was dropped is built again
+    with the same value."""
+    monkeypatch.setattr(bracket, "_VERTICES", {})
+    monkeypatch.setattr(bracket, "_VERTEX_CASES", {})
+    g = catalog.named_diagram("gb_2vert")
+    values = {}
+    for k in range(500):
+        s = ResolutionScheme(rf(LaurentPoly.monomial(k % 25 - 12)),
+                             rf(LaurentPoly.const(k // 25 - 10)), RF_ZERO)
+        values[k] = eval_graph(g, s, level="z")
+        assert len(bracket._VERTICES) <= bracket._VERTEX_LIMIT
+        assert set(bracket._VERTEX_CASES) == {
+            id(t) for t in bracket._VERTICES.values()}
+    first = ResolutionScheme(rf(LaurentPoly.monomial(-12)),
+                             rf(LaurentPoly.const(-10)), RF_ZERO)
+    assert eval_graph(g, first, level="z") == values[0]
+    assert len(bracket._VERTICES) == bracket._VERTEX_LIMIT
 
 
 def test_packed_cases_keep_one_width_per_rounding_step(monkeypatch):
