@@ -17,15 +17,19 @@ the canonical form of RationalFunc and the bracket engine all use it.
 `rf_from_terms` is that canonical form on kernel terms: RationalFunc.make
 calls it, and so does graph evaluation, whose values never leave the
 kernel before it.
+
+A Series comes from one routine, `quotient_series`, which expands a
+quotient of Laurent polynomials in integers and builds each coefficient
+as one Fraction; `series_at_exp` and the Vassiliev series both call it.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 from operator import attrgetter
-from typing import Dict, Iterable, Mapping, Tuple, Union
+from typing import Dict, Mapping, Sequence, Tuple, Union
 
 
 class RingError(ValueError):
@@ -384,56 +388,11 @@ class Series(Value):
 
     __slots__ = ("order", "coeffs")
 
-    @staticmethod
-    def make(order: int, coeffs: Iterable) -> "Series":
-        cs = [Fraction(c) for c in coeffs]
-        cs = cs[: order + 1]
-        while len(cs) < order + 1:
-            cs.append(Fraction(0))
-        return Series(order, tuple(cs))
-
-    @staticmethod
-    def const(c, order: int) -> "Series":
-        return Series.make(order, [Fraction(c)])
-
     def valuation(self):
         for i, c in enumerate(self.coeffs):
             if c != 0:
                 return i
         return None
-
-    def drop_h(self, k: int) -> "Series":
-        """Divide by h^k assuming the first k coefficients vanish."""
-        if any(c != 0 for c in self.coeffs[:k]):
-            raise RingError("cannot divide by h^%d: nonzero low coefficient" % k)
-        return Series.make(self.order - k, self.coeffs[k:])
-
-    def divide(self, o: "Series") -> "Series":
-        """Series division, cancelling a common h-valuation first."""
-        v = o.valuation()
-        if v is None:
-            raise RingError("division by zero series")
-        if v > 0:
-            sv = self.valuation()
-            if sv is None:
-                return Series.const(0, self.order - v)
-            if sv < v:
-                raise RingError("pole at h = 0 within truncation order")
-            return self.drop_h(v).divide(o.drop_h(v))
-        n = min(self.order, o.order)
-        inv0 = 1 / o.coeffs[0]
-        # an even divisor, such as a power of A^2 + A^-2, has every odd
-        # coefficient zero
-        terms = [(j, c) for j, c in enumerate(o.coeffs[1:n + 1], 1) if c]
-        cs = []
-        for i in range(n + 1):
-            acc = self.coeffs[i]
-            for j, c in terms:
-                if j > i:
-                    break
-                acc -= c * cs[i - j]
-            cs.append(acc * inv0)
-        return Series.make(n, cs)
 
     def render(self) -> str:
         parts = []
@@ -450,31 +409,82 @@ class Series(Value):
         return self.render()
 
 
-def poly_series(p: LaurentPoly, order: int) -> Series:
-    """Expand a Laurent polynomial with A = exp(h): the coefficient of h^n
-    is the sum of c * e^n / n! over the terms c*A^e."""
-    den = lcm(*(c.denominator for _, c in p.terms))
-    ints = [(e, c.numerator * (den // c.denominator)) for e, c in p.terms]
-    coeffs = []
-    fact = 1
+# (exponent, int or Fraction coefficient) pairs, as LaurentPoly.terms
+Pairs = Sequence[Tuple[int, Union[int, Fraction]]]
+
+
+def _integral(terms: Pairs) -> Tuple[Dict[int, int], int]:
+    """Integer terms over their least common denominator L, and L."""
+    den = lcm(*(c.denominator for _, c in terms))
+    return {e: c.numerator * (den // c.denominator) for e, c in terms}, den
+
+
+def _over_a_minus_one(t: Dict[int, int]) -> Dict[int, int]:
+    """t / (A - 1) for integer terms t that vanish at A = 1: from
+    t = (A - 1) q, each q_e is q_(e-1) - t_e."""
+    out, acc = {}, 0
+    for e in range(min(t, default=0), max(t, default=0)):
+        acc -= t.get(e, 0)
+        if acc:
+            out[e] = acc
+    return out
+
+
+def _moments(t: Dict[int, int], order: int) -> list:
+    """The sums of k * e^n over the terms k*A^e of t, for n = 0..order:
+    n! times the h^n coefficients of t under A = exp(h)."""
+    es, ks = list(t), list(t.values())
+    out = [sum(ks)]
+    for _ in range(order):
+        ks = [k * e for k, e in zip(ks, es)]
+        out.append(sum(ks))
+    return out
+
+
+def quotient_series(num: Pairs, den: Pairs, order: int) -> Series:
+    """num/den under A = exp(h), truncated at h^order, in integers.
+
+    With num = a / L_a and den = b / L_b for integer terms a and b, a
+    root of b at A = 1 is cancelled by exact division of both by A - 1;
+    a root of a of lower multiplicity there is a pole, a RingError.
+    Then b_0 = b(1) is nonzero.  With a_n the sum of k e^n over the
+    terms k A^e of a, and b_n likewise, the quotient's h^n coefficient
+    is R_n L_b / (b_0^(n+1) n! L_a), built as one Fraction, where the
+    integer R_n = a_n b_0^n - sum_(j=1..n) C(n, j) b_j b_0^(j-1) R_(n-j).
+    Raises RingError for a negative order or a zero den."""
+    if order < 0:
+        raise RingError("series order %d is negative" % order)
+    a, la = _integral(num)
+    b, lb = _integral(den)
+    if not b:
+        raise RingError("division by zero series")
+    while not sum(b.values()):
+        if sum(a.values()):
+            raise RingError("pole at h = 0 within truncation order")
+        a, b = _over_a_minus_one(a), _over_a_minus_one(b)
+    an, bn = _moments(a, order), _moments(b, order)
+    b0 = bn[0]
+    # (j, b_j b_0^(j-1)) for the j >= 1 where b_j is nonzero: an even
+    # den, such as a power of A^2 + A^-2, has every odd b_j zero
+    steps = [(j, c * b0 ** (j - 1)) for j, c in enumerate(bn[1:], 1) if c]
+    rs, coeffs = [], []
+    power = fact = 1                # b_0^n and n!
     for n in range(order + 1):
         fact *= n or 1
-        coeffs.append(Fraction(sum(k * e ** n for e, k in ints), den * fact))
+        r = an[n] * power
+        for j, d in steps:
+            if j > n:
+                break
+            r -= comb(n, j) * d * rs[n - j]
+        rs.append(r)
+        power *= b0
+        coeffs.append(Fraction(r * lb, power * fact * la))
     return Series(order, tuple(coeffs))
 
 
 def series_at_exp(f: RationalFunc, order: int) -> Series:
-    """Truncated expansion of f under A = exp(h).
-
-    A denominator vanishing at h = 0 is handled by cancelling the common
-    h-valuation against the numerator; a genuine pole raises RingError.
-    That valuation is the multiplicity of the denominator's root at A = 1,
-    which is below its number of terms (Hajos's lemma), so expanding that
-    many orders less one beyond the truncation is always enough.
-    """
-    if f.is_zero():
-        return Series.const(0, order)
-    guard = len(f.den.terms) - 1
-    q = poly_series(f.num, order + guard).divide(
-        poly_series(f.den, order + guard))
-    return Series.make(order, q.coeffs[: order + 1])
+    """Truncated expansion of f under A = exp(h): quotient_series of its
+    numerator and denominator.  A denominator vanishing at h = 0 cancels
+    against the numerator; a genuine pole, a negative order, raises
+    RingError."""
+    return quotient_series(f.num.terms, f.den.terms, order)

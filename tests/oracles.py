@@ -31,14 +31,20 @@ contraction engine, so it checks the engine at any size:
   Casimir t = P - 1/2 on V (x) V.  For a knot with j of its crossings
   drawn as rigid vertices, the h^j coefficient of the graph's z value
   under VASSILIEV is 2^(2j-1) times it, and lower ones vanish.
+- poly_series and fraction_quotient_series: the series of a Laurent
+  polynomial, and of a quotient of two, under A = exp(h), in Fraction
+  arithmetic throughout: each series expanded term by term, the common
+  h-valuation cancelled, then long division.  It checks the integer
+  routine ring.quotient_series.
 """
 
 import itertools
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from math import factorial
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from knotgraph.diagram import Diagram
-from knotgraph.ring import LaurentPoly
+from knotgraph.ring import LaurentPoly, Series
 
 
 def torus_jones(p: int, q: int) -> LaurentPoly:
@@ -246,3 +252,32 @@ def sl2_weight(chords: Sequence[str],
                     i = ((partner[i] if chords[i] in swapped else i) + 1) % n
             total += identity ** (len(first) - size) * 2 ** cycles
     return total
+
+
+def poly_series(p: LaurentPoly, order: int) -> Series:
+    """p under A = exp(h) to h^order: the coefficient of h^n is the sum
+    of c * e^n / n! over the terms c*A^e."""
+    return Series(order, tuple(
+        sum((c * e ** n for e, c in p.terms), Fraction(0)) / factorial(n)
+        for n in range(order + 1)))
+
+
+def fraction_quotient_series(num: LaurentPoly, den: LaurentPoly,
+                             order: int) -> Optional[Series]:
+    """num/den (den nonzero) under A = exp(h) to h^order, None for a pole
+    at h = 0.  Both are expanded past the order by den's number of terms
+    less one, which bounds the multiplicity of den's root at A = 1
+    (Hajos's lemma), so den's h-valuation v lies within the expansion;
+    v is cancelled, then the series are divided term by term."""
+    extra = order + len(den.terms) - 1
+    s = poly_series(num, extra).coeffs
+    t = poly_series(den, extra).coeffs
+    v = next(i for i, c in enumerate(t) if c)
+    if any(s[:v]):
+        return None
+    s, t = s[v:], t[v:]
+    out: List[Fraction] = []
+    for i in range(order + 1):
+        out.append((s[i] - sum((t[j] * out[i - j] for j in range(1, i + 1)),
+                               Fraction(0))) / t[0])
+    return Series(order, tuple(out))

@@ -11,13 +11,13 @@ import pytest
 
 from conftest import disjoint_union
 from oracles import (crossing_sign, fox_determinant, gauss_code,
-                     polyak_viro_c2, sl2_weight, torus_jones,
+                     poly_series, polyak_viro_c2, sl2_weight, torus_jones,
                      value_at_zeta_squared)
 from knotgraph.bracket import p_eval
 from knotgraph.catalog import braid_closure, named_diagram
 from knotgraph.diagram import replace_kind
 from knotgraph.graphinv import CASIMIR_PLAIN, VASSILIEV, eval_graph
-from knotgraph.ring import LaurentPoly, poly_series
+from knotgraph.ring import LaurentPoly
 
 
 @pytest.fixture(autouse=True)

@@ -8,11 +8,12 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import fraction_quotient_series, poly_series
 from knotgraph.ring import (A, A_INV, DELTA_POS, LOOP, ONE, ZERO, LaurentPoly,
                             RationalFunc, RingError, Series, _divmod,
                             _exact_div, _gcd, _terms, _times, parse_poly,
-                            poly_exact_div, poly_series, rf, rf_from_terms,
-                            series_at_exp)
+                            poly_exact_div, quotient_series, rf,
+                            rf_from_terms, series_at_exp)
 
 fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 polys = st.dictionaries(st.integers(-6, 6), fractions, max_size=5).map(
@@ -252,8 +253,18 @@ def test_series_reports_true_poles():
         series_at_exp(rf(ONE, A - A_INV), 4)
 
 
+@pytest.mark.parametrize("order", [-1, -2, -200])
+def test_a_negative_series_order_is_refused(order):
+    f = rf(A)
+    with pytest.raises(RingError, match="^series order %d is negative$"
+                       % order):
+        series_at_exp(f, order)
+    with pytest.raises(RingError, match="order %d" % order):
+        quotient_series(A.terms, ONE.terms, order)
+
+
 def test_exp_series_values():
-    s = poly_series(A ** 2, 4)
+    s = series_at_exp(rf(A ** 2), 4)
     assert s.coeffs == (1, 2, 2, Fraction(4, 3), Fraction(2, 3))
 
 
@@ -268,38 +279,83 @@ def _series_times(s, t):
 @settings(max_examples=30)
 def test_poly_series_is_a_ring_map(p, q):
     n = 5
-    sp, sq = poly_series(p, n), poly_series(q, n)
-    assert _series_times(sp, sq) == poly_series(p * q, n)
+    sp, sq = series_at_exp(rf(p), n), series_at_exp(rf(q), n)
+    assert _series_times(sp, sq) == series_at_exp(rf(p * q), n)
     assert tuple(a + b for a, b in zip(sp.coeffs, sq.coeffs)) == \
-        poly_series(p + q, n).coeffs
+        series_at_exp(rf(p + q), n).coeffs
 
 
 @given(polys, nonzero_polys)
 @settings(max_examples=30)
 def test_series_division_roundtrip(p, q):
-    n = 4
-    sq = poly_series(q, n + 8)
-    sp = poly_series(p, n + 8)
-    if sq.valuation() is None:
-        return
-    prod = _series_times(sp, sq)
-    if sp.valuation() is not None and sq.valuation() > 0:
-        return  # cancellation handled by series_at_exp's guard orders
-    got = prod.divide(sq)
-    assert got.coeffs[: n + 1] == sp.coeffs[: n + 1]
+    """(p*q)/q, left uncancelled, expands to p's series, whatever the
+    multiplicity of q's root at A = 1; so does p*q over q when both
+    are scaled by (A - A^-1)^2."""
+    g = (A - A_INV) ** 2
+    for n in (0, 4, 9):
+        want = poly_series(p, n)
+        assert quotient_series((p * q).terms, q.terms, n) == want
+        assert series_at_exp(RationalFunc(p * q * g, q * g), n) == want
 
 
 def test_series_valuation_and_drop():
-    s = Series.make(4, [0, 0, 3, 1, 0])
-    assert s.valuation() == 2
-    assert s.drop_h(2).coeffs == (3, 1, 0)
-    with pytest.raises(RingError):
-        s.drop_h(3)
+    """A common root of multiplicity k at A = 1 is an h-valuation of k
+    that cancels; a numerator root of lower multiplicity than the
+    denominator's is a pole."""
+    assert Series(4, tuple(map(Fraction, (0, 0, 3, 1, 0)))).valuation() == 2
+    assert Series(2, (Fraction(0),) * 3).valuation() is None
+    p = parse_poly("3*A^2 + -1/2*A^-1")
+    for k in range(4):
+        h = (A - ONE) ** k
+        got = series_at_exp(RationalFunc(p * (A - ONE) ** 3, h), 5)
+        assert got.valuation() == 3 - k
+        assert got == poly_series(p * (A - ONE) ** (3 - k), 5)
+    with pytest.raises(RingError, match="^pole at h = 0"):
+        series_at_exp(RationalFunc(p * (A - ONE) ** 3, (A - ONE) ** 4), 5)
 
 
 def test_series_division_by_zero_is_refused():
     with pytest.raises(RingError, match="^division by zero series$"):
-        poly_series(A, 3).divide(Series.const(0, 3))
+        quotient_series(A.terms, ZERO.terms, 3)
+
+
+def _uncancelled(rng):
+    """RationalFunc(p*g, q*g) for seeded p, q with Fraction coefficients
+    and g = (A - A^-1)^k, k = 0..4, which rf would cancel; in one case of
+    five the denominator carries an extra A - A^-1, a pole unless p
+    vanishes at A = 1 too."""
+    def poly():
+        return LaurentPoly.from_dict(
+            {rng.randint(-7, 7): Fraction(rng.randint(-9, 9),
+                                          rng.choice((1, 1, 2, 3, 6)))
+             for _ in range(rng.randint(1, 5))})
+    p, q = poly(), poly()
+    while q.is_zero():
+        q = poly()
+    g = (A - A_INV) ** rng.randint(0, 4)
+    extra = A - A_INV if rng.random() < 0.2 else ONE
+    return p, q * extra, RationalFunc(p * g, q * extra * g)
+
+
+def test_series_at_exp_matches_the_fraction_route():
+    """series_at_exp on uncancelled quotients against the Fraction route
+    of tests/oracles.py, which expands num and den separately; a pole
+    is a RingError here and None there.  Both kinds occur."""
+    rng = random.Random(41)
+    poles = fractional = 0
+    for _ in range(300):
+        p, q, f = _uncancelled(rng)
+        n = rng.randint(0, 12)
+        want = fraction_quotient_series(p, q, n)
+        if want is None:
+            poles += 1
+            with pytest.raises(RingError, match="^pole at h = 0"):
+                series_at_exp(f, n)
+            continue
+        got = series_at_exp(f, n)
+        assert got == want and got.render() == want.render()
+        fractional += any(c.denominator > 1 for c in got.coeffs)
+    assert poles > 10 and fractional > 100
 
 
 def test_a_negative_power_is_refused():

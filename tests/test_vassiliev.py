@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import fraction_quotient_series
 from knotgraph import catalog, vassiliev
 from knotgraph.diagram import replace_kind
 from knotgraph.graphinv import VASSILIEV, eval_graph
-from knotgraph.ring import DELTA_POS, ONE, Series, rf, series_at_exp
+from knotgraph.ring import (A, A_INV, DELTA_POS, ONE, RationalFunc, parse_poly,
+                            rf, series_at_exp)
 from knotgraph.vassiliev import (VassilievReport, vanishing_order_check,
                                  vassiliev_series)
 
@@ -22,7 +24,7 @@ def test_links_start_at_one():
 
 def test_unknot_series_is_constant():
     rep = vassiliev_series(catalog.named_diagram("unknot"), 4)
-    assert rep.series == Series.const(1, 4)
+    assert rep.series.coeffs == (1, 0, 0, 0, 0)
     assert rep.vanishing_order == 0
 
 
@@ -116,6 +118,50 @@ def test_series_matches_the_rational_function_route():
             assert rep.series == series_at_exp(value, order)
             assert rep.series.render() == series_at_exp(value, order).render()
     assert seen >= {1, 2, 3, 4} and exact == {True, False}
+
+
+def test_series_matches_the_fraction_route():
+    """vassiliev_series against the Fraction route of tests/oracles.py,
+    which expands the value and the unit (A^2 + A^-2)^(c-1) separately
+    and divides term by term, on braid-closure graphs of 1-4 components
+    at orders 0-12, and at order 200 on three of them."""
+    rng = random.Random(83)
+    seen = set()
+    for t in range(40):
+        strands = rng.randint(2, 5)
+        g = _braid_graph(rng, strands, rng.randint(3, 10), rng.randint(0, 3))
+        c = g.components()
+        seen.add(c)
+        value = eval_graph(g, VASSILIEV).as_poly()
+        unit = DELTA_POS ** (c - 1)
+        orders = list(range(13)) + ([200] if t % 13 == 0 else [])
+        for order in orders:
+            want = fraction_quotient_series(value, unit, order)
+            rep = vassiliev_series(g, order)
+            assert rep.series == want
+            assert rep.vanishing_order == want.valuation()
+    assert seen == {1, 2, 3, 4}
+
+
+def test_series_need_no_fraction_arithmetic(monkeypatch):
+    """vassiliev_series and series_at_exp build each coefficient as one
+    Fraction from ints: with Fraction's arithmetic refused they return
+    the same series, here for Fraction coefficients and a root at A = 1
+    that cancels too.  Building a Fraction is still allowed."""
+    g = catalog.named_diagram("ft_N")       # 3 components, 2 vertices
+    p = parse_poly("1/2*A^3 + -2/3*A^-1 + 5")
+    q = parse_poly("3/4*A^2 + A^-2")
+    d = (A - A_INV) ** 3
+    f = RationalFunc(p * d, q * d)
+    expect = vassiliev_series(g, 8), fraction_quotient_series(p, q, 10)
+
+    def refuse(self, other):
+        raise AssertionError("Fraction arithmetic")
+
+    for name in ("add", "sub", "mul", "truediv"):
+        for op in ("__%s__", "__r%s__"):
+            monkeypatch.setattr(Fraction, op % name, refuse)
+    assert (vassiliev_series(g, 8), series_at_exp(f, 10)) == expect
 
 
 def test_weight_system_ignores_crossing_changes():
