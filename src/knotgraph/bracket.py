@@ -9,39 +9,40 @@ by its (node, port): one rule serves closed diagrams, vertex graphs and
 open tangles.  Its oracle, naive_profile, takes the same tables and arcs
 and sums every choice of one entry per table.
 
-A contraction is planned, then run.  The plan fixes the node order
-(greedy, from the narrower of two starts: _node_order) and gives each
-open arc and boundary end a slot, reusing freed ones; a state gives
-each slot its mate slot.  One pass over the arcs indexes each node by
-its place in the order, port by port, so each step can carry what the
-run reads a state with: a fixed tuple of the node's new slots, getters
-for the slot each port's strand goes on in and for the ports its
-closing arcs lead back to, and the slots it frees.  What a table entry
-does to a state depends only on the table and on which of the node's
-ports lead back to which.  For the two crossing tables it comes from a
-constant table, built at import, of their 20 (table, local links) cases,
-keyed by the identity of those module-lifetime tables.  A twist table
-(below) is built once per net twist, and a vertex table once per scheme
-weights, level and orientation, kept in a store of at most 64 that holds
-every table its identity-keyed cases name; each keeps its cases across
-calls as contract meets them.  Only a table the caller builds has its
-cases memoised for the call alone.  All rest on a constant table, built
-at import, of the 30 ways an entry's pairing can meet the ports that
-lead back to the node.  A table's packed cases (below) sit in the same
-dict as its term cases, keyed by their digit width, a multiple of 16
-bits.
+A contraction is planned, then run, on one int index of the network
+(_index): port p of the i-th node in sorted order is 4 i + p, at[k] is
+the port at the other end of port k's arc (-1 for a boundary end), and
+the arcs' tails keep the caller's order.  The twist pass rewires it in
+place; the greedy order (_node_order, from the narrower of two starts)
+and the plan read it.  The plan gives each open arc and boundary end a
+slot, reusing freed ones; a state gives each slot its mate slot.  Each
+step carries what the run reads a state with: the index of its node's
+(table, cases, norms) in one list, the node's new slots, getters for the
+slot each port's strand goes on in and for the ports its closing arcs
+lead back to, and the slots it frees.  What a table entry does to a
+state depends only on the table and on which of the node's ports lead
+back to which.  For the two crossing tables it comes from a constant
+table, built at import, of their 20 (table, local links) cases, keyed by
+the identity of those module-lifetime tables.  A twist table (below) is
+built once per net twist, and a vertex table once per scheme weights,
+level and orientation, kept in a store of at most 64 that holds every
+table its identity-keyed cases name; each keeps its cases across calls.
+Only a table the caller builds has its cases for the call alone.  All
+rest on a constant table, built at import, of the 30 ways an entry's
+pairing can meet the ports that lead back to the node.  A table's packed
+cases (below) sit in the same dict as its term cases, keyed by their
+digit width, a multiple of 16 bits.
 
-Before the plan, one pass over the arcs absorbs each twist region, a
-chain of crossings joined two arcs at a time, into one 4-port node.  In
-the 2-strand Temperley-Lieb algebra a crossing is A 1 + A^-1 e or its
-inverse, so a region of net twist m is sigma^m = A^m 1 + c_m e (Kauffman,
-Topology 26, 1987): a table of two entries, from a module-level table
-keyed by m.  A region of net twist 0, such as an R2 pair, is the
-identity: it gets no node, its two strands are spliced straight through,
-and a strand that closes on itself is a free loop.  Vertex tables, nodes
-with boundary ends (an open tangle keeps its end names) or a self-loop,
-and two crossings joined by three or four arcs or from opposite ports
-are never in a twist.
+Before the order, the twist pass (_absorb_twists) makes each twist
+region, a chain of crossings joined two arcs at a time, one 4-port node,
+its first crossing's, by writing the region's four outer ports in at.
+In the 2-strand Temperley-Lieb algebra a crossing is A 1 + A^-1 e or its
+inverse, so a region of net twist m is sigma^m = A^m 1 + c_m e
+(Kauffman, Topology 26, 1987): a table of two entries, from a
+module-level table keyed by m.  A region of net twist 0, such as an R2
+pair, is the identity: it gets no node, each of its two strands is
+spliced through with two writes, and a strand that closes on itself is
+a free loop.  A node with a boundary end keeps its end names.
 
 Table weights are terms of ring's Laurent kernel, and contract and
 closed_value return kernel terms: LaurentPoly is built only where z_eval
@@ -56,7 +57,7 @@ a shared table is checked once, when it is made, and a caller's table
 once per call.  Exponents two apart then suffice, because every entry,
 and the loop value, keeps the parity of a state's exponents.  The int is
 exact whatever its digits carry; only the final coefficients must fit
-in C bits, and _digit_width bounds them from the plan.  Each surviving
+in C bits, and the plan bounds them as it goes.  Each surviving
 state is decoded once, in balanced base 2^C.  Any other network keeps
 term dicts, whose coefficients are ints, and Fractions only where a
 table weight is non-integral: a marked vertex carries 1/4, the weights
@@ -175,52 +176,68 @@ def naive_profile(tables: Dict[str, Table], arcs: Sequence[ArcT]
 # --- frontier contraction ---------------------------------------------------
 
 
-def _node_order(nodes: Iterable[str], arcs: Sequence[ArcT]) -> List[str]:
-    """Greedy ordering of the given nodes that keeps the number of open
-    arcs small: next comes the node whose absorption grows the frontier
-    least, first in sorted order on ties.  It starts at the last node a
-    breadth-first search from the first node reaches (pseudo-peripheral:
+def _index(nodes: Iterable[str], arcs: Sequence[ArcT]
+           ) -> Tuple[List[str], List[int], List[int]]:
+    """The network as ints, in one pass over the arcs: the nodes in sorted
+    order, the i-th one's port p being 4 i + p; at[k], the port at the
+    other end of port k's arc (-1: a boundary end); and each arc's tail, in
+    the caller's order (its head is at[tail])."""
+    ids = sorted(nodes)
+    num = {node: 4 * i for i, node in enumerate(ids)}
+    at = [-1] * (4 * len(ids))
+    tails = []
+    for (a, p), (b, q) in arcs:
+        t, h = num[a] + p, num[b] + q
+        at[t], at[h] = h, t
+        tails.append(t)
+    return ids, at, tails
+
+
+def _node_order(at: List[int], tails: List[int],
+                live: Sequence[int]) -> List[int]:
+    """Greedy ordering of the live nodes (ascending): next comes the node
+    whose absorption grows the frontier of open arcs least, the lower
+    index on ties.  It starts at the last node a breadth-first search from
+    the first reaches, neighbours taken in arc order (pseudo-peripheral:
     Gibbs, Poole and Stockmeyer, SIAM J. Numer. Anal. 13, 1976), unless a
     start at the node of least growth keeps the widest frontier narrower:
     a far start sweeps across many narrow links but widens many wide ones."""
-    ids = sorted(nodes)
-    n = len(ids)
-    if not n:
+    if not live:
         return []
-    num = {node: i for i, node in enumerate(ids)}
+    n = len(at) // 4
     growth = [4] * n        # every port opens an arc or a boundary end
-    nbrs: List[List[int]] = [[] for _ in ids]
-    for (a, _), (b, _) in arcs:
-        i, j = num[a], num[b]
+    nbrs: List[List[int]] = [[] for _ in range(n)]
+    for t in tails:
+        i, j = t >> 2, at[t] >> 2
         if i == j:          # but a loop at one node opens nothing
             growth[i] -= 2
         else:
             nbrs[i].append(j)
             nbrs[j].append(i)
-    queue, seen = [0], [True] + [False] * (n - 1)
+    queue, seen = [live[0]], {live[0]}
     for i in queue:         # a breadth-first search from the first node
         for j in nbrs[i]:
-            if not seen[j]:
-                seen[j] = True
+            if j not in seen:
+                seen.add(j)
                 queue.append(j)
     # no frontier holds more than the 4n ports
-    far = _greedy(ids, growth, nbrs, queue[-1], 4 * n + 1)
-    near = _greedy(ids, growth, nbrs, min(range(n), key=growth.__getitem__),
+    far = _greedy(live, growth, nbrs, queue[-1], 4 * len(live) + 1)
+    near = _greedy(live, growth, nbrs, min(live, key=growth.__getitem__),
                    far[0])
     return (near or far)[1]
 
 
-def _greedy(ids: List[str], growth: List[int], nbrs: List[List[int]],
-            start: int, bound: int) -> Optional[Tuple[int, List[str]]]:
+def _greedy(live: Sequence[int], growth: List[int], nbrs: List[List[int]],
+            start: int, bound: int) -> Optional[Tuple[int, List[int]]]:
     """The greedy order from node start and its widest frontier, or None
     once the frontier reaches bound.  Placing a node opens its arcs to the
     nodes still waiting, and each shared arc lowers their growth (arcs
     opened less arcs closed) by 2.  Heap key g * n + i: (growth, index)."""
-    n = len(ids)
+    n = len(growth)
     key = [g * n + i for i, g in enumerate(growth)]
     # the start goes first: growth -1 is below every other (all >= 0)
     key[start], width = start - n, growth[start] + 1
-    heap = key[:]
+    heap = [key[i] for i in live]
     heapq.heapify(heap)
     pop, push = heapq.heappop, heapq.heappush
     order, widest = [], -1
@@ -230,7 +247,7 @@ def _greedy(ids: List[str], growth: List[int], nbrs: List[List[int]],
         if key[i] != k:     # a stale key, or a placed node's (None)
             continue
         key[i] = None
-        order.append(ids[i])
+        order.append(i)
         width += k // n
         if width > widest:
             if width >= bound:
@@ -370,11 +387,11 @@ _CROSSING_JOINS = {id(table): _Cases(table, ((links, _entries(table, links))
                                              for links in _LINKS))
                    for table in CROSSING_TABLES.values()}
 
-# Each crossing table's twist step by a pair of adjacent ports: the entry
-# that joins them is e, and its weight A takes the net twist down by 1,
-# A^-1 up by 1.
-_TWIST_STEP = {(id(t), pair): -w[0][0] for t in CROSSING_TABLES.values()
-               for p1, p2, w in t for pair in (p1, p2)}
+# Each crossing table's twist step, by x ^ y for the adjacent ports x, y
+# that an entry joins (1 for 0-1 and 2-3, 3 for 1-2 and 0-3): where the
+# entry is e, its weight A takes the net twist down by 1, A^-1 up by 1.
+_TWIST_STEP = {id(t): {p ^ q: -w[0][0] for (p, q), _, w in t}
+               for t in CROSSING_TABLES.values()}
 
 # Each twist region's table, keyed by its net twist m != 0, with its cases
 # (_Cases) as contract meets them: sigma^m = A^m 1 + ((-1)^m A^-3m - A^m) /
@@ -392,174 +409,159 @@ def _twist_table(m: int) -> tuple:
     return _TWISTS[m]
 
 
-def _absorb_twists(tables: Dict[str, Table], arcs: Sequence[ArcT]
-                   ) -> Tuple[Dict[str, Table], Sequence[ArcT], dict, int]:
-    """Each twist region becomes one node, named after its first crossing,
-    with the table of its net twist (_twist_table).  Two crossings, both
-    with every port on an arc and no self-loop, are neighbours when
-    exactly two arcs join them and leave each from adjacent ports; each
-    has at most two, so the chains are paths, and cycles, which leave one
-    crossing out.  Ports 0, 1 are the first crossing's outer ports and
-    2, 3 the last's that the all-1 state joins them to.  A region of net
-    twist 0 is 1 and gets no node: its strands, 0-2 and 1-3, are spliced,
-    the arc into each going on to where the arc out of it leads, and a
-    strand closed by such strands alone is a free loop.  Returns the new
-    tables and arcs, the twist tables' cases by table identity and the
-    number of free loops made."""
-    degree = dict.fromkeys(tables, 0)
-    between: Dict[Tuple[str, str], List[Pair]] = {}
-    for (a, p), (b, q) in arcs:
-        if a == b:
-            degree[a] += 8      # a node with a self-loop is in no twist
+def _absorb_twists(at: List[int], tails: List[int], kind: List[int],
+                   kinds: List[tuple]) -> Tuple[Sequence[int], List[int], int]:
+    """Each twist region of the int network (_index), in place: its first
+    crossing takes the kind of its net twist's table (_twist_table), and
+    the others' kind becomes -1.  Two crossings, both with every port on
+    an arc and no self-loop, are neighbours when exactly two arcs join
+    them and leave each from adjacent ports; each has at most two, so the
+    chains are paths, and cycles, which leave one crossing out.  Ports 0,
+    1 are the first crossing's outer ports and 2, 3 the last's that the
+    all-1 state joins them to.  A region of net twist 0 is 1: each of its
+    strands, 0-2 and 1-3, is spliced, its outer ends joined, or is a free
+    loop where they are each other.  Returns the live nodes, ascending,
+    the tails of the arcs left, in the caller's order (an arc inside a
+    twist or out of a net-zero strand is dropped), and the free loops."""
+    step = [_TWIST_STEP.get(id(table)) for table, _, _ in kinds]
+    # link[k] is at[k] along the two arcs between neighbours; neighbours
+    # are met in the order of their first arc, the lower index first
+    link = [-1] * len(at)
+    nbrs: Dict[int, List[int]] = {}
+    for t in tails:
+        if link[t] >= 0:
             continue
-        degree[a] += 1
-        degree[b] += 1
-        key, ports = ((a, b), (p, q)) if a < b else ((b, a), (q, p))
-        between.setdefault(key, []).append(ports)
-    nbrs: Dict[str, List[str]] = {}
-    link: Dict[End, End] = {}       # along the two arcs between neighbours
-    for (a, b), pattern in between.items():
-        if (len(pattern) == 2 and degree[a] == degree[b] == 4
-                and (pattern[0][0] - pattern[1][0]) % 2
-                and (pattern[0][1] - pattern[1][1]) % 2
-                and id(tables[a]) in _CROSSING_JOINS
-                and id(tables[b]) in _CROSSING_JOINS):
-            nbrs.setdefault(a, []).append(b)
-            nbrs.setdefault(b, []).append(a)
-            for p, q in pattern:
-                link[a, p], link[b, q] = (b, q), (a, p)
+        h = at[t]
+        i, j = t >> 2, h >> 2
+        # ports t ^ 1 and t ^ 3 are adjacent to t, and t ^ 2 is opposite
+        beside = at[t ^ 1] >> 2 == j
+        if beside == (at[t ^ 3] >> 2 == j) or at[t ^ 2] >> 2 == j or i == j:
+            continue        # one arc joins them, or three or four
+        q = t ^ 1 if beside else t ^ 3
+        g = at[q]
+        # j's two ports are adjacent too, and the two other ports of each
+        # lead to a third node (not to a boundary: -1 >> 2 is -1)
+        r, s = at[t ^ 2] >> 2, at[q ^ 2] >> 2
+        u, v = at[h ^ 2] >> 2, at[g ^ 2] >> 2
+        if ((h ^ g) & 1 and min(r, s, u, v) >= 0 and i != r and i != s
+                and j != u and j != v and step[kind[i]] and step[kind[j]]):
+            link[t], link[h], link[q], link[g] = h, t, g, q
+            for a, b in ((i, j), (j, i)) if i < j else ((j, i), (i, j)):
+                nbrs.setdefault(a, []).append(b)
     if not nbrs:
-        return tables, arcs, {}, 0
-    tables = dict(tables)
-    cases: Dict[int, dict] = {}
-    renamed: Dict[End, End] = {}
-    taken: set = set()
-    strands: List[Tuple[End, End]] = []     # each net-zero strand's ends
+        return range(len(kind)), tails, 0
+    loops = 0
+    moved: Dict[int, int] = {}      # a twist's outer port -> its new port
+    twists = []
     # the paths, each from an end, then the cycles, each from a neighbour
     # of the crossing out that it leaves out, from the ports to out
-    for node in [n for n, near in nbrs.items() if len(near) == 1] + list(nbrs):
-        if node in taken:
+    for node in [x for x, near in nbrs.items() if len(near) == 1] + list(nbrs):
+        if kind[node] < 0:
             continue
-        out = node if len(nbrs[node]) == 2 else None
-        if out is not None:
+        out = node if len(nbrs[node]) == 2 else -1      # -1 >> 2 is -1
+        if out >= 0:
             node = nbrs[out][0]
-        x, y = (p for p in range(4) if link.get((node, p), (None,))[0] == out)
-        first, m, ends = node, 0, ((node, x), (node, y))
+        first, m = node, 0
+        x, y = ends = [k for k in range(4 * node, 4 * node + 4)
+                       if link[k] >> 2 == out]
         while True:     # the all-1 state's strands go on from x and y
-            taken.add(node)
-            m += _TWIST_STEP[id(tables.pop(node)), (x, y) if x < y else (y, x)]
-            x, y = (2 * x - y) % 4, (2 * y - x) % 4
-            on = link.get((node, x))
-            if on is None or on[0] == out:
+            m += step[kind[node]][x ^ y]
+            kind[node] = -1
+            x, y = y ^ 2, x ^ 2
+            on = link[x]
+            if on >> 2 == out:
                 break
-            node, x, y = on[0], on[1], link[node, y][1]
+            x, y = on, link[y]
+            node = x >> 2
+        ends += x, y
         if m:
-            renamed[ends[0]], renamed[ends[1]] = (first, 0), (first, 1)
-            renamed[node, x], renamed[node, y] = (first, 2), (first, 3)
-            tables[first], found = _twist_table(m)
-            cases[id(tables[first])] = found
+            for c, (k, o) in enumerate(zip(ends, [at[k] for k in ends])):
+                new = moved[k] = 4 * first + c
+                if o in ends:   # the region's outer ends join each other
+                    o = 4 * first + ends.index(o)
+                at[new], at[o] = o, new
+            twists.append((first, m))
         else:
-            strands += (ends[0], (node, x)), (ends[1], (node, y))
-    loops = 0
-    if strands:
-        head = dict(arcs)
-        # each net-zero strand from the end it enters at to the one it leaves
-        through = dict((b, a) if a in head else (a, b) for a, b in strands)
-        while through:
-            a, b = through.popitem()
-            end = head[b]
-            while end in through:       # a net-zero strand follows
-                end = head[through.pop(end)]
-            if end == a:
-                loops += 1
-            else:       # the arc into a goes on to end
-                renamed[a] = renamed.get(end, end)
-    # an arc inside a twist or out of a net-zero strand has no renamed tail
-    return tables, [(renamed.get(t, t), renamed.get(h, h)) for t, h in arcs
-                    if t in renamed or t[0] not in taken], cases, loops
+            for u, v in ((ends[0], ends[2]), (ends[1], ends[3])):
+                ou, ov = at[u], at[v]
+                loops += ou == v    # a free loop, whose writes keep u-v
+                at[ou], at[ov] = ov, ou
+    # an arc keeps its place unless its tail went with a twist's inside
+    tails = [moved.get(t, t) for t in tails if kind[t >> 2] >= 0 or t in moved]
+    for first, m in twists:
+        table, found = _twist_table(m)
+        kind[first] = len(kinds)
+        kinds.append((table, found, found.norms))
+    return [i for i, k in enumerate(kind) if k >= 0], tails, loops
 
 
-def _plan(nodes: Iterable[str], arcs: Sequence[ArcT]
-          ) -> Tuple[List[tuple], Dict[int, End], int]:
-    """The order of _node_order and a slot for each open arc or boundary
-    end (a port on no arc): a closing arc frees its slot, an opening arc
-    or a boundary end takes a freed slot first.
+def _plan(at: List[int], order: List[int], kind: List[int],
+          norms: Optional[List[List[int]]], loops: int
+          ) -> Tuple[List[tuple], Dict[int, int], int, int]:
+    """The steps of a contraction in the given node order, with a slot for
+    each open arc or boundary end: a closing arc frees its slot, and an
+    opening arc or boundary end takes a freed slot first.  A state holds
+    each slot's mate slot (-1 if free), read through ext = fixed + state.
+    A step is (kind, fixed, mates_of, port_at, dest_of, cleared, frontier
+    width after it): kind indexes contract's list of (table, cases, norms);
+    fixed[p] is port p's new slot if it opens, -2 - q if it is a self-loop
+    to port q, else -1, and fixed[4] = -1; mates_of(ext) gives each closing
+    port's mate slot (fixed[p] for a self-loop port, -1 for an opening
+    one), and port_at maps such a value to the port it leads back to (-1 if
+    none); dest_of(ext) gives each port the slot its strand goes on in: an
+    opening port's new slot, a closing port's mate; cleared holds the slots
+    freed and not taken again.  Also returns the boundary port held by each
+    slot left open, the number of slots, and the packed run's digit width C
+    (0 where norms, each kind's _norms, is None).
 
-    A state holds each slot's mate slot (-1 for a free slot), and a step
-    reads it through ext = fixed + state.  A step is (node, fixed,
-    mates_of, port_at, dest_of, cleared, frontier width after it):
-    fixed[p] is port p's new slot if it opens, -2 - q if it is a
-    self-loop to port q, else -1, and fixed[4] = -1; mates_of(ext) gives
-    each closing port's mate slot (fixed[p] for a self-loop port, -1 for
-    an opening one), and port_at maps such a value to the port it leads
-    back to (-1 if none); dest_of(ext) gives each port the slot its
-    strand goes on in: an opening port's new slot, a closing port's mate;
-    cleared holds the slots freed and not taken again.  Also returns the
-    boundary end held by each slot left open and the number of slots."""
-    order = _node_order(nodes, arcs)
-    pos = {node: i for i, node in enumerate(order)}
-    # port p of the i-th node has index 4 * i + p; at[k] is the index of
-    # the other end of port k's arc, None for a boundary end
-    at: List[Optional[int]] = [None] * (4 * len(order))
-    for (a, ap), (b, bp) in arcs:
-        k, m = 4 * pos[a] + ap, 4 * pos[b] + bp
-        at[k], at[m] = m, k
-    held: Dict[int, int] = {}       # index of an opening port -> slot
+    A loop closes at the step that places the last of its nodes, along a
+    pairing of the chosen entry whose two ports both lead back, so an
+    entry closes at most as many loops as it has such pairings, k.  The
+    state sum's L1 norm is then at most 2^loops (the twists' free loops)
+    times the product over the steps of the sum over the node's entries
+    of |weight|_1 2^k, its norms at the step's closing ports: 3 for a
+    braid-form crossing, at most 4 (1 + |m|) for a twist of net twist m.
+    A digit of C bits holds c in balanced base 2^C when |c| < 2^(C - 1),
+    so C is one bit more than the bound's bit length, rounded up to a
+    multiple of 16 so that few widths, and so few packed cases, occur."""
+    placed = bytearray(len(at) // 4 + 1)    # placed[-1], a boundary's, is 0
+    held: Dict[int, int] = {}       # an opening port -> its slot
     free: List[int] = []
     steps = []
-    for i, node in enumerate(order):
+    norm = 1 << loops
+    for i in order:
         base = 4 * i
         fixed = [-1] * 5
         dest_ix, mate_ix = [0, 1, 2, 3], [4] * 4
         port_at = [-1] * (len(held) + len(free)) + [3, 2, 1, 0, -1]
-        kept, fresh = len(free), []
+        kept, fresh, closing = len(free), [], 0
         for p in range(4):
             k = at[base + p]
-            if k is None or k >= base + 4:  # a boundary end or a later node
-                fresh.append(p)
-            elif k >= base:                 # a loop at this node
+            j = k >> 2
+            if j == i:              # a loop at this node
                 fixed[p] = -2 - (k - base)
                 mate_ix[p] = p
-            else:
+                closing |= 1 << p
+            elif placed[j]:         # back to an earlier node
                 s = held.pop(k)
                 dest_ix[p] = mate_ix[p] = 5 + s
                 port_at[s] = p
                 free.append(s)
+                closing |= 1 << p
+            else:                   # a boundary end or a later node
+                fresh.append(p)
+        placed[i] = 1
         for p in fresh:
             held[base + p] = fixed[p] = free.pop() if free else len(held)
         # the slots this step freed and no opening port took
         cleared = tuple(free[kept:])
-        steps.append((node, tuple(fixed), itemgetter(*mate_ix), port_at,
+        if norms is not None:
+            norm *= norms[kind[i]][closing]
+        steps.append((kind[i], tuple(fixed), itemgetter(*mate_ix), port_at,
                       itemgetter(*dest_ix), cleared, len(held)))
-    return (steps, {s: (order[k // 4], k % 4) for k, s in held.items()},
-            len(held) + len(free))
-
-
-def _digit_width(steps: List[tuple], nodes: Dict[str, tuple],
-                 loops: int) -> int:
-    """The digit width C of the packed run of a plan's steps, each node's
-    (table, cases, norms) in nodes, to which absorbing the twists added
-    loops free loops: enough bits for every coefficient of the state sum.
-
-    A loop closes at the step that places the last of its nodes, and
-    there it runs along a pairing of the chosen entry whose two ports
-    both lead back, to earlier nodes or to the node itself.  So an entry
-    closes at most as many loops as it has such pairings, k, and the L1
-    norm of the state sum is at most 2^loops times the product over the
-    steps of the sum over the node's entries of |weight|_1 2^k
-    (_loop_norm).  That sum is 3 for a crossing whose two adjacent
-    in-ports lead back, as in a braid closure, and at most 4 (1 + |m|)
-    for a twist of net twist m; each table's norms hold it for the 16
-    sets of closing ports (_norms).  A digit of C bits holds a
-    coefficient c in balanced base 2^C when |c| < 2^(C - 1), so C is one
-    bit more than the bound's bit length, rounded up to a multiple of 16
-    so that few widths, and so few packed cases, ever occur."""
-    norm = 1 << loops
-    for node, fixed, *_ in steps:
-        f0, f1, f2, f3, _ = fixed       # below 0: the port leads back
-        closing = (f0 < 0) | (f1 < 0) << 1 | (f2 < 0) << 2 | (f3 < 0) << 3
-        norm *= nodes[node][2][closing]
-    return -(-(norm.bit_length() + 1) // 16) * 16
+    width = 0 if norms is None else -(-(norm.bit_length() + 1) // 16) * 16
+    return (steps, {s: k for k, s in held.items()}, len(held) + len(free),
+            width)
 
 
 def _pack(cases: dict, table: Table, links: Tuple[int, ...], width: int
@@ -601,52 +603,50 @@ def contract(tables: Dict[str, Table], arcs: Sequence[ArcT]
     is a boundary end, named by its (node, port).  Returns the nonzero
     weights, as kernel terms, by the pairing of the boundary ends that
     each state makes (a frozenset of two-end frozensets; empty for a
-    closed diagram).  Where every table left after _absorb_twists packs
-    (_norms), each state's weight is one packed integer (_run_packed);
-    otherwise, as with a marked vertex's 1/4 or a weight of both
-    parities, states keep term dicts (_run_terms)."""
-    tables, arcs, memo, loops = _absorb_twists(tables, arcs)
-    steps, ends, slots = _plan(tables, arcs)
-    found: Dict[int, tuple] = {}
-    for table in tables.values():
-        if id(table) not in found:
-            found[id(table)] = _cases(table, memo)
-    nodes = {node: found[id(table)] for node, table in tables.items()}
-    if all(norms for _, _, norms in found.values()):
-        width = _digit_width(steps, nodes, loops)
+    closed diagram).  Where every table packs (_norms), each state's
+    weight is one packed integer (_run_packed); otherwise, as with a
+    marked vertex's 1/4 or a weight of both parities, states keep term
+    dicts (_run_terms)."""
+    ids, at, tails = _index(tables, arcs)
+    # each node's kind: the index of its table's (table, cases, norms)
+    distinct = {id(table): table for table in tables.values()}
+    kinds = [_cases(table) for table in distinct.values()]
+    number = {key: k for k, key in enumerate(distinct)}
+    kind = [number[id(tables[node])] for node in ids]
+    live, tails, loops = _absorb_twists(at, tails, kind, kinds)
+    norms = [found for _, _, found in kinds]
+    steps, ends, slots, width = _plan(at, _node_order(at, tails, live), kind,
+                                      norms if all(norms) else None, loops)
+    if width:
         states = {state: _unpack(low, x, width) for state, (low, x)
-                  in _run_packed(steps, nodes, slots, loops, width).items()}
+                  in _run_packed(steps, kinds, slots, loops, width).items()}
     else:
-        states = _run_terms(steps, nodes, slots, loops)
-    return {frozenset(frozenset((ends[s], ends[t]))
+        states = _run_terms(steps, kinds, slots, loops)
+    names = {s: (ids[k >> 2], k & 3) for s, k in ends.items()}
+    return {frozenset(frozenset((names[s], names[t]))
                       for s, t in enumerate(state) if s < t): terms
             for state, terms in states.items()}
 
 
-def _cases(table: Table, memo: dict) -> tuple:
-    """A table, its cases and its norms (_norms).  A crossing, twist or
-    shared vertex table keeps its cases across calls (_Cases) and was
-    checked when it was made; any other table, built by the caller, gets
-    cases in memo for this call and is checked here."""
-    key = id(table)
-    for store in (_CROSSING_JOINS, memo, _VERTEX_CASES):
-        cases = store.get(key)
-        if cases is not None:
-            break
-    else:
-        cases = memo[key] = {}
-    if isinstance(cases, _Cases):
-        return table, cases, cases.norms
-    return table, cases, _norms(table)
+def _cases(table: Table) -> tuple:
+    """A table, its cases and its norms (_norms).  A crossing or shared
+    vertex table keeps its cases across calls (_Cases) and was checked
+    when it was made; any other table, built by the caller, gets cases
+    for this call and is checked here."""
+    cases = _CROSSING_JOINS.get(id(table))
+    if cases is None:
+        cases = _VERTEX_CASES.get(id(table), {})
+    return table, cases, (cases.norms if isinstance(cases, _Cases)
+                          else _norms(table))
 
 
-def _run_terms(steps: List[tuple], nodes: Dict[str, tuple], slots: int,
+def _run_terms(steps: List[tuple], kinds: List[tuple], slots: int,
                loops: int) -> Dict[Tuple[int, ...], Terms]:
-    """The plan's run with each state's weight a term dict, each node's
-    (table, cases, norms) in nodes."""
+    """The plan's run with each state's weight a term dict, each kind's
+    (table, cases, norms) in kinds."""
     states: Dict[Tuple[int, ...], Terms] = {(-1,) * slots: {0: 1}}
-    for node, fixed, mates_of, port_at, dest_of, cleared, _ in steps:
-        table, cases, _ = nodes[node]
+    for k, fixed, mates_of, port_at, dest_of, cleared, _ in steps:
+        table, cases, _ = kinds[k]
         port_of = port_at.__getitem__
         new_states: Dict[Tuple[int, ...], Terms] = {}
         summed = set()      # the targets a sum may have left a zero in
@@ -696,20 +696,20 @@ def _run_terms(steps: List[tuple], nodes: Dict[str, tuple], slots: int,
     return states
 
 
-def _run_packed(steps: List[tuple], nodes: Dict[str, tuple], slots: int,
+def _run_packed(steps: List[tuple], kinds: List[tuple], slots: int,
                 loops: int, width: int
                 ) -> Dict[Tuple[int, ...], Tuple[int, int]]:
     """The plan's run with each state's weight packed as (low, x), low
     its lowest exponent (_SPACING).  An entry's packed weight multiplies
     x and adds to low; two weights that meet add after the one of higher
     low is shifted by whole digits.  The integers are exact, so only the
-    final coefficients must fit a digit (_digit_width).  A table's packed
-    cases sit in its cases dict (nodes, as in _run_terms) under the key
-    width, beside its term cases."""
+    final coefficients must fit a digit (_plan).  A table's packed cases
+    sit in its cases dict (kinds, as in _run_terms) under the key width,
+    beside its term cases."""
     spacing = _SPACING
     states: Dict[Tuple[int, ...], Tuple[int, int]] = {(-1,) * slots: (0, 1)}
-    for node, fixed, mates_of, port_at, dest_of, cleared, _ in steps:
-        table, cases, _ = nodes[node]
+    for k, fixed, mates_of, port_at, dest_of, cleared, _ in steps:
+        table, cases, _ = kinds[k]
         packed = cases.get(width)
         if packed is None:
             packed = cases[width] = {}

@@ -2,7 +2,7 @@
 
 import random
 
-from knotgraph import catalog, moves
+from knotgraph import bracket, catalog, moves
 from knotgraph.bracket import z_eval
 from knotgraph.diagram import Diagram
 
@@ -88,3 +88,18 @@ def disjoint_union(d1, d2):
     arcs = list(d1.arcs) + [((rename[a], p), (rename[b], q))
                             for (a, p), (b, q) in d2.arcs]
     return Diagram.make(nodes, arcs, d1.free_loops + d2.free_loops)
+
+
+def absorbed(tables, arcs):
+    """The twist pass on the int index of tables and arcs, mapped back to
+    names: the tables left (a twist's under the id of its first
+    crossing), the arcs left, in their order, and the free loops made."""
+    ids, at, tails = bracket._index(tables, arcs)
+    kinds = [(tables[n], None, None) for n in ids]
+    kind = list(range(len(ids)))
+    live, tails, loops = bracket._absorb_twists(at, tails, kind, kinds)
+
+    def end(k):
+        return ids[k >> 2], k & 3
+    return ({ids[i]: kinds[kind[i]][0] for i in live},
+            [(end(t), end(at[t])) for t in tails], loops)

@@ -10,6 +10,7 @@ ROOT = Path(__file__).resolve().parent.parent
 if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
 
+from conftest import absorbed  # noqa: E402
 from knotgraph import bracket  # noqa: E402
 from perfbench import checks, gen, tracing, workloads  # noqa: E402
 
@@ -28,8 +29,8 @@ def _spliced(d):
     twist 0, so the pass leaves one node more for each."""
     tables = {i: bracket.CROSSING_TABLES[k] for i, k in d.nodes}
     positive = dict.fromkeys(tables, bracket.CROSSING_TABLES["XPos"])
-    return (len(bracket._absorb_twists(positive, d.arcs)[0])
-            - len(bracket._absorb_twists(tables, d.arcs)[0]))
+    return (len(absorbed(positive, d.arcs)[0])
+            - len(absorbed(tables, d.arcs)[0]))
 
 
 def test_links_items_pass_their_checks():

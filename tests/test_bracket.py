@@ -11,14 +11,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import (disjoint_union, grow_with_moves, mirror,
+from conftest import (absorbed, disjoint_union, grow_with_moves, mirror,
                       random_braid_link, random_vertex_graph, raw,
                       reverse_component, trace_components)
 from oracles import crossing_sign, torus_jones
 from knotgraph import bracket, catalog, moves
 from knotgraph.bracket import (CROSSING_TABLES, bracket_naive, contract,
                                max_crossings, naive_profile, p_eval, z_eval)
-from knotgraph.bracket import _absorb_twists, _node_order, _plan
+from knotgraph.bracket import _node_order, _plan
 from knotgraph.diagram import (Diagram, DiagramError, replace_kind,
                                vertex_ports)
 from knotgraph.graphinv import (CASIMIR_MARKED, CASIMIR_PLAIN, VASSILIEV,
@@ -264,6 +264,24 @@ def _ports_at(nodes, arcs):
     return at
 
 
+def _int_order(nodes, arcs):
+    """_node_order on the int index (_index) of nodes and arcs, every
+    node live, as node names."""
+    ids, at, tails = bracket._index(nodes, arcs)
+    return [ids[i] for i in _node_order(at, tails, range(len(ids)))]
+
+
+def _planned(nodes, arcs):
+    """_plan in _node_order's order on the int index of nodes and arcs,
+    mapped back to names: the order, the steps, the boundary end held by
+    each slot left open, and the number of slots."""
+    ids, at, tails = bracket._index(nodes, arcs)
+    order = _node_order(at, tails, range(len(ids)))
+    steps, ends, slots, _ = _plan(at, order, [0] * len(ids), None, 0)
+    return ([ids[i] for i in order], steps,
+            {s: (ids[k >> 2], k & 3) for s, k in ends.items()}, slots)
+
+
 def _graph_and_tangles(rng):
     """The node sets and arcs of a seeded vertex graph and of two open
     tangles cut from it, whose ports on no arc are boundary ends."""
@@ -299,8 +317,8 @@ def test_incremental_order_matches_greedy_oracle():
         cases.append((d.node_ids(), d.arcs))
     cases.append((["n0"], []))
     for nodes, arcs in cases:
-        at = _ports_at(nodes, arcs)
-        assert _node_order(at, arcs) == _greedy_order(at, arcs)
+        assert _int_order(nodes, arcs) == _greedy_order(_ports_at(nodes, arcs),
+                                                        arcs)
 
 
 def test_boundary_ports_may_outnumber_arcs():
@@ -316,8 +334,8 @@ def test_boundary_ports_may_outnumber_arcs():
               for arcs in ([], [(("c", 0), ("d", 1))])]
     for kinds, arcs in cases:
         at = _ports_at(kinds, arcs)
-        steps = _plan(at, arcs)[0]
-        assert [step[0] for step in steps] == _greedy_order(at, arcs)
+        order, steps, _, _ = _planned(kinds, arcs)
+        assert order == _greedy_order(at, arcs)
         assert (max(step[6] for step in steps)
                 == max(_greedy_from(at, arcs, None)[1]) > len(arcs))
         tables = {n: CROSSING_TABLES[k] for n, k in kinds.items()}
@@ -336,7 +354,7 @@ def test_plan_is_never_wider_than_from_the_least_growth_node():
                 for _ in range(rng.randint(60, 150))]
         d = catalog.braid_closure(strands, word)
         at = _ports_at(d.node_ids(), d.arcs)
-        widest = max(step[6] for step in _plan(at, d.arcs)[0])
+        widest = max(step[6] for step in _planned(d.node_ids(), d.arcs)[1])
         near = max(_greedy_from(at, d.arcs, None)[1])
         far = max(_greedy_from(at, d.arcs, _last_reached(at, d.arcs))[1])
         assert widest == min(near, far)
@@ -350,8 +368,8 @@ def _shuffled_orders(seed):
     permutation of the nodes: any permutation is a valid order."""
     rng = random.Random(seed)
 
-    def order(at, arcs):
-        nodes = sorted(at)
+    def order(at, tails, live):
+        nodes = list(live)
         rng.shuffle(nodes)
         return nodes
     return order
@@ -416,11 +434,11 @@ def test_plan_gives_each_open_arc_its_own_slot():
         cases += _graph_and_tangles(rng)
     for nodes, arcs in cases:
         at = _ports_at(nodes, arcs)
-        steps, ends, width = _plan(at, arcs)
-        assert [step[0] for step in steps] == _node_order(at, arcs)
+        order, steps, ends, width = _planned(nodes, arcs)
         held, placed, widths = {}, set(), []
         probe = tuple(range(5 + width))
-        for node, fixed, mates_of, port_at, dest_of, cleared, w in steps:
+        for node, (_, fixed, mates_of, port_at, dest_of, cleared, w) in zip(
+                order, steps):
             placed.add(node)
             closing = {p: s for s, p in enumerate(port_at[:-5]) if p >= 0}
             opening = {p: fixed[p] for p in range(4) if fixed[p] >= 0}
@@ -598,9 +616,9 @@ def test_a_cancelled_coefficient_leaves_no_zero_entry(monkeypatch):
     arcs = [(("a", 0), ("b", 0)), (("b", 1), ("a", 1))]
     key = frozenset({frozenset({("a", 2), ("a", 3)}),
                      frozenset({("b", 2), ("b", 3)})})
-    for order in (["a", "b"], ["b", "a"]):
+    for order in ([0, 1], [1, 0]):       # a is node 0 and b node 1
         monkeypatch.setattr(bracket, "_node_order",
-                            lambda nodes, arcs, order=order: order)
+                            lambda at, tails, live, order=order: order)
         assert contract(tables, arcs) == {key: {4: -1, -4: 1}}
 
 
@@ -659,25 +677,24 @@ def test_absorbed_bigons_keep_the_brute_force_state_sum():
                    for s, level in _SCHEMES]
     for tables, arcs in closed:
         assert contract(tables, arcs) == naive_profile(tables, arcs)
-    absorbed = 0
+    merged = 0
     for d in links:
         tables = _crossing_tables(d)
         # a twist keeps its first crossing's id: cut an arc at a node that
         # goes, and about a fifth of the others
-        gone = [n for n in tables if n not in _absorb_twists(tables,
-                                                             d.arcs)[0]]
+        gone = [n for n in tables if n not in absorbed(tables, d.arcs)[0]]
         if not gone:
             continue
-        absorbed += 1
+        merged += 1
         n = rng.choice(gone)
         drop = rng.choice([arc for arc in d.arcs if n in (arc[0][0],
                                                           arc[1][0])])
         arcs = [arc for arc in d.arcs if arc != drop and rng.random() > 0.2]
-        assert _absorb_twists(tables, arcs)[0][n] is tables[n]
+        assert absorbed(tables, arcs)[0][n] is tables[n]
         assert contract(tables, arcs) == naive_profile(tables, arcs)
-    assert absorbed >= 25
+    assert merged >= 25
     for d in three:
-        assert len(_absorb_twists(_crossing_tables(d), d.arcs)[0]) == len(
+        assert len(absorbed(_crossing_tables(d), d.arcs)[0]) == len(
             d.nodes)
 
 
@@ -695,7 +712,7 @@ def test_an_r2_pair_leaves_no_node(monkeypatch):
         d = random_braid_link(rng, 5, 4)
         d = r2_plus(d, *rng.sample(d.arcs, 2))
         tables = _crossing_tables(d)
-        after, arcs, _, loops = _absorb_twists(tables, d.arcs)
+        after, arcs, loops = absorbed(tables, d.arcs)
         assert contract(tables, d.arcs) == naive_profile(tables, d.arcs)
         joined = Counter(frozenset((a, b)) for (a, _), (b, _) in d.arcs
                          if a != b)
@@ -751,7 +768,7 @@ def test_twist_chains_keep_the_brute_force_state_sum():
     others' net twist is 0."""
     spliced = 0
     for k, kind, net, tables, arcs, naive in _chains():
-        after = _absorb_twists(tables, arcs)[0]
+        after = absorbed(tables, arcs)[0]
         if kind == "open":
             nodes = 1 + (k == 1 or net != 0)
         elif k >= 3:
@@ -793,7 +810,8 @@ def test_a_changed_twist_weight_changes_the_value(monkeypatch):
     for m, (table, _) in twists.items():
         (p1, p2, w), *e = table
         e = [(q1, q2, tuple((x + 1, c) for x, c in v)) for q1, q2, v in e]
-        changed[m] = ((p1, p2, w), *e), {}
+        table = (p1, p2, w), *e
+        changed[m] = table, bracket._Cases(table)
     cases = [(tables, arcs, naive) for k, kind, net, tables, arcs, naive
              in _chains() if kind == "open" and k >= 2 and net]
     assert len(cases) >= 8
@@ -802,7 +820,7 @@ def test_a_changed_twist_weight_changes_the_value(monkeypatch):
         for tables, arcs, naive in cases:
             assert contract(tables, arcs) != naive
             if wrong is changed:
-                after, left, _, loops = _absorb_twists(tables, arcs)
+                after, left, loops = absorbed(tables, arcs)
                 assert loops == 0
                 assert contract(tables, arcs) == naive_profile(after, left)
 
@@ -828,7 +846,7 @@ def test_the_twist_pass_takes_whole_runs_and_nothing_else():
         word = [(2, s) for _, s in _chain_word(rng, k)]
         d = catalog.braid_closure(4, word + [(1, 1), (3, 1)])
         net = sum(s for _, s in word)
-        assert len(_absorb_twists(_crossing_tables(d), d.arcs)[0]) == (
+        assert len(absorbed(_crossing_tables(d), d.arcs)[0]) == (
             2 + (net != 0))
         _profiles_agree(d, {})
     for k in range(3, 8):
@@ -840,14 +858,14 @@ def test_the_twist_pass_takes_whole_runs_and_nothing_else():
         net = sum(s for _, s in word) - word[int(v[1:])][1]
         g = replace_kind(d, v, "Vert")
         tables = bracket.node_tables(g.nodes, g.in_ports(), vert, "p")[0]
-        after = _absorb_twists(tables, g.arcs)[0]
+        after = absorbed(tables, g.arcs)[0]
         assert len(after) == 1 + (net != 0) and after[v] is tables[v]
         _profiles_agree(g, vert)
         # cut one arc at a crossing of the twist: it has boundary ends
         c = rng.choice([n for n in d.node_ids() if n != v])
         arcs = [arc for arc in g.arcs if c not in (arc[0][0], arc[1][0])]
         arcs += [arc for arc in g.arcs if c in (arc[0][0], arc[1][0])][1:]
-        assert _absorb_twists(tables, arcs)[0][c] is tables[c]
+        assert absorbed(tables, arcs)[0][c] is tables[c]
         profile = contract(tables, arcs)
         assert profile == naive_profile(tables, arcs)
         assert {end for pairing in profile for pair in pairing
@@ -866,7 +884,7 @@ def test_the_twist_pass_takes_whole_runs_and_nothing_else():
         for ka, kb in product(CROSSING_TABLES, repeat=2):
             tables = {"a": CROSSING_TABLES[ka], "b": CROSSING_TABLES[kb],
                       "v": copy}
-            after = _absorb_twists(tables, arcs)[0]
+            after = absorbed(tables, arcs)[0]
             # joined this way, XPos and XNeg are an R2 pair: no node
             assert len(after) == (1 + (ka == kb) if merged else 3)
             assert contract(tables, arcs) == naive_profile(tables, arcs)
@@ -888,7 +906,7 @@ def test_a_spliced_strand_closes_into_a_free_loop():
     bracket_naive."""
     for word, nodes, loops, z, p in _SPLICED:
         d = catalog.braid_closure(3, word)
-        after, arcs, _, made = _absorb_twists(_crossing_tables(d), d.arcs)
+        after, arcs, made = absorbed(_crossing_tables(d), d.arcs)
         assert (len(after), made) == (nodes, loops)
         _profiles_agree(d, {})
         assert z_eval(d) == bracket_naive(d) == LaurentPoly.from_dict(z)
@@ -900,7 +918,7 @@ def test_a_dropped_splice_loop_changes_the_value(monkeypatch):
     longer equals naive_profile on the shapes above."""
     absorb = bracket._absorb_twists
     monkeypatch.setattr(bracket, "_absorb_twists",
-                        lambda tables, arcs: absorb(tables, arcs)[:3] + (0,))
+                        lambda *args: absorb(*args)[:2] + (0,))
     for word, *_ in _SPLICED:
         d = catalog.braid_closure(3, word)
         tables = _crossing_tables(d)
@@ -950,11 +968,11 @@ def test_r2_blocks_leave_the_values_of_the_word_without_them(monkeypatch):
         strands, base, word = _with_r2_blocks(rng)
         d = catalog.braid_closure(strands, [x for x, _ in word])
         d0 = catalog.braid_closure(strands, base)
-        after = _absorb_twists(_crossing_tables(d), d.arcs)[0]
+        after = absorbed(_crossing_tables(d), d.arcs)[0]
         assert len(after) < len(word)
         # with every crossing positive no twist of a braid has net 0
         positive = dict.fromkeys(d.node_ids(), CROSSING_TABLES["XPos"])
-        spliced += len(_absorb_twists(positive, d.arcs)[0]) > len(after)
+        spliced += len(absorbed(positive, d.arcs)[0]) > len(after)
         if len(word) <= 10:
             assert z_eval(d) == bracket_naive(d)
             naive += 1
@@ -997,6 +1015,94 @@ def test_twist_cycles_give_the_torus_link_of_their_net_twist(monkeypatch):
         assert value == (expect[net] if net >= 0
                          else expect[-net].substitute_inverse()), word
     assert min(nets) < 0 < max(nets) and 0 in nets
+
+
+def _twist_shapes(rng):
+    """Seeded networks of every shape the twist pass rewires, as
+    (tables, arcs): T(2, n) cycles, n = 2..9; 3- and 4-strand closures of
+    runs on one letter each, so that two regions meet end to end; a run on
+    sigma_1 beside sigma_2 letters only, whose strand 1 closes on itself:
+    into a free loop where its net twist is 0, else by joining the
+    twist's outer ends to each other; each of these with up to two kinks
+    (self-loops) and with about a fifth of its arcs cut (boundary ends);
+    and the open tangles that find_slides contracts on them."""
+    def run(i, k, net_zero=False):
+        signs = [rng.choice((1, -1)) for _ in range(k)]
+        if net_zero:
+            signs = signs + [-s for s in signs]
+            rng.shuffle(signs)
+        return [(i, s) for s in signs]
+    links = [catalog.braid_closure(2, run(1, n)) for n in range(2, 10)]
+    for _ in range(12):
+        strands = rng.randint(3, 4)
+        links.append(catalog.braid_closure(strands, [
+            x for i in range(1, strands) for x in run(i, rng.randint(2, 3))]))
+        # a run of three or more, so that the closing arc of strand 1
+        # makes no third arc between two neighbours
+        first = (run(1, rng.randint(2, 3), net_zero=True)
+                 if rng.random() < 0.5 else run(1, rng.randint(3, 4)))
+        links.append(catalog.braid_closure(3, first + run(2, rng.randint(1,
+                                                                         2))))
+    kinked = []
+    for d in links:
+        for _ in range(rng.randint(1, 2)):
+            d = r1_plus(d, rng.choice(d.arcs),
+                        rng.choice(sorted(KINK_VARIANTS)))
+        kinked.append(d)
+    networks = []
+    for d in links + kinked:
+        tables = _crossing_tables(d)
+        networks += [(tables, d.arcs),
+                     (tables, [a for a in d.arcs if rng.random() > 0.2])]
+    tangles = []
+
+    def recorded(tables, arcs):
+        tangles.append((dict(tables), list(arcs)))
+        return contract(tables, arcs)
+    original = moves.contract
+    moves.contract = recorded
+    try:
+        for d in links[::2] + kinked[::2]:
+            moves.find_slides(d)
+    finally:
+        moves.contract = original
+    return networks + tangles
+
+
+def test_twist_rewiring_keeps_the_brute_force_state_sum(monkeypatch):
+    """The in-place rewiring of every twist region: contract equals
+    naive_profile on each shape of _twist_shapes, and the seeds reach each
+    one.  Negative control: with every sign of _TWIST_STEP flipped, each
+    region of nonzero net twist gets its mirror's table, and the value
+    changes on at least three in four of the networks left with a twist
+    node."""
+    networks = _twist_shapes(random.Random(53))
+    seen = Counter()
+    nonzero = []        # the networks left with a twist node
+    for tables, arcs in networks:
+        assert contract(tables, arcs) == naive_profile(tables, arcs)
+        after, left, loops = absorbed(tables, arcs)
+        twists = {n for n in after if after[n] is not tables[n]}
+        ends = {end for arc in arcs for end in arc}
+        if twists:
+            nonzero.append((tables, arcs))
+        seen["absorbed"] += len(after) < len(tables)
+        seen["free loop"] += loops > 0
+        seen["outer ends joined"] += any(
+            a == b in twists for (a, _), (b, _) in left)
+        seen["end to end"] += any(a != b and {a, b} <= twists
+                                  for (a, _), (b, _) in left)
+        seen["beside a self-loop"] += bool(twists) and any(
+            a == b not in twists for (a, _), (b, _) in left)
+        seen["beside a boundary end"] += bool(twists) and len(ends) < 4 * len(
+            tables)
+    assert min(seen.values()) >= 10 and seen["absorbed"] >= 80, seen
+    flipped = {key: {xor: -s for xor, s in steps.items()}
+               for key, steps in bracket._TWIST_STEP.items()}
+    monkeypatch.setattr(bracket, "_TWIST_STEP", flipped)
+    wrong = sum(contract(tables, arcs) != naive_profile(tables, arcs)
+                for tables, arcs in nonzero)
+    assert wrong >= 0.75 * len(nonzero), (wrong, len(nonzero))
 
 
 # --- packed state weights ---------------------------------------------------
@@ -1064,7 +1170,7 @@ def test_packed_runs_equal_the_brute_force_sum_on_any_port_matching(
 
 def test_a_digit_one_bit_short_misreads_the_largest_coefficient(
         monkeypatch):
-    """Through the one helper that picks the digit width: at the bit
+    """Through the width that _plan returns: at the bit
     length of the largest coefficient plus one for the sign, the value
     matches; one bit less misreads that coefficient, which lies outside
     the balanced digit range [-2^(C-1), 2^(C-1))."""
@@ -1075,10 +1181,11 @@ def test_a_digit_one_bit_short_misreads_the_largest_coefficient(
     top = max(expect[frozenset()].values(), key=abs)
     bits = abs(top).bit_length()
     assert bits >= 4 and top != -(1 << bits - 1)
+    plan = bracket._plan
     for width, same in ((bits + 1, True), (bits, False)):
         _fresh_cases(monkeypatch)
-        monkeypatch.setattr(bracket, "_digit_width",
-                            lambda steps, tables, loops, w=width: w)
+        monkeypatch.setattr(bracket, "_plan",
+                            lambda *args, w=width: plan(*args)[:3] + (w,))
         assert (contract(tables, d.arcs) == expect) is same
 
 
@@ -1176,11 +1283,12 @@ def test_a_digit_one_bit_short_misreads_a_vertex_network(monkeypatch):
     top = max(expect[frozenset()].values(), key=abs)
     bits = abs(top).bit_length()
     assert bits >= 4 and top != -(1 << bits - 1)
+    plan = bracket._plan
     for width, same in ((bits + 1, True), (bits, False)):
         _fresh_cases(monkeypatch)
         tables = _graph_tables(g, {"Vert": VASSILIEV.over_one_den}, "p")
-        monkeypatch.setattr(bracket, "_digit_width",
-                            lambda steps, nodes, loops, w=width: w)
+        monkeypatch.setattr(bracket, "_plan",
+                            lambda *args, w=width: plan(*args)[:3] + (w,))
         assert (contract(tables, g.arcs) == expect) is same
 
 

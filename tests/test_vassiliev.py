@@ -98,11 +98,13 @@ def _braid_graph(rng, strands: int, crossings: int, vertices: int):
     return g
 
 
-def test_series_matches_the_rational_function_route():
-    """vassiliev_series divides the value's series by the unit series of
-    (A^2 + A^-2)^(c-1); the reference divides the rational functions
-    first and expands the quotient.  For c > 1 both quotients that are
-    polynomials and quotients that are not occur."""
+def test_series_divides_the_value_series_by_the_unit_series():
+    """vassiliev_series is the series of the value divided by the unit
+    (A^2 + A^-2)^(c-1), as series_at_exp gives it for the quotient.  Both
+    end in ring.quotient_series, so this checks the normalisation by the
+    unit, not the division; test_series_matches_the_fraction_route is the
+    independent check.  For c > 1 both quotients that are polynomials and
+    quotients that are not occur."""
     rng = random.Random(71)
     seen, exact = set(), set()
     for _ in range(40):
